@@ -19,7 +19,6 @@ from .federation import (
     adapt_for_eval,
     fedatt_aggregate,
     fedavg_aggregate,
-    fedirt_round,
     local_adaptation,
     meta_gradient,
     run_federation,

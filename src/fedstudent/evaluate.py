@@ -8,19 +8,18 @@ run executes under an access monitor so train/test isolation can be audited.
 from __future__ import annotations
 
 import csv
-import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activity import StudentRecord, demographic_group, sequence_matrix
 from .federation import (
     AttnAggConfig,
+    FederationError,
     FederationSchedule,
     MetaConfig,
     TrainSettings,
-    adapt_for_eval,
     run_federation,
 )
 from .metrics import ScoredStudent, UndefinedAUCError, auc
@@ -30,8 +29,6 @@ from .params import ModelParams
 from .pretrain import run_pretraining
 from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, rng_for
 from .tracking import AccessMonitor, track_records
-
-logger = logging.getLogger(__name__)
 
 REPORT_HEADER = ["strategy", "variable", "subgroup", "mean_auc", "std_auc", "n_runs"]
 ROUNDS_HEADER = ["strategy", "fold", "seed", "round", "subgroup", "val_auc", "train_loss"]
@@ -193,25 +190,21 @@ def execute_run(
             monitor.counts[key] += count
 
     schedule = FederationSchedule(strategy, rounds=plan.rounds, local_iters=plan.local_iters)
-    result = run_federation(
-        tracked, split, schedule, seed,
-        settings=plan.settings, meta_cfg=plan.meta, attn_cfg=plan.attn,
-        pretrained=pretrained, monitor=monitor,
-    )
+    try:
+        result = run_federation(
+            tracked, split, schedule, seed,
+            settings=plan.settings, meta_cfg=plan.meta, attn_cfg=plan.attn,
+            pretrained=pretrained, monitor=monitor,
+        )
+    except FederationError as exc:
+        raise FederationError(f"{strategy} fold {fold_idx} seed {seed}: {exc}") from exc
     warnings.extend(result.warnings)
 
-    clients = {c.key: c for c in result.clients}
     subgroup_auc: dict[str, float | None] = {}
     test_ids: dict[str, list[str]] = {}
     eval_models: dict[str, ModelParams] = {}
     for key in split.subgroups():
-        base = result.eval_bases[key]
-        model = base
-        if result.adapt_mode != "none":
-            with monitor.phase("train"):
-                model = adapt_for_eval(base, clients[key], result.adapt_mode,
-                                       plan.meta, round_tag=result.best_round)
-        eval_models[str(key)] = model
+        eval_models[str(key)] = model = result.eval_models[key]
         assignment = split.assignments[key]
         test_ids[str(key)] = list(assignment.test)
         with monitor.phase("evaluate"):
@@ -240,7 +233,7 @@ def execute_run(
         seed=seed,
         subgroup_auc=subgroup_auc,
         rounds=round_tuples,
-        final_params=result.final.params,
+        final_params=result.final_params,
         eval_models=eval_models,
         test_ids=test_ids,
         access_counts=dict(monitor.counts),
@@ -439,6 +432,3 @@ def embeddings_to_csv(dump: EmbeddingDump, path: str) -> None:
         for sid, subgroup, vector in dump.rows:
             writer.writerow([sid, subgroup] + [repr(float(v)) for v in vector])
 
-
-def with_pretraining(plan: ExperimentPlan, enabled: bool) -> ExperimentPlan:
-    return replace(plan, pretrain_enabled=enabled)

@@ -1,6 +1,8 @@
 """Round-based training strategies over demographic subgroups acting as clients.
 
-Seven strategies share one orchestration surface:
+Seven strategies share one round driver and differ only in their row of
+`RULES`: how a client trains locally, how the global model is aggregated, and
+how an evaluation model is adapted from it.
 
 * Local        - each subgroup trains its own model, no aggregation
 * Central      - one model over the union of subgroup training sets
@@ -18,7 +20,6 @@ client holding the same data as a centralized run sees the same batch order.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,6 @@ from .pretrain import transfer_weights
 from .splits import DatasetSplit, SubgroupKey, ids_digest, rng_for
 from .tracking import NullMonitor
 
-logger = logging.getLogger(__name__)
-
-STRATEGIES = ("Local", "Central", "FedAvg", "FedAtt", "FedIRT", "PerFedAvgAgg", "PerFedAttn")
-META_STRATEGIES = ("PerFedAvgAgg", "PerFedAttn")
-
 
 class FederationError(RuntimeError):
     """Raised when a round fails; carries round and subgroup context."""
@@ -48,7 +44,7 @@ class MetaConfig:
     """Inner/outer step sizes and Hessian handling for meta-gradient updates.
 
     meta_batch is the number of students drawn per meta iteration; None uses
-    the client's whole training split, the literal full-dataset meta loss.
+    the training batch size.
     """
 
     inner_lr: float = 0.01
@@ -106,6 +102,25 @@ class TrainSettings:
         return OptState(kind=self.opt_kind, lr=self.lr, decay=self.decay)
 
 
+@dataclass(frozen=True)
+class Rules:
+    local_update: str  # "plain" epochs, "irt" (interpolated start, then plain epochs) or "meta" epochs
+    aggregate: str     # "none", "pooled" (one client holding the union), "count", "attention" or "irt"
+    adapt: str         # evaluation-time adaptation: "none", "plain" or "meta"
+
+
+RULES = {
+    "Local": Rules("plain", "none", "none"),
+    "Central": Rules("plain", "pooled", "none"),
+    "FedAvg": Rules("plain", "count", "none"),
+    "FedAtt": Rules("plain", "attention", "none"),
+    "FedIRT": Rules("irt", "irt", "plain"),
+    "PerFedAvgAgg": Rules("meta", "count", "meta"),
+    "PerFedAttn": Rules("meta", "attention", "meta"),
+}
+STRATEGIES = tuple(RULES)
+
+
 class TrainContext:
     """Shared access point for record matrices and labels during a run."""
 
@@ -113,9 +128,6 @@ class TrainContext:
         self.records = records
         self.settings = settings
         self._matrices: dict[str, np.ndarray] = {}
-        first = next(iter(records.values()))
-        self.input_dim = first.sequence[0].width
-        self._matrices[first.student_id] = sequence_matrix(first.sequence)
 
     def matrix(self, student_id: str) -> np.ndarray:
         cached = self._matrices.get(student_id)
@@ -130,16 +142,15 @@ class TrainContext:
 
 @dataclass
 class ClientState:
-    """One subgroup acting as a federated client."""
+    """One subgroup (or, for Central, the union of them) acting as a federated client."""
 
     key: SubgroupKey
     train_ids: list[str]
     val_ids: list[str]
     ctx: TrainContext
     seed: int
-    model: ModelParams | None = None
     prev_model: ModelParams | None = None   # previous round's local endpoint
-    opt: OptState | None = None
+    opt: OptState = field(init=False)        # persists across the client's rounds
     digest: str = field(init=False)
 
     def __post_init__(self):
@@ -147,6 +158,7 @@ class ClientState:
             raise FederationError(f"subgroup {self.key} has an empty training split")
         self.train_ids = sorted(self.train_ids)
         self.digest = ids_digest(self.train_ids)
+        self.opt = self.ctx.settings.make_opt()
 
     @property
     def count(self) -> int:
@@ -213,6 +225,22 @@ def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> Gradients:
     return result
 
 
+def _meta_epoch(params: ModelParams, client: ClientState, cfg: MetaConfig,
+                rng: np.random.Generator, losses: list[float] | None = None) -> ModelParams:
+    """One shuffled sweep of meta-updates; appends each pre-step batch loss to `losses`."""
+    order = rng.permutation(len(client.train_ids))
+    shuffled = [client.train_ids[i] for i in order]
+    batch_size = min(cfg.meta_batch or client.ctx.settings.batch_size, len(shuffled))
+    for start in range(0, len(shuffled), batch_size):
+        # The meta loss is a deterministic function of the parameters, so
+        # meta objectives carry no dropout (rng=None).
+        objective = BatchObjective(client.ctx, shuffled[start:start + batch_size], None)
+        if losses is not None:
+            losses.append(objective.loss(params))
+        params = params_axpy(-cfg.outer_lr, meta_gradient(params, objective, cfg), params)
+    return params
+
+
 def local_adaptation(
     global_params: ModelParams,
     client: ClientState,
@@ -229,20 +257,11 @@ def local_adaptation(
     """
     if local_iters < 1:
         raise ValueError("local_iters must be >= 1")
-    params = global_params.copy()
+    params = global_params
     rng = rng_for(client.seed, "meta", client.digest, round_idx)
-    batch_size = min(cfg.meta_batch or client.ctx.settings.batch_size, len(client.train_ids))
-    losses = []
+    losses: list[float] = []
     for _ in range(local_iters):
-        order = rng.permutation(len(client.train_ids))
-        shuffled = [client.train_ids[i] for i in order]
-        for start in range(0, len(shuffled), batch_size):
-            # The meta loss is a deterministic function of the parameters, so
-            # meta objectives carry no dropout (rng=None).
-            objective = BatchObjective(client.ctx, shuffled[start:start + batch_size], None)
-            losses.append(objective.loss(params))
-            grad = meta_gradient(params, objective, cfg)
-            params = params_axpy(-cfg.outer_lr, grad, params)
+        params = _meta_epoch(params, client, cfg, rng, losses)
     return params, float(np.mean(losses))
 
 
@@ -266,6 +285,34 @@ def train_epoch(
         params = optimizer_step(params, grads, opt)
     opt.epoch += 1
     return params, total / len(shuffled)
+
+
+def local_update(
+    rule: str,
+    start: ModelParams,
+    client: ClientState,
+    epochs: range,
+    round_idx: int,
+    meta_cfg: MetaConfig,
+) -> tuple[ModelParams, float]:
+    """The client's local training from `start`; returns (params, last epoch's mean loss).
+
+    plain and irt run the given epochs of `train_epoch`; irt first starts from
+    lambda * previous local + (1 - lambda) * start, lambda the cosine of the two
+    (no previous local on the first round). meta runs as many meta epochs.
+    """
+    if rule == "meta":
+        params, loss = local_adaptation(start, client, len(epochs), meta_cfg, round_idx)
+    else:
+        params = start
+        if rule == "irt" and client.prev_model is not None:
+            lam = params_cosine(client.prev_model, start)
+            params = params_axpy(lam, client.prev_model, (1.0 - lam) * start)
+        for e in epochs:
+            rng = rng_for(client.seed, "epoch", client.digest, round_idx, e)
+            params, loss = train_epoch(params, client.ctx, client.train_ids, client.opt, rng)
+    client.prev_model = params
+    return params, loss
 
 
 def _content_digest(params: ModelParams, extra: bytes = b"") -> bytes:
@@ -324,45 +371,44 @@ def fedatt_aggregate(
     return ModelParams(global_params.hidden_dim, global_params.input_dim, new_layers)
 
 
-def fedirt_round(
-    global_params: ModelParams,
-    clients: list[ClientState],
+def irt_aggregate(
+    locals_: dict[SubgroupKey, ModelParams],
     confidence: dict[SubgroupKey, float],
-    local_iters: int,
-    round_idx: int,
 ) -> ModelParams:
-    """One round of interpolated local descent plus confidence-weighted aggregation.
-
-    Each client starts from lambda * previous_local + (1 - lambda) * global with
-    lambda the cosine of the two models (0 on the first round), runs E epochs of
-    conventional descent, and the new global is the confidence-weighted sum.
-    """
-    missing = [str(c.key) for c in clients if c.key not in confidence]
+    """Confidence-weighted sum of local models, summed in subgroup order."""
+    missing = [str(key) for key in locals_ if key not in confidence]
     if missing:
         raise ValueError(f"confidence weights missing for subgroups: {missing}")
-    weight_sum = sum(confidence[c.key] for c in clients)
+    weight_sum = sum(confidence[key] for key in locals_)
     if abs(weight_sum - 1.0) > 1e-9:
         raise ValueError(f"confidence weights must sum to 1, got {weight_sum}")
-    locals_after = []
-    for client in clients:
-        if client.prev_model is None:
-            lam = 0.0
-            params = global_params.copy()
-        else:
-            lam = params_cosine(client.prev_model, global_params)
-            params = params_axpy(lam, client.prev_model, (1.0 - lam) * global_params)
-        if client.opt is None:
-            client.opt = client.ctx.settings.make_opt()
-        for e in range(local_iters):
-            rng = rng_for(client.seed, "epoch", client.digest, round_idx, e)
-            params, _ = train_epoch(params, client.ctx, client.train_ids, client.opt, rng)
-        client.prev_model = params
-        client.model = params
-        locals_after.append((client.key, params))
-    acc = global_params.zeros_like()
-    for key, params in sorted(locals_after, key=lambda item: item[0]):
-        acc = params_axpy(confidence[key], params, acc)
+    keys = sorted(locals_)
+    acc = locals_[keys[0]].zeros_like()
+    for key in keys:
+        acc = params_axpy(confidence[key], locals_[key], acc)
     return acc
+
+
+def _aggregate(rule: str, global_params: ModelParams, updates: list[tuple[ClientState, ModelParams]],
+               attn_cfg: AttnAggConfig, confidence) -> ModelParams:
+    if rule == "pooled":
+        return updates[0][1]
+    if rule == "count":
+        return fedavg_aggregate([(params, client.count) for client, params in updates])
+    if rule == "attention":
+        return fedatt_aggregate(global_params, [params for _, params in updates], attn_cfg)
+    return irt_aggregate({client.key: params for client, params in updates}, confidence)
+
+
+def _fit_confidence(clients: list[ClientState]) -> dict[SubgroupKey, float]:
+    fits = {}
+    for client in clients:
+        try:
+            matrix = build_response_matrix([client.ctx.records[sid] for sid in client.train_ids])
+            fits[client.key] = fit_rasch(matrix)
+        except ValueError as exc:
+            raise FederationError(f"subgroup {client.key}: cannot fit responses: {exc}") from exc
+    return irt_confidence(fits)
 
 
 def adapt_for_eval(
@@ -370,42 +416,22 @@ def adapt_for_eval(
     client: ClientState,
     mode: str,
     meta_cfg: MetaConfig,
-    round_tag=0,
+    step: int = 0,
 ) -> ModelParams:
-    """One full local epoch of the strategy's update rule, for evaluation only."""
+    """One local epoch of the strategy's update rule, for evaluation only.
+
+    `step` is the validation step the model is evaluated at (0 before any);
+    it keys the epoch's RNG. plain is `train_epoch` with a fresh optimizer,
+    meta is one meta epoch.
+    """
     if mode == "none":
         return params
-    rng = rng_for(client.seed, "adapt", client.digest, round_tag)
-    order = rng.permutation(len(client.train_ids))
-    shuffled = [client.train_ids[i] for i in order]
-    bs = client.ctx.settings.batch_size
-    adapted = params.copy()
-    if mode == "meta":
-        meta_bs = min(meta_cfg.meta_batch or bs, len(shuffled))
-        for start in range(0, len(shuffled), meta_bs):
-            objective = BatchObjective(client.ctx, shuffled[start:start + meta_bs], None)
-            grad = meta_gradient(adapted, objective, meta_cfg)
-            adapted = params_axpy(-meta_cfg.outer_lr, grad, adapted)
-        return adapted
+    rng = rng_for(client.seed, "adapt", client.digest, step)
     if mode == "plain":
-        opt = client.ctx.settings.make_opt()
-        for start in range(0, len(shuffled), bs):
-            objective = BatchObjective(client.ctx, shuffled[start:start + bs], rng)
-            _, grads = objective.loss_and_gradient(adapted)
-            adapted = optimizer_step(adapted, grads, opt)
-        return adapted
+        return train_epoch(params, client.ctx, client.train_ids, client.ctx.settings.make_opt(), rng)[0]
+    if mode == "meta":
+        return _meta_epoch(params, client, meta_cfg, rng)
     raise ValueError(f"unknown adaptation mode {mode!r}")
-
-
-ADAPT_MODE = {
-    "Local": "none",
-    "Central": "none",
-    "FedAvg": "none",
-    "FedAtt": "none",
-    "FedIRT": "plain",
-    "PerFedAvgAgg": "meta",
-    "PerFedAttn": "meta",
-}
 
 
 @dataclass
@@ -417,26 +443,13 @@ class RoundRow:
 
 
 @dataclass
-class GlobalState:
-    strategy: str
-    round: int
-    params: ModelParams
-
-
-@dataclass
 class FederationResult:
     strategy: str
     rounds: list[RoundRow]
-    eval_bases: dict[SubgroupKey, ModelParams]
-    adapt_mode: str
-    best_round: int
-    final: GlobalState
+    eval_models: dict[SubgroupKey, ModelParams]   # what validation selected, per subgroup
+    best_round: int                               # the latest step selected for any subgroup
+    final_params: ModelParams
     warnings: list[str] = field(default_factory=list)
-    clients: list[ClientState] = field(default_factory=list)
-
-
-def _probability_of_pass(params: ModelParams, X: np.ndarray) -> float:
-    return float(forward_outcome(params, X).probs[0])
 
 
 def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
@@ -444,7 +457,7 @@ def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
         return None
     with monitor.phase("validate"):
         scored = [
-            ScoredStudent(sid, _probability_of_pass(params, client.ctx.matrix(sid)),
+            ScoredStudent(sid, float(forward_outcome(params, client.ctx.matrix(sid)).probs[0]),
                           client.ctx.label(sid), client.key)
             for sid in client.val_ids
         ]
@@ -470,11 +483,21 @@ def run_federation(
     pretrained: ModelParams | None = None,
     monitor=None,
 ) -> FederationResult:
-    """Execute one strategy over one split; deterministic given (schedule, split, seed)."""
+    """Execute one strategy over one split; deterministic given (schedule, split, seed).
+
+    Every strategy runs the same steps. In a step each training client runs
+    its local update from the model it was handed, the aggregate rule forms the
+    global model, and each subgroup's evaluation model (its base model after
+    the adapt rule) is validated. The base is the global model, or for Local
+    the subgroup's own. For each distinct base, the step with the highest mean
+    validation AUC over the subgroups it serves is selected, and those
+    evaluation models are returned.
+    """
     settings = settings or TrainSettings()
     meta_cfg = meta_cfg or MetaConfig(outer_lr=settings.lr)
     attn_cfg = attn_cfg or AttnAggConfig()
     monitor = monitor or NullMonitor()
+    strategy = schedule.strategy
 
     ctx = TrainContext(records, settings)
     clients = [
@@ -482,183 +505,83 @@ def run_federation(
                     val_ids=split.assignments[key].val, ctx=ctx, seed=seed)
         for key in split.subgroups()
     ]
-    init = ModelParams.initialized(settings.hidden_dim, ctx.input_dim, rng_for(seed, "init"))
+    input_dim = ctx.matrix(clients[0].train_ids[0]).shape[1]
+    init = ModelParams.initialized(settings.hidden_dim, input_dim, rng_for(seed, "init"))
     # Pretrained weights initialize the shared global model; purely local
     # training has no global model and starts from scratch.
-    if pretrained is not None and schedule.strategy != "Local":
+    if pretrained is not None and strategy != "Local":
         init = transfer_weights(pretrained, init)
 
-    strategy = schedule.strategy
-    adapt_mode = ADAPT_MODE[strategy]
-    warnings: list[str] = []
-    try:
-        if strategy == "Local":
-            return _run_local(clients, schedule, seed, init, monitor, warnings)
-        if strategy == "Central":
-            return _run_central(clients, schedule, seed, init, monitor, warnings)
-        return _run_federated(
-            clients, schedule, seed, init, monitor, warnings,
-            strategy, adapt_mode, meta_cfg, attn_cfg,
-        )
-    except FederationError:
-        raise
-    except Exception as exc:
-        raise FederationError(f"strategy {strategy} failed: {exc}") from exc
-
-
-def _run_local(clients, schedule, seed, init, monitor, warnings) -> FederationResult:
-    rows: list[RoundRow] = []
-    eval_bases: dict[SubgroupKey, ModelParams] = {}
-    total_epochs = schedule.rounds * schedule.local_iters
-    best_rounds = {}
-    with monitor.phase("train"):
-        for client in clients:
-            params = init.copy()
-            opt = client.ctx.settings.make_opt()
-            best_auc, best_params, best_epoch = -np.inf, params.copy(), 0
-            for j in range(total_epochs):
-                rng = rng_for(seed, "epoch", client.digest, j // schedule.local_iters,
-                              j % schedule.local_iters)
-                params, loss = train_epoch(params, client.ctx, client.train_ids, opt, rng)
-                val = _val_auc(params, client, monitor)
-                rows.append(RoundRow(j + 1, str(client.key), val, loss))
-                if val is not None and val > best_auc:
-                    best_auc, best_params, best_epoch = val, params.copy(), j + 1
-            if best_auc == -np.inf:
-                warnings.append(f"subgroup {client.key}: validation AUC never defined; using final model")
-                best_params, best_epoch = params, total_epochs
-            eval_bases[client.key] = best_params
-            best_rounds[client.key] = best_epoch
-            client.model = params
-    final = GlobalState("Local", total_epochs, init)
-    return FederationResult("Local", rows, eval_bases, "none",
-                            max(best_rounds.values(), default=0), final, warnings, clients)
-
-
-def _run_central(clients, schedule, seed, init, monitor, warnings) -> FederationResult:
-    ctx = clients[0].ctx
-    union_ids = sorted({sid for c in clients for sid in c.train_ids})
-    digest = ids_digest(union_ids)
-    params = init.copy()
-    opt = ctx.settings.make_opt()
-    rows: list[RoundRow] = []
-    best_auc, best_params, best_epoch = -np.inf, params.copy(), 0
-    total_epochs = schedule.rounds * schedule.local_iters
-    with monitor.phase("train"):
-        for j in range(total_epochs):
-            rng = rng_for(seed, "epoch", digest, j // schedule.local_iters,
-                          j % schedule.local_iters)
-            params, loss = train_epoch(params, ctx, union_ids, opt, rng)
-            per_client = {c.key: _val_auc(params, c, monitor) for c in clients}
-            for c in clients:
-                rows.append(RoundRow(j + 1, str(c.key), per_client[c.key], loss))
-            mean_val = _mean_defined(per_client.values())
-            if mean_val is not None and mean_val > best_auc:
-                best_auc, best_params, best_epoch = mean_val, params.copy(), j + 1
-    if best_auc == -np.inf:
-        warnings.append("validation AUC never defined; using final model")
-        best_params, best_epoch = params, total_epochs
-    eval_bases = {c.key: best_params for c in clients}
-    return FederationResult("Central", rows, eval_bases, "none", best_epoch,
-                            GlobalState("Central", total_epochs, params), warnings, clients)
-
-
-def _run_federated(clients, schedule, seed, init, monitor, warnings,
-                   strategy, adapt_mode, meta_cfg, attn_cfg) -> FederationResult:
-    global_params = init.copy()
-    rows: list[RoundRow] = []
-    best_auc, best_params, best_round = -np.inf, global_params.copy(), 0
-
+    rules = RULES[strategy]
+    trainers = clients
+    if rules.aggregate == "pooled":
+        union = sorted({sid for c in clients for sid in c.train_ids})
+        trainers = [ClientState(SubgroupKey(clients[0].key.variable, "union"), union, [], ctx, seed)]
+    # The training client that holds each subgroup's data.
+    home = {c.key: trainers[0].key if rules.aggregate == "pooled" else c.key for c in clients}
     confidence = None
-    if strategy == "FedIRT":
+    if rules.aggregate == "irt":
         with monitor.phase("train"):
-            fits = {}
-            for client in clients:
-                try:
-                    matrix = build_response_matrix(
-                        [client.ctx.records[sid] for sid in client.train_ids]
-                    )
-                    fits[client.key] = fit_rasch(matrix)
-                except ValueError as exc:
-                    raise FederationError(f"subgroup {client.key}: cannot fit responses: {exc}") from exc
-            confidence = irt_confidence(fits)
+            confidence = _fit_confidence(clients)
 
-    for round_idx in range(schedule.rounds):
+    # Without aggregation a round is only a count of epochs, so Local and
+    # Central validate after every epoch and number their rows by epoch.
+    per_epoch = rules.aggregate in ("none", "pooled")
+    epochs_per_step = 1 if per_epoch else schedule.local_iters
+    n_steps = schedule.rounds * schedule.local_iters // epochs_per_step
+    groups = [[c] for c in clients] if rules.aggregate == "none" else [clients]
+    chosen: list[tuple | None] = [None] * len(groups)   # (mean val AUC, step, eval models)
+
+    global_params = init
+    starts = {t.key: init for t in trainers}   # the model each trainer is handed next
+
+    def evaluation_models(step: int) -> dict[SubgroupKey, ModelParams]:
+        with monitor.phase("train"):
+            return {c.key: adapt_for_eval(starts[home[c.key]], c, rules.adapt, meta_cfg, step)
+                    for c in clients}
+
+    evaluated = evaluation_models(0) if n_steps == 0 else {}
+    rows: list[RoundRow] = []
+    for step in range(1, n_steps + 1):
+        round_idx, first = divmod((step - 1) * epochs_per_step, schedule.local_iters)
         try:
             with monitor.phase("train"):
-                losses: dict[SubgroupKey, float | None] = {}
-                if strategy == "FedIRT":
-                    global_params = fedirt_round(
-                        global_params, clients, confidence, schedule.local_iters, round_idx
+                updates, losses = [], {}
+                for t in trainers:
+                    params, losses[t.key] = local_update(
+                        rules.local_update, starts[t.key], t,
+                        range(first, first + epochs_per_step), round_idx, meta_cfg,
                     )
-                    for client in clients:
-                        losses[client.key] = None
-                elif strategy in META_STRATEGIES:
-                    locals_ = []
-                    for client in clients:
-                        adapted, loss = local_adaptation(
-                            global_params, client, schedule.local_iters, meta_cfg, round_idx
-                        )
-                        client.model = adapted
-                        losses[client.key] = loss
-                        locals_.append((client, adapted))
-                    if strategy == "PerFedAttn":
-                        global_params = fedatt_aggregate(
-                            global_params, [p for _, p in locals_], attn_cfg
-                        )
-                    else:
-                        global_params = fedavg_aggregate(
-                            [(p, c.count) for c, p in locals_]
-                        )
-                else:  # FedAvg / FedAtt
-                    locals_ = []
-                    for client in clients:
-                        if client.opt is None:
-                            client.opt = client.ctx.settings.make_opt()
-                        params = global_params.copy()
-                        loss = None
-                        for e in range(schedule.local_iters):
-                            rng = rng_for(seed, "epoch", client.digest, round_idx, e)
-                            params, loss = train_epoch(
-                                params, client.ctx, client.train_ids, client.opt, rng
-                            )
-                        client.model = params
-                        losses[client.key] = loss
-                        locals_.append((client, params))
-                    if strategy == "FedAtt":
-                        global_params = fedatt_aggregate(
-                            global_params, [p for _, p in locals_], attn_cfg
-                        )
-                    else:
-                        global_params = fedavg_aggregate(
-                            [(p, c.count) for c, p in locals_]
-                        )
-
-            per_client_val = {}
-            for client in clients:
-                model = global_params
-                if adapt_mode != "none":
-                    # round_tag matches best_round so the final evaluation can
-                    # reproduce exactly the adaptation that won validation.
-                    with monitor.phase("train"):
-                        model = adapt_for_eval(global_params, client, adapt_mode,
-                                               meta_cfg, round_tag=round_idx + 1)
-                per_client_val[client.key] = _val_auc(model, client, monitor)
-            for client in clients:
-                rows.append(RoundRow(round_idx + 1, str(client.key),
-                                     per_client_val[client.key], losses[client.key]))
-            mean_val = _mean_defined(per_client_val.values())
-            if mean_val is not None and mean_val > best_auc:
-                best_auc, best_params, best_round = mean_val, global_params.copy(), round_idx + 1
+                    updates.append((t, params))
+                if rules.aggregate == "none":
+                    starts = {t.key: params for t, params in updates}
+                else:
+                    global_params = _aggregate(rules.aggregate, global_params, updates,
+                                               attn_cfg, confidence)
+                    starts = dict.fromkeys(starts, global_params)
+            evaluated = evaluation_models(step)
+            val = {c.key: _val_auc(evaluated[c.key], c, monitor) for c in clients}
         except FederationError:
             raise
         except Exception as exc:
-            raise FederationError(f"round {round_idx + 1} ({strategy}): {exc}") from exc
+            raise FederationError(f"round {step} ({strategy}): {exc}") from exc
+        rows.extend(RoundRow(step, str(c.key), val[c.key], losses[home[c.key]]) for c in clients)
+        for i, group in enumerate(groups):
+            mean_val = _mean_defined(val[c.key] for c in group)
+            if mean_val is not None and (chosen[i] is None or mean_val > chosen[i][0]):
+                chosen[i] = (mean_val, step, {c.key: evaluated[c.key] for c in group})
 
-    if best_auc == -np.inf:
-        if schedule.rounds > 0:
-            warnings.append("validation AUC never defined; using final global model")
-        best_params, best_round = global_params.copy(), schedule.rounds
-    eval_bases = {c.key: best_params for c in clients}
-    return FederationResult(strategy, rows, eval_bases, adapt_mode, best_round,
-                            GlobalState(strategy, schedule.rounds, global_params), warnings, clients)
+    warnings: list[str] = []
+    eval_models: dict[SubgroupKey, ModelParams] = {}
+    best_round = 0
+    for group, pick in zip(groups, chosen):
+        if pick is None:
+            # Local and Central also warn when no epoch ran; the others only after a round.
+            if n_steps or per_epoch:
+                names = ", ".join(str(c.key) for c in group)
+                warnings.append(f"{strategy}: validation AUC never defined for {names}; "
+                                "using the final model")
+            pick = (None, n_steps, {c.key: evaluated[c.key] for c in group})
+        eval_models.update(pick[2])
+        best_round = max(best_round, pick[1])
+    return FederationResult(strategy, rows, eval_models, best_round, global_params, warnings)

@@ -88,14 +88,6 @@ class ForwardTrace:
     pre_probs: np.ndarray | None = None
 
     @property
-    def hidden_states(self) -> np.ndarray:
-        return self.gru.H
-
-    @property
-    def attention_weights(self) -> np.ndarray:
-        return self.attn.alpha
-
-    @property
     def pooled(self) -> np.ndarray:
         return self.attn.pooled
 

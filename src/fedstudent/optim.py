@@ -36,9 +36,6 @@ class OptState:
     def effective_lr(self) -> float:
         return self.lr / (1.0 + self.decay * self.epoch)
 
-    def fresh(self) -> "OptState":
-        return OptState(kind=self.kind, lr=self.lr, decay=self.decay)
-
 
 def optimizer_step(params: ModelParams, grads: Gradients, opt: OptState) -> ModelParams:
     """One update; returns new parameters and mutates the optimizer state."""

@@ -117,9 +117,6 @@ class ModelParams:
     def congruent(self, other: "ModelParams") -> bool:
         return self.hidden_dim == other.hidden_dim and self.input_dim == other.input_dim
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.layers.values()])
-
     def all_finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.layers.values())
 

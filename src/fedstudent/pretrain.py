@@ -36,10 +36,6 @@ class CbowInstance:
         masked[self.target_position] = 0.0
         return masked
 
-    @property
-    def masked_sequence(self) -> list[np.ndarray]:
-        return list(self.masked_matrix())
-
 
 def make_cbow_instances(sequence) -> list[CbowInstance]:
     """One instance per position; sequences shorter than 2 yield none (no context)."""

@@ -253,16 +253,6 @@ def activity_heatmap(records: list[StudentRecord], n_steps: int) -> np.ndarray:
     return heat
 
 
-def expected_pass_rate(spec: CohortSpec, profile: SubgroupProfile, n_samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the profile's pass rate under the generator itself."""
-    rng = rng_for(seed, "pass-rate", profile.name)
-    total = 0.0
-    for i in range(n_samples):
-        record = _simulate_student(spec, profile, f"mc-{i}", rng)
-        total += record.label
-    return total / n_samples
-
-
 def uniform_transition() -> np.ndarray:
     return np.full((N_KINDS, N_KINDS), 1.0 / N_KINDS)
 

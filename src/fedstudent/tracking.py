@@ -30,16 +30,6 @@ class AccessMonitor:
     def record(self, student_id: str, field: str) -> None:
         self.counts[(self.current_phase, student_id, field)] += 1
 
-    def reads_of(self, student_ids, phases, fields=("sequence", "label")) -> int:
-        ids = set(student_ids)
-        wanted_phases = set(phases)
-        wanted_fields = set(fields)
-        return sum(
-            count
-            for (phase, sid, field), count in self.counts.items()
-            if phase in wanted_phases and sid in ids and field in wanted_fields
-        )
-
 
 class NullMonitor(AccessMonitor):
     """Monitor that ignores everything; keeps call sites unconditional."""

@@ -175,8 +175,8 @@ class TestCriterion3AggregationOracles:
         cen = run_federation(record_map, split, FederationSchedule("Central", 3, 2),
                              seed=11, settings=settings)
         worst_eq = max(
-            float(np.max(np.abs(fed.final.params[n] - cen.final.params[n])))
-            for n in fed.final.params.names()
+            float(np.max(np.abs(fed.final_params[n] - cen.final_params[n])))
+            for n in fed.final_params.names()
         )
         elapsed = time.perf_counter() - start
         report_line(
@@ -347,6 +347,7 @@ def macro_by_seed(report, strategy):
     return out
 
 
+@pytest.mark.slow
 class TestCriterion6HeterogeneityOrdering:
     def test_personalized_beats_global_and_local(self, ordering_runs):
         report, elapsed = ordering_runs
@@ -365,6 +366,7 @@ class TestCriterion6HeterogeneityOrdering:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7PretrainingNonRegression:
     def test_pretraining_helps_pooled_training(self, central_pretrain_runs):
         baseline_report, pretrained_report = central_pretrain_runs

@@ -9,7 +9,8 @@ from fedstudent.evaluate import (
     execute_run,
     export_embeddings,
 )
-from fedstudent.federation import MetaConfig, TrainSettings
+from fedstudent import federation
+from fedstudent.federation import FederationError, MetaConfig, TrainSettings
 from fedstudent.params import ModelParams
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 
@@ -176,6 +177,19 @@ class TestCrossValidate:
         for o1, o2 in zip(seq.outcomes, par.outcomes):
             for name in o1.final_params.names():
                 assert np.array_equal(o1.final_params[name], o2.final_params[name])
+
+
+class TestFailedRunIsNamed:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_names_strategy_fold_and_seed(self, monkeypatch, jobs):
+        def failing_meta_gradient(*args, **kwargs):
+            raise FederationError("meta-gradient produced non-finite values")
+
+        # Pool workers fork after the patch, so they inherit it.
+        monkeypatch.setattr(federation, "meta_gradient", failing_meta_gradient)
+        plan = small_plan(strategies=("FedAvg", "PerFedAvgAgg"), seeds=(3,), folds=2)
+        with pytest.raises(FederationError, match="PerFedAvgAgg fold 0 seed 3: .*meta-gradient"):
+            cross_validate(small_cohort(), plan, jobs=jobs)
 
 
 class TestExportEmbeddings:

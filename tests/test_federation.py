@@ -12,7 +12,8 @@ from fedstudent.federation import (
     adapt_for_eval,
     fedatt_aggregate,
     fedavg_aggregate,
-    fedirt_round,
+    irt_aggregate,
+    local_update,
     local_adaptation,
     meta_gradient,
     run_federation,
@@ -291,8 +292,9 @@ class TestFedirtRound:
             for key in split.subgroups()
         ]
         weights = {c.key: 0.7 for c in clients}
+        g = random_params(6, N_VIDEOS + 7, 0)
         with pytest.raises(ValueError, match="sum to 1"):
-            fedirt_round(random_params(6, N_VIDEOS + 7, 0), clients, weights, 1, 0)
+            irt_aggregate({c.key: g for c in clients}, weights)
 
     def test_round_runs_and_aggregates(self):
         records = tiny_cohort()
@@ -305,7 +307,8 @@ class TestFedirtRound:
         ]
         weights = {c.key: 1.0 / len(clients) for c in clients}
         g = random_params(6, N_VIDEOS + 7, 1, scale=0.2)
-        out = fedirt_round(g, clients, weights, 1, 0)
+        locals_ = {c.key: local_update("irt", g, c, range(1), 0, MetaConfig())[0] for c in clients}
+        out = irt_aggregate(locals_, weights)
         assert out.congruent(g)
         for c in clients:
             assert c.prev_model is not None
@@ -320,7 +323,7 @@ class TestRunFederation:
                                 settings=tiny_settings())
         init = ModelParams.initialized(6, N_VIDEOS + 7, __import__("fedstudent.splits", fromlist=["rng_for"]).rng_for(1, "init"))
         for name in init.names():
-            assert np.array_equal(result.final.params[name], init[name])
+            assert np.array_equal(result.final_params[name], init[name])
 
     def test_single_subgroup_fedavg_equals_central(self):
         records = [r for r in tiny_cohort(populations=(16, 4)) if r.student_id.startswith("M-")]
@@ -332,8 +335,8 @@ class TestRunFederation:
         central = run_federation(record_map(records), split, FederationSchedule("Central", 3, 2),
                                  seed=7, settings=settings)
         worst = 0.0
-        for name in fed.final.params.names():
-            worst = max(worst, float(np.abs(fed.final.params[name] - central.final.params[name]).max()))
+        for name in fed.final_params.names():
+            worst = max(worst, float(np.abs(fed.final_params[name] - central.final_params[name]).max()))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("strategy", ["Local", "Central", "FedAvg", "FedAtt",
@@ -346,8 +349,8 @@ class TestRunFederation:
                       meta_cfg=MetaConfig(inner_lr=0.05, outer_lr=0.01))
         r1 = run_federation(record_map(records), split, schedule, seed=5, **kwargs)
         r2 = run_federation(record_map(records), split, schedule, seed=5, **kwargs)
-        for name in r1.final.params.names():
-            assert np.array_equal(r1.final.params[name], r2.final.params[name])
+        for name in r1.final_params.names():
+            assert np.array_equal(r1.final_params[name], r2.final_params[name])
         assert [(row.round, row.subgroup, row.val_auc, row.train_loss) for row in r1.rounds] == \
                [(row.round, row.subgroup, row.val_auc, row.train_loss) for row in r2.rounds]
 
