@@ -27,7 +27,8 @@ import numpy as np
 from .activity import sequence_matrix
 from .irt import build_response_matrix, fit_rasch, irt_confidence
 from .metrics import ScoredStudent, UndefinedAUCError, auc
-from .network import forward_outcome, make_dropout_mask, outcome_loss, backward
+from .network import (backward_batch, forward_outcome, forward_outcome_batch, make_dropout_mask,
+                      outcome_loss)
 from .optim import OptState, optimizer_step
 from .params import Gradients, ModelParams, params_axpy, params_cosine
 from .pretrain import transfer_weights
@@ -175,27 +176,26 @@ class BatchObjective:
     def __init__(self, ctx: TrainContext, student_ids: list[str], rng: np.random.Generator | None):
         dropout = ctx.settings.dropout
         k = ctx.settings.hidden_dim
-        self.items = []
-        for sid in student_ids:
-            mask = make_dropout_mask(rng, k, dropout) if rng is not None and dropout > 0 else None
-            self.items.append((ctx.matrix(sid), ctx.label(sid), mask))
+        self.matrices = [ctx.matrix(sid) for sid in student_ids]
+        self.labels = [ctx.label(sid) for sid in student_ids]
+        self.masks = [make_dropout_mask(rng, k, dropout) if rng is not None and dropout > 0 else None
+                      for _ in student_ids]
 
     def loss_and_gradient(self, params: ModelParams) -> tuple[float, Gradients]:
+        traces = forward_outcome_batch(params, self.matrices, self.masks)
         grads = params.zeros_like()
         total = 0.0
-        for X, label, mask in self.items:
-            trace = forward_outcome(params, X, dropout_mask=mask)
+        for trace, label, g in zip(traces, self.labels, backward_batch(traces, self.labels, params)):
             total += outcome_loss(trace.probs, label)
-            grads = grads + backward(trace, label, params)
-        scale = 1.0 / len(self.items)
+            grads = grads + g
+        scale = 1.0 / len(traces)
         return total * scale, grads * scale
 
     def loss(self, params: ModelParams) -> float:
         total = 0.0
-        for X, label, mask in self.items:
-            trace = forward_outcome(params, X, dropout_mask=mask)
+        for trace, label in zip(forward_outcome_batch(params, self.matrices, self.masks), self.labels):
             total += outcome_loss(trace.probs, label)
-        return total / len(self.items)
+        return total / len(self.labels)
 
     def gradient(self, params: ModelParams) -> Gradients:
         return self.loss_and_gradient(params)[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activity import EncodedActivity, sequence_matrix
-from .network import backward_pretrain, forward_pretrain, pretrain_loss
+from .network import backward_pretrain_batch, forward_pretrain_batch, pretrain_loss
 from .optim import OptState, optimizer_step
 from .params import ModelParams
 from .splits import rng_for
@@ -51,13 +51,13 @@ def make_cbow_instances(sequence) -> list[CbowInstance]:
 
 
 def _instance_step(model: ModelParams, batch: list[CbowInstance], opt: OptState) -> tuple[float, ModelParams]:
+    traces = forward_pretrain_batch(model, [instance.masked_matrix() for instance in batch])
+    targets = [instance.target for instance in batch]
     grads = model.zeros_like()
     total = 0.0
-    for instance in batch:
-        trace = forward_pretrain(model, instance.masked_matrix())
-        target = instance.target
+    for trace, target, g in zip(traces, targets, backward_pretrain_batch(traces, targets, model)):
         total += pretrain_loss(trace.pre_probs, target)
-        grads = grads + backward_pretrain(trace, target, model)
+        grads = grads + g
     grads = grads * (1.0 / len(batch))
     return total, optimizer_step(model, grads, opt)
 

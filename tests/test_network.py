@@ -7,10 +7,14 @@ from fedstudent.params import ModelParams, layer_shapes
 from fedstudent.network import (
     attention_pool,
     backward,
+    backward_batch,
     backward_pretrain,
+    backward_pretrain_batch,
     bce_loss,
     forward_outcome,
+    forward_outcome_batch,
     forward_pretrain,
+    forward_pretrain_batch,
     gru_forward,
     make_dropout_mask,
     outcome_loss,
@@ -299,3 +303,58 @@ class TestForwardDeterminism:
             assert np.all(trace.probs >= 0)
             assert abs(trace.probs.sum() - 1.0) < 1e-9
             assert abs(trace.attn.alpha.sum() - 1.0) < 1e-9
+
+
+class TestBatchedPasses:
+    """A batch is its sequences run alone: same bits, whatever the lengths or order."""
+
+    LENGTHS = (7, 1, 12, 7, 3)
+
+    def batch(self, k=5, d=11):
+        params = random_params(k, d, 30, scale=0.8)
+        Xs = [random_sequence(L, d, 40 + i) for i, L in enumerate(self.LENGTHS)]
+        rng = np.random.default_rng(6)
+        masks = [make_dropout_mask(rng, k, 0.5) if i % 2 else None for i in range(len(Xs))]
+        labels = [i % 2 for i in range(len(Xs))]
+        return params, Xs, masks, labels
+
+    def test_outcome_batch_matches_single_sequences(self):
+        params, Xs, masks, labels = self.batch()
+        traces = forward_outcome_batch(params, Xs, masks)
+        grads = backward_batch(traces, labels, params)
+        for X, mask, label, trace, g in zip(Xs, masks, labels, traces, grads):
+            alone = forward_outcome(params, X, dropout_mask=mask)
+            assert trace.gru.H.shape == (X.shape[0], params.hidden_dim)
+            for name in ("Z", "R", "C", "H"):
+                assert np.array_equal(getattr(trace.gru, name), getattr(alone.gru, name))
+            assert np.array_equal(trace.probs, alone.probs)
+            g_alone = backward(alone, label, params)
+            for name in params.names():
+                assert np.array_equal(g[name], g_alone[name]), name
+
+    def test_pretrain_batch_matches_single_sequences(self):
+        params, Xs, _, _ = self.batch()
+        traces = forward_pretrain_batch(params, Xs)
+        grads = backward_pretrain_batch(traces, [X[0] for X in Xs], params)
+        for X, trace, g in zip(Xs, traces, grads):
+            alone = forward_pretrain(params, X)
+            assert np.array_equal(trace.pre_probs, alone.pre_probs)
+            g_alone = backward_pretrain(alone, X[0], params)
+            for name in params.names():
+                assert np.array_equal(g[name], g_alone[name]), name
+
+    def test_batch_order_does_not_matter(self):
+        params, Xs, masks, labels = self.batch()
+        traces = forward_outcome_batch(params, Xs, masks)
+        grads = backward_batch(traces, labels, params)
+        rev_traces = forward_outcome_batch(params, Xs[::-1], masks[::-1])
+        rev_grads = backward_batch(rev_traces, labels[::-1], params)
+        for a, b, ga, gb in zip(traces, rev_traces[::-1], grads, rev_grads[::-1]):
+            assert np.array_equal(a.probs, b.probs)
+            for name in params.names():
+                assert np.array_equal(ga[name], gb[name])
+
+    def test_empty_sequence_in_batch_rejected(self):
+        params = random_params(4, 11, 1)
+        with pytest.raises(ValueError):
+            forward_outcome_batch(params, [random_sequence(3, 11, 0), np.zeros((0, 11))])
