@@ -4,10 +4,8 @@ from .activity import (
     ActivityEvent,
     ActivityKind,
     Demographics,
-    EncodedActivity,
     QuizOutcome,
     StudentRecord,
-    encode_event,
     score_first_attempt,
 )
 from .evaluate import ExperimentPlan, cross_validate, export_embeddings

@@ -94,18 +94,10 @@ class ActivityEvent:
 
 @dataclass(frozen=True)
 class EncodedActivity:
-    """One-hot activity vector of length n_videos + 7."""
+    """One-hot activity vector of length n_videos + 7: one row of a record's sequence matrix."""
 
     bits: np.ndarray
     n_videos: int
-
-    @property
-    def width(self) -> int:
-        return self.n_videos + N_KINDS
-
-    def kind_slot(self) -> int:
-        """Index (0..6) of the set activity-type bit."""
-        return int(np.argmax(self.bits[self.n_videos:]))
 
 
 def encode_event(event: ActivityEvent, outcome: QuizOutcome | None, n_videos: int) -> EncodedActivity:
@@ -182,25 +174,25 @@ def demographic_group(demo: Demographics, variable: str) -> str | None:
 
 @dataclass
 class StudentRecord:
-    """One student: demographics, timestamp-ordered encoded activities, quiz scores, pass label."""
+    """One student: demographics, timestamp-ordered activities, quiz scores, pass label.
+
+    `sequence` is the (L, n_videos + 7) float matrix whose rows are the encoded
+    activities, built once when the record is made.
+    """
 
     student_id: str
     demographics: Demographics
-    sequence: list[EncodedActivity]
+    sequence: np.ndarray
     quiz_responses: dict[int, int] = field(default_factory=dict)
     label: int = 0
 
     def __post_init__(self):
-        if not self.sequence:
-            raise ValueError(f"student {self.student_id} has an empty activity sequence")
+        if self.sequence.ndim != 2 or self.sequence.shape[0] == 0:
+            raise ValueError(f"student {self.student_id} needs a non-empty (L, d) activity matrix, "
+                             f"got shape {self.sequence.shape}")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
     @property
     def length(self) -> int:
-        return len(self.sequence)
-
-
-def sequence_matrix(sequence: list[EncodedActivity]) -> np.ndarray:
-    """Stack encoded activities into an (L, n+7) float matrix."""
-    return np.stack([e.bits for e in sequence])
+        return self.sequence.shape[0]

@@ -13,10 +13,14 @@ from __future__ import annotations
 import csv
 import logging
 
+import numpy as np
+
 from .activity import (
+    N_KINDS,
     ActivityEvent,
     ActivityKind,
     Demographics,
+    EncodingError,
     QuizOutcome,
     StudentRecord,
     encode_event,
@@ -51,22 +55,21 @@ def write_events_csv(records: list[StudentRecord], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(EVENT_HEADER)
         for record in records:
-            timestamp = 0
-            for enc in record.sequence:
-                slot = enc.kind_slot()
+            n_videos = record.sequence.shape[1] - N_KINDS
+            slots = record.sequence[:, n_videos:].argmax(axis=1)
+            videos = record.sequence[:, :n_videos].argmax(axis=1)
+            for timestamp, (slot, video) in enumerate(zip(slots, videos)):
                 kind = kinds[slot]
                 if kind.is_watch:
-                    video = int(enc.bits[:enc.n_videos].argmax())
                     if kind is ActivityKind.WATCH_CORRECT:
                         points, max_points = "1.0", "1.0"
                     elif kind is ActivityKind.WATCH_INCORRECT:
                         points, max_points = "0.0", "1.0"
                     else:
                         points, max_points = "", ""
-                    writer.writerow([record.student_id, timestamp, kind.value, video, points, max_points])
+                    writer.writerow([record.student_id, timestamp, kind.value, int(video), points, max_points])
                 else:
                     writer.writerow([record.student_id, timestamp, kind.value, "", "", ""])
-                timestamp += 1
 
 
 def write_students_csv(records: list[StudentRecord], path: str) -> None:
@@ -92,11 +95,22 @@ def _parse_kind(raw: str, has_outcome: bool) -> ActivityKind:
     try:
         return ActivityKind(raw)
     except ValueError as exc:
-        raise IngestError(f"unknown activity kind {raw!r}") from exc
+        raise ValueError(f"unknown activity kind {raw!r}") from exc
 
 
-def read_events_csv(path: str):
-    """Yield (ActivityEvent, QuizOutcome | None) pairs in file order."""
+def _parse_event(row: list[str]) -> tuple[ActivityEvent, QuizOutcome | None]:
+    if len(row) != len(EVENT_HEADER):
+        raise ValueError(f"expected {len(EVENT_HEADER)} fields")
+    sid, ts, kind_raw, video_raw, points_raw, max_raw = row
+    has_outcome = points_raw != "" and max_raw != ""
+    kind = _parse_kind(kind_raw, has_outcome)
+    outcome = QuizOutcome(float(points_raw), float(max_raw)) if has_outcome else None
+    video = int(video_raw) if video_raw != "" else None
+    return ActivityEvent(sid, int(ts), kind, video_index=video), outcome
+
+
+def _event_rows(path: str):
+    """Yield (line number, ActivityEvent, QuizOutcome | None) in file order."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -104,18 +118,17 @@ def read_events_csv(path: str):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(EVENT_HEADER):
-                raise IngestError(f"{path}:{line_no}: expected {len(EVENT_HEADER)} fields")
-            sid, ts, kind_raw, video_raw, points_raw, max_raw = row
-            has_outcome = points_raw != "" and max_raw != ""
-            kind = _parse_kind(kind_raw, has_outcome)
-            outcome = QuizOutcome(float(points_raw), float(max_raw)) if has_outcome else None
-            video = int(video_raw) if video_raw != "" else None
             try:
-                event = ActivityEvent(sid, int(ts), kind, video_index=video)
+                event, outcome = _parse_event(row)
             except ValueError as exc:
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            yield event, outcome
+            yield line_no, event, outcome
+
+
+def read_events_csv(path: str):
+    """Yield (ActivityEvent, QuizOutcome | None) pairs in file order."""
+    for _, event, outcome in _event_rows(path):
+        yield event, outcome
 
 
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
@@ -127,15 +140,17 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(STUDENT_HEADER):
-                raise IngestError(f"{path}:{line_no}: expected {len(STUDENT_HEADER)} fields")
-            sid, gender, continent, birth_year, label = row
             try:
+                if len(row) != len(STUDENT_HEADER):
+                    raise ValueError(f"expected {len(STUDENT_HEADER)} fields")
+                sid, gender, continent, birth_year, label = row
                 demo = Demographics(
                     gender=gender or None,
                     continent=continent or None,
                     birth_year=int(birth_year) if birth_year else None,
                 )
+                if int(label) not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {label}")
                 table[sid] = (demo, int(label))
             except ValueError as exc:
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc
@@ -156,10 +171,10 @@ def load_records(
     """
     table = read_students_csv(students_path)
     per_student: dict[str, list] = {sid: [] for sid in table}
-    for position, (event, outcome) in enumerate(read_events_csv(events_path)):
+    for line_no, event, outcome in _event_rows(events_path):
         if event.student_id not in per_student:
-            raise IngestError(f"event for unknown student {event.student_id!r}")
-        per_student[event.student_id].append((event.timestamp, position, event, outcome))
+            raise IngestError(f"{events_path}:{line_no}: event for unknown student {event.student_id!r}")
+        per_student[event.student_id].append((event.timestamp, line_no, event, outcome))
 
     records = []
     for sid, (demo, label) in table.items():
@@ -168,10 +183,13 @@ def load_records(
             logger.warning("student %s has no events; dropped", sid)
             continue
         rows = rows[-max_sequence:]
-        sequence = []
+        sequence = np.empty((len(rows), n_videos + N_KINDS))
         quiz_responses: dict[int, int] = {}
-        for _, _, event, outcome in rows:
-            sequence.append(encode_event(event, outcome, n_videos))
+        for t, (_, line_no, event, outcome) in enumerate(rows):
+            try:
+                sequence[t] = encode_event(event, outcome, n_videos).bits
+            except EncodingError as exc:
+                raise IngestError(f"{events_path}:{line_no}: {exc}") from exc
             if outcome is not None and event.video_index is not None:
                 if event.video_index not in quiz_responses:
                     quiz_responses[event.video_index] = outcome.first_attempt_score

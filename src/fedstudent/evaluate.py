@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import StudentRecord, demographic_group, sequence_matrix
+from .activity import StudentRecord, demographic_group
 from .federation import (
     AttnAggConfig,
     FederationError,
@@ -23,7 +23,7 @@ from .federation import (
     run_federation,
 )
 from .metrics import ScoredStudent, UndefinedAUCError, auc
-from .network import forward_outcome
+from .network import score
 from .optim import OptState
 from .params import ModelParams
 from .pretrain import run_pretraining
@@ -152,7 +152,7 @@ def pretrain_for_fold(
     split = build_fold_split(record_index, plan, fold_idx)
     with monitor.phase("pretrain"):
         train_ids = sorted(split.all_train_ids())
-        sequences = [sequence_matrix(tracked[sid].sequence) for sid in train_ids]
+        sequences = [tracked[sid].sequence for sid in train_ids]
         input_dim = sequences[0].shape[1]
         model0 = ModelParams.initialized(
             plan.settings.hidden_dim, input_dim, rng_for(seed, "pretrain-init")
@@ -208,15 +208,9 @@ def execute_run(
         assignment = split.assignments[key]
         test_ids[str(key)] = list(assignment.test)
         with monitor.phase("evaluate"):
-            scored = [
-                ScoredStudent(
-                    sid,
-                    float(forward_outcome(model, sequence_matrix(tracked[sid].sequence)).probs[0]),
-                    tracked[sid].label,
-                    key,
-                )
-                for sid in assignment.test
-            ]
+            p_pass, _ = score(model, [tracked[sid].sequence for sid in assignment.test])
+            scored = [ScoredStudent(sid, float(p), tracked[sid].label, key)
+                      for sid, p in zip(assignment.test, p_pass)]
         try:
             subgroup_auc[str(key)] = auc(scored)
         except UndefinedAUCError as exc:
@@ -408,20 +402,17 @@ def export_embeddings(
     include_unspecified: bool = True,
 ) -> EmbeddingDump:
     """Pooled representation per student, dropout disabled."""
-    rows = []
+    kept = []
     for record in records:
         tag = demographic_group(record.demographics, variable)
         if tag is None:
             if not include_unspecified:
                 continue
             tag = "unspecified"
-        X = sequence_matrix(record.sequence)
-        if X.shape[1] != params.input_dim:
-            raise ValueError(
-                f"record width {X.shape[1]} does not match model input_dim {params.input_dim}"
-            )
-        trace = forward_outcome(params, X)
-        rows.append((record.student_id, f"{variable}:{tag}", trace.pooled.copy()))
+        kept.append((record, f"{variable}:{tag}"))
+    _, pooled = score(params, [record.sequence for record, _ in kept])
+    rows = [(record.student_id, subgroup, vector)
+            for (record, subgroup), vector in zip(kept, pooled)]
     return EmbeddingDump(hidden_dim=params.hidden_dim, rows=rows)
 
 

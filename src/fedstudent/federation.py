@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import sequence_matrix
 from .irt import build_response_matrix, fit_rasch, irt_confidence
 from .metrics import ScoredStudent, UndefinedAUCError, auc
-from .network import (backward_batch, forward_outcome, forward_outcome_batch, make_dropout_mask,
-                      outcome_loss)
+from .network import backward, forward_outcome, make_dropout_mask, outcome_loss, score
 from .optim import OptState, optimizer_step
 from .params import Gradients, ModelParams, params_axpy, params_cosine
 from .pretrain import transfer_weights
@@ -128,14 +126,9 @@ class TrainContext:
     def __init__(self, records: dict, settings: TrainSettings):
         self.records = records
         self.settings = settings
-        self._matrices: dict[str, np.ndarray] = {}
 
     def matrix(self, student_id: str) -> np.ndarray:
-        cached = self._matrices.get(student_id)
-        if cached is None:
-            cached = sequence_matrix(self.records[student_id].sequence)
-            self._matrices[student_id] = cached
-        return cached
+        return self.records[student_id].sequence
 
     def label(self, student_id: str) -> int:
         return self.records[student_id].label
@@ -182,10 +175,10 @@ class BatchObjective:
                       for _ in student_ids]
 
     def loss_and_gradient(self, params: ModelParams) -> tuple[float, Gradients]:
-        traces = forward_outcome_batch(params, self.matrices, self.masks)
+        traces = forward_outcome(params, self.matrices, self.masks)
         grads = params.zeros_like()
         total = 0.0
-        for trace, label, g in zip(traces, self.labels, backward_batch(traces, self.labels, params)):
+        for trace, label, g in zip(traces, self.labels, backward(traces, self.labels, params)):
             total += outcome_loss(trace.probs, label)
             grads = grads + g
         scale = 1.0 / len(traces)
@@ -193,7 +186,7 @@ class BatchObjective:
 
     def loss(self, params: ModelParams) -> float:
         total = 0.0
-        for trace, label in zip(forward_outcome_batch(params, self.matrices, self.masks), self.labels):
+        for trace, label in zip(forward_outcome(params, self.matrices, self.masks), self.labels):
             total += outcome_loss(trace.probs, label)
         return total / len(self.labels)
 
@@ -456,11 +449,9 @@ def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
     if not client.val_ids:
         return None
     with monitor.phase("validate"):
-        scored = [
-            ScoredStudent(sid, float(forward_outcome(params, client.ctx.matrix(sid)).probs[0]),
-                          client.ctx.label(sid), client.key)
-            for sid in client.val_ids
-        ]
+        p_pass, _ = score(params, [client.ctx.matrix(sid) for sid in client.val_ids])
+        scored = [ScoredStudent(sid, float(p), client.ctx.label(sid), client.key)
+                  for sid, p in zip(client.val_ids, p_pass)]
     try:
         return auc(scored)
     except UndefinedAUCError:
@@ -576,8 +567,7 @@ def run_federation(
     best_round = 0
     for group, pick in zip(groups, chosen):
         if pick is None:
-            # Local and Central also warn when no epoch ran; the others only after a round.
-            if n_steps or per_epoch:
+            if n_steps:
                 names = ", ".join(str(c.key) for c in group)
                 warnings.append(f"{strategy}: validation AUC never defined for {names}; "
                                 "using the final model")

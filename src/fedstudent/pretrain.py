@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import EncodedActivity, sequence_matrix
-from .network import backward_pretrain_batch, forward_pretrain_batch, pretrain_loss
+from .network import backward_pretrain, forward_pretrain, pretrain_loss
 from .optim import OptState, optimizer_step
 from .params import ModelParams
 from .splits import rng_for
@@ -37,25 +36,19 @@ class CbowInstance:
         return masked
 
 
-def make_cbow_instances(sequence) -> list[CbowInstance]:
-    """One instance per position; sequences shorter than 2 yield none (no context)."""
-    if isinstance(sequence, np.ndarray):
-        X = sequence
-    elif sequence and isinstance(sequence[0], EncodedActivity):
-        X = sequence_matrix(sequence)
-    else:
-        X = np.asarray(sequence, dtype=np.float64)
+def make_cbow_instances(X: np.ndarray) -> list[CbowInstance]:
+    """One instance per position of an (L, d) sequence; shorter than 2 yields none (no context)."""
     if X.shape[0] < 2:
         return []
     return [CbowInstance(source=X, target_position=t) for t in range(X.shape[0])]
 
 
 def _instance_step(model: ModelParams, batch: list[CbowInstance], opt: OptState) -> tuple[float, ModelParams]:
-    traces = forward_pretrain_batch(model, [instance.masked_matrix() for instance in batch])
+    traces = forward_pretrain(model, [instance.masked_matrix() for instance in batch])
     targets = [instance.target for instance in batch]
     grads = model.zeros_like()
     total = 0.0
-    for trace, target, g in zip(traces, targets, backward_pretrain_batch(traces, targets, model)):
+    for trace, target, g in zip(traces, targets, backward_pretrain(traces, targets, model)):
         total += pretrain_loss(trace.pre_probs, target)
         grads = grads + g
     grads = grads * (1.0 / len(batch))

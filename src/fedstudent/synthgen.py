@@ -22,7 +22,6 @@ from .activity import (
     ActivityEvent,
     ActivityKind,
     Demographics,
-    EncodedActivity,
     FORUM_KINDS,
     KIND_SLOT,
     QuizOutcome,
@@ -151,7 +150,7 @@ def _simulate_student(
     # First kind follows the profile's average transition row.
     kind_idx = int(rng.choice(N_KINDS, p=profile.transition.mean(axis=0)))
     timestamp = 1_600_000_000 + int(rng.integers(0, 86_400))
-    sequence: list[EncodedActivity] = []
+    rows: list[np.ndarray] = []
     quiz_responses: dict[int, int] = {}
     n_watch = 0
     n_correct = 0
@@ -179,7 +178,7 @@ def _simulate_student(
             n_forum += 1
             event = ActivityEvent(student_id, timestamp, kind)
             outcome = None
-        sequence.append(encode_event(event, outcome, spec.n_videos))
+        rows.append(encode_event(event, outcome, spec.n_videos).bits)
         timestamp += int(rng.integers(1, 3600))
         kind_idx = int(rng.choice(N_KINDS, p=profile.transition[kind_idx]))
 
@@ -202,7 +201,7 @@ def _simulate_student(
     return StudentRecord(
         student_id=student_id,
         demographics=demo,
-        sequence=sequence,
+        sequence=np.stack(rows),
         quiz_responses=quiz_responses,
         label=label,
     )
@@ -245,9 +244,10 @@ def activity_heatmap(records: list[StudentRecord], n_steps: int) -> np.ndarray:
     counts = np.zeros((N_KINDS, n_steps))
     active = np.zeros(n_steps)
     for record in records:
-        for t, enc in enumerate(record.sequence[:n_steps]):
-            counts[enc.kind_slot(), t] += 1.0
-            active[t] += 1.0
+        n_videos = record.sequence.shape[1] - N_KINDS
+        slots = record.sequence[:n_steps, n_videos:].argmax(axis=1)
+        counts[slots, np.arange(len(slots))] += 1.0
+        active[:len(slots)] += 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
         heat = np.where(active > 0, counts / active, 0.0)
     return heat

@@ -13,6 +13,14 @@ Seven strategies share one orchestration surface:
 Every random choice derives from (run seed, a digest of the client's training
 ids, round, epoch), so results do not depend on client execution order, and a
 client holding the same data as a centralized run sees the same batch order.
+
+Kept as a test oracle. Records now hold their sequence as an (L, d) matrix and
+the network passes take lists, so the call sites are adapted without changing
+the arithmetic: `sequence_matrix(x)` became `x` (and the input width is the
+matrix's column count), and each one-sequence `forward_outcome(p, X,
+dropout_mask=m)` and `backward(t, y, p)` became a batch of one,
+`forward_outcome(p, [X], [m])[0]` and `backward([t], [y], p)[0]`, which runs
+exactly the operations the one-sequence call ran.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedstudent.activity import sequence_matrix
 from fedstudent.irt import build_response_matrix, fit_rasch, irt_confidence
 from fedstudent.metrics import ScoredStudent, UndefinedAUCError, auc
 from fedstudent.network import forward_outcome, make_dropout_mask, outcome_loss, backward
@@ -114,13 +121,13 @@ class TrainContext:
         self.settings = settings
         self._matrices: dict[str, np.ndarray] = {}
         first = next(iter(records.values()))
-        self.input_dim = first.sequence[0].width
-        self._matrices[first.student_id] = sequence_matrix(first.sequence)
+        self.input_dim = first.sequence.shape[1]
+        self._matrices[first.student_id] = first.sequence
 
     def matrix(self, student_id: str) -> np.ndarray:
         cached = self._matrices.get(student_id)
         if cached is None:
-            cached = sequence_matrix(self.records[student_id].sequence)
+            cached = self.records[student_id].sequence
             self._matrices[student_id] = cached
         return cached
 
@@ -172,16 +179,16 @@ class BatchObjective:
         grads = params.zeros_like()
         total = 0.0
         for X, label, mask in self.items:
-            trace = forward_outcome(params, X, dropout_mask=mask)
+            trace = forward_outcome(params, [X], [mask])[0]
             total += outcome_loss(trace.probs, label)
-            grads = grads + backward(trace, label, params)
+            grads = grads + backward([trace], [label], params)[0]
         scale = 1.0 / len(self.items)
         return total * scale, grads * scale
 
     def loss(self, params: ModelParams) -> float:
         total = 0.0
         for X, label, mask in self.items:
-            trace = forward_outcome(params, X, dropout_mask=mask)
+            trace = forward_outcome(params, [X], [mask])[0]
             total += outcome_loss(trace.probs, label)
         return total / len(self.items)
 
@@ -436,7 +443,7 @@ class FederationResult:
 
 
 def _probability_of_pass(params: ModelParams, X: np.ndarray) -> float:
-    return float(forward_outcome(params, X).probs[0])
+    return float(forward_outcome(params, [X])[0].probs[0])
 
 
 def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:

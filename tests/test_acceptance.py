@@ -77,8 +77,8 @@ class TestCriterion1GradientCorrectness:
             params = random_params(k, d, seed)
             X = random_sequence(L, d, rng)
             label = seed % 2
-            trace = forward_outcome(params, X)
-            analytic = backward(trace, label, params)
+            trace = forward_outcome(params, [X])[0]
+            analytic = backward([trace], [label], params)[0]
 
             for name in params.names():
                 arr = params[name]
@@ -87,9 +87,9 @@ class TestCriterion1GradientCorrectness:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up = outcome_loss(forward_outcome(params, X).probs, label)
+                    up = outcome_loss(forward_outcome(params, [X])[0].probs, label)
                     flat[i] = orig - step
-                    down = outcome_loss(forward_outcome(params, X).probs, label)
+                    down = outcome_loss(forward_outcome(params, [X])[0].probs, label)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     denom = max(abs(g[i]) + abs(fd), 1e-4)

@@ -125,9 +125,9 @@ class TestDemographics:
 class TestStudentRecord:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            StudentRecord("s", Demographics(), sequence=[], label=0)
+            StudentRecord("s", Demographics(), sequence=np.zeros((0, 11)), label=0)
 
     def test_length(self):
         enc = encode_event(forum(ActivityKind.FORUM_VIEW), None, 4)
-        rec = StudentRecord("s", Demographics(), sequence=[enc, enc], label=1)
+        rec = StudentRecord("s", Demographics(), sequence=np.stack([enc.bits, enc.bits]), label=1)
         assert rec.length == 2

@@ -192,6 +192,38 @@ class TestDumpEmbeddings:
         ]
 
 
+class TestMalformedIngest:
+    def test_run_and_dump_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        data = tmp_path / "data"
+        main(["generate", "--spec", str(spec_path), "--seed", "5", "--out", str(data)])
+        events = data / "events.csv"
+        lines = events.read_text().splitlines()
+        student = lines[1].split(",")[0]
+        lines.append(f"{student},0,watch_noquiz,{N_VIDEOS + 3},,")  # video index out of range
+        events.write_text("\n".join(lines) + "\n")
+        where = f"{events}:{len(lines)}:"
+        capsys.readouterr()
+
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / "out", dataset={
+            "kind": "csv", "events_path": "data/events.csv",
+            "students_path": "data/students.csv", "n_videos": N_VIDEOS,
+        })
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == 2
+        assert where in capsys.readouterr().err
+
+        model_path = tmp_path / "model.params"
+        save_params(ModelParams.zeros(4, N_VIDEOS + 7), str(model_path))
+        code = main([
+            "dump-embeddings", "--model", str(model_path), "--events", str(events),
+            "--students", str(data / "students.csv"), "--out", str(tmp_path / "emb.csv"),
+        ])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, capsys):
         report = tmp_path / "report.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestRoundTrip:
             assert restored.length == original.length
             assert restored.quiz_responses == original.quiz_responses
             for a, b in zip(original.sequence, restored.sequence):
-                assert np.array_equal(a.bits, b.bits)
+                assert np.array_equal(a, b)
 
     def test_sequence_cap_keeps_most_recent(self, tmp_path):
         spec, records = cohort()
@@ -58,7 +60,7 @@ class TestRoundTrip:
             original = by_id[r.student_id]
             tail = original.sequence[-r.length:]
             for a, b in zip(tail, r.sequence):
-                assert np.array_equal(a.bits, b.bits)
+                assert np.array_equal(a, b)
 
 
 class TestReaders:
@@ -125,8 +127,33 @@ class TestReaders:
         )
         students.write_text("student_id,gender,continent,birth_year,label\ns1,,,,1\n")
         [record] = load_records(str(events), str(students), N_VIDEOS)
-        slots = [enc.kind_slot() for enc in record.sequence]
+        slots = [int(row[N_VIDEOS:].argmax()) for row in record.sequence]
         assert slots == [6, 4, 5]  # view, post, reply in file order
+
+
+EVENTS_HEAD = "student_id,timestamp,kind,video_index,points,max_points\ns1,0,forum_view,,,\n"
+STUDENTS_HEAD = "student_id,gender,continent,birth_year,label\ns1,,,,1\n"
+
+
+# One row per class of malformed field: (events.csv line 3, students.csv line 3,
+# the file that is at fault).
+@pytest.mark.parametrize("event_row, student_row, bad_file", [
+    ("s2,0,watch_correct,1,x,1", "s2,,,,0", "events"),      # non-numeric points
+    ("s2,0,watch_correct,1,2,1", "s2,,,,0", "events"),      # points above max
+    ("s2,0,watch_noquiz,1.5,,", "s2,,,,0", "events"),       # non-integer video_index
+    ("s2,0,watch_noquiz,9,,", "s2,,,,0", "events"),         # video_index out of range
+    ("s2,0,forum_view,,,", "s2,,,,2", "students"),          # label outside {0, 1}
+    ("ghost,0,forum_view,,,", "s2,,,,0", "events"),         # event for an unknown student
+], ids=["points", "points_above_max", "video_not_int", "video_out_of_range", "label",
+        "unknown_student"])
+def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad_file):
+    events = tmp_path / "events.csv"
+    students = tmp_path / "students.csv"
+    events.write_text(EVENTS_HEAD + event_row + "\n")
+    students.write_text(STUDENTS_HEAD + student_row + "\n")
+    bad = events if bad_file == "events" else students
+    with pytest.raises(IngestError, match=re.escape(f"{bad}:3: ")):
+        load_records(str(events), str(students), N_VIDEOS)
 
 
 def test_split_csv(tmp_path):

@@ -5,21 +5,19 @@ import pytest
 
 from fedstudent.params import ModelParams, layer_shapes
 from fedstudent.network import (
+    SCORE_CHUNK,
     attention_pool,
     backward,
-    backward_batch,
     backward_pretrain,
-    backward_pretrain_batch,
     bce_loss,
     forward_outcome,
-    forward_outcome_batch,
     forward_pretrain,
-    forward_pretrain_batch,
     gru_forward,
     make_dropout_mask,
     outcome_loss,
     predict_outcome,
     pretrain_loss,
+    score,
 )
 
 
@@ -215,11 +213,11 @@ class TestBackward:
             label = seed % 2
 
             def loss_fn(p):
-                trace = forward_outcome(p, X)
+                trace = forward_outcome(p, [X])[0]
                 return outcome_loss(trace.probs, label)
 
-            trace = forward_outcome(params, X)
-            analytic = backward(trace, label, params)
+            trace = forward_outcome(params, [X])[0]
+            analytic = backward([trace], [label], params)[0]
             numeric = finite_difference_grads(params, loss_fn)
             assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -229,17 +227,17 @@ class TestBackward:
         mask = make_dropout_mask(np.random.default_rng(0), 4, 0.5)
 
         def loss_fn(p):
-            return outcome_loss(forward_outcome(p, X, dropout_mask=mask).probs, 1)
+            return outcome_loss(forward_outcome(p, [X], [mask])[0].probs, 1)
 
-        trace = forward_outcome(params, X, dropout_mask=mask)
-        analytic = backward(trace, 1, params)
+        trace = forward_outcome(params, [X], [mask])[0]
+        analytic = backward([trace], [1], params)[0]
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_pretrain_head_gradient_exactly_zero(self):
         params = random_params(4, 10, 4)
-        trace = forward_outcome(params, random_sequence(5, 10, 5))
-        grads = backward(trace, 0, params)
+        trace = forward_outcome(params, [random_sequence(5, 10, 5)])[0]
+        grads = backward([trace], [0], params)[0]
         assert np.all(grads["pretrain.W_p"] == 0.0)
         assert np.all(grads["pretrain.b_p"] == 0.0)
 
@@ -248,17 +246,17 @@ class TestBackward:
         X = random_sequence(5, 10, 6)
         total = params.zeros_like()
         for label in (0, 1):
-            trace = forward_outcome(params, X)
-            g = backward(trace, label, params)
+            trace = forward_outcome(params, [X])[0]
+            g = backward([trace], [label], params)[0]
             total = total + g
         np.testing.assert_allclose(total["head.b_l"], [0.0, 0.0], atol=1e-12)
 
     def test_stale_trace_rejected(self):
         params = random_params(4, 10, 7)
         other = random_params(5, 10, 8)
-        trace = forward_outcome(params, random_sequence(4, 10, 9))
+        trace = forward_outcome(params, [random_sequence(4, 10, 9)])[0]
         with pytest.raises(ValueError):
-            backward(trace, 1, other)
+            backward([trace], [1], other)
 
 
 class TestPretrainPath:
@@ -270,18 +268,18 @@ class TestPretrainPath:
         masked[2] = 0.0
 
         def loss_fn(p):
-            return pretrain_loss(forward_pretrain(p, masked).pre_probs, target)
+            return pretrain_loss(forward_pretrain(p, [masked])[0].pre_probs, target)
 
-        trace = forward_pretrain(params, masked)
-        analytic = backward_pretrain(trace, target, params)
+        trace = forward_pretrain(params, [masked])[0]
+        analytic = backward_pretrain([trace], [target], params)[0]
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_outcome_head_untouched_by_pretrain_loss(self):
         params = random_params(4, 10, 13)
         X = random_sequence(4, 10, 14)
-        trace = forward_pretrain(params, X)
-        grads = backward_pretrain(trace, X[0], params)
+        trace = forward_pretrain(params, [X])[0]
+        grads = backward_pretrain([trace], [X[0]], params)[0]
         assert np.all(grads["head.W_l"] == 0.0)
         assert np.all(grads["head.b_l"] == 0.0)
 
@@ -291,15 +289,15 @@ class TestForwardDeterminism:
         params = random_params(4, 10, 20)
         X = random_sequence(8, 10, 21)
         mask = make_dropout_mask(np.random.default_rng(5), 4, 0.5)
-        t1 = forward_outcome(params, X, dropout_mask=mask)
-        t2 = forward_outcome(params, X, dropout_mask=mask)
+        t1 = forward_outcome(params, [X], [mask])[0]
+        t2 = forward_outcome(params, [X], [mask])[0]
         assert np.array_equal(t1.probs, t2.probs)
         assert np.array_equal(t1.gru.H, t2.gru.H)
 
     def test_probability_outputs_are_distributions(self):
         for seed in range(10):
             params = random_params(4, 10, seed, scale=1.0)
-            trace = forward_outcome(params, random_sequence(6, 10, seed))
+            trace = forward_outcome(params, [random_sequence(6, 10, seed)])[0]
             assert np.all(trace.probs >= 0)
             assert abs(trace.probs.sum() - 1.0) < 1e-9
             assert abs(trace.attn.alpha.sum() - 1.0) < 1e-9
@@ -320,35 +318,35 @@ class TestBatchedPasses:
 
     def test_outcome_batch_matches_single_sequences(self):
         params, Xs, masks, labels = self.batch()
-        traces = forward_outcome_batch(params, Xs, masks)
-        grads = backward_batch(traces, labels, params)
+        traces = forward_outcome(params, Xs, masks)
+        grads = backward(traces, labels, params)
         for X, mask, label, trace, g in zip(Xs, masks, labels, traces, grads):
-            alone = forward_outcome(params, X, dropout_mask=mask)
+            alone = forward_outcome(params, [X], [mask])[0]
             assert trace.gru.H.shape == (X.shape[0], params.hidden_dim)
             for name in ("Z", "R", "C", "H"):
                 assert np.array_equal(getattr(trace.gru, name), getattr(alone.gru, name))
             assert np.array_equal(trace.probs, alone.probs)
-            g_alone = backward(alone, label, params)
+            g_alone = backward([alone], [label], params)[0]
             for name in params.names():
                 assert np.array_equal(g[name], g_alone[name]), name
 
     def test_pretrain_batch_matches_single_sequences(self):
         params, Xs, _, _ = self.batch()
-        traces = forward_pretrain_batch(params, Xs)
-        grads = backward_pretrain_batch(traces, [X[0] for X in Xs], params)
+        traces = forward_pretrain(params, Xs)
+        grads = backward_pretrain(traces, [X[0] for X in Xs], params)
         for X, trace, g in zip(Xs, traces, grads):
-            alone = forward_pretrain(params, X)
+            alone = forward_pretrain(params, [X])[0]
             assert np.array_equal(trace.pre_probs, alone.pre_probs)
-            g_alone = backward_pretrain(alone, X[0], params)
+            g_alone = backward_pretrain([alone], [X[0]], params)[0]
             for name in params.names():
                 assert np.array_equal(g[name], g_alone[name]), name
 
     def test_batch_order_does_not_matter(self):
         params, Xs, masks, labels = self.batch()
-        traces = forward_outcome_batch(params, Xs, masks)
-        grads = backward_batch(traces, labels, params)
-        rev_traces = forward_outcome_batch(params, Xs[::-1], masks[::-1])
-        rev_grads = backward_batch(rev_traces, labels[::-1], params)
+        traces = forward_outcome(params, Xs, masks)
+        grads = backward(traces, labels, params)
+        rev_traces = forward_outcome(params, Xs[::-1], masks[::-1])
+        rev_grads = backward(rev_traces, labels[::-1], params)
         for a, b, ga, gb in zip(traces, rev_traces[::-1], grads, rev_grads[::-1]):
             assert np.array_equal(a.probs, b.probs)
             for name in params.names():
@@ -357,4 +355,21 @@ class TestBatchedPasses:
     def test_empty_sequence_in_batch_rejected(self):
         params = random_params(4, 11, 1)
         with pytest.raises(ValueError):
-            forward_outcome_batch(params, [random_sequence(3, 11, 0), np.zeros((0, 11))])
+            forward_outcome(params, [random_sequence(3, 11, 0), np.zeros((0, 11))])
+
+
+class TestScore:
+    def test_matches_lone_forward_in_input_order(self):
+        params = random_params(5, 11, 31, scale=0.8)
+        rng = np.random.default_rng(8)
+        # Ties, both extremes, and more rows than one chunk holds.
+        lengths = [1, 120, 7, 7, 7, 33, 1, 120] + rng.integers(1, 121, size=2 * SCORE_CHUNK).tolist()
+        cohort = [random_sequence(L, 11, 100 + i) for i, L in enumerate(lengths)]
+        for Xs in (cohort, cohort[5:6], []):
+            p_pass, pooled = score(params, Xs)
+            assert p_pass.shape == (len(Xs),)
+            assert pooled.shape == (len(Xs), params.hidden_dim)
+            for X, p, vector in zip(Xs, p_pass, pooled):
+                alone = forward_outcome(params, [X])[0]
+                assert p == alone.probs[0]
+                assert np.array_equal(vector, alone.pooled)

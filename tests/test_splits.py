@@ -16,7 +16,7 @@ def make_record(sid, gender=None, continent=None, birth_year=None):
     return StudentRecord(
         sid,
         Demographics(gender=gender, continent=continent, birth_year=birth_year),
-        sequence=[enc],
+        sequence=enc.bits[None, :],
         label=0,
     )
 

@@ -48,8 +48,7 @@ def make_spec(profiles, **overrides):
 def cohort_fingerprint(records):
     parts = []
     for r in records:
-        bits = np.concatenate([e.bits for e in r.sequence])
-        parts.append((r.student_id, r.label, bits.tobytes(), tuple(sorted(r.quiz_responses.items()))))
+        parts.append((r.student_id, r.label, r.sequence.tobytes(), tuple(sorted(r.quiz_responses.items()))))
     return parts
 
 
@@ -75,9 +74,9 @@ class TestGenerateCohort:
         records = generate_cohort(spec, seed=7)
         correct_slot = KIND_SLOT[ActivityKind.WATCH_CORRECT]
         for record in records:
-            for enc in record.sequence:
-                if enc.bits[:N_VIDEOS].sum() == 1:  # watch event
-                    assert enc.bits[N_VIDEOS + correct_slot] == 1.0
+            for row in record.sequence:
+                if row[:N_VIDEOS].sum() == 1:  # watch event
+                    assert row[N_VIDEOS + correct_slot] == 1.0
             assert all(v == 1 for v in record.quiz_responses.values())
 
     def test_very_negative_intercept_suppresses_passing(self):
@@ -91,12 +90,12 @@ class TestGenerateCohort:
     def test_encoding_invariants_hold_for_generated_sequences(self):
         spec = make_spec([make_profile("M", population=40), make_profile("F", population=40)])
         for record in generate_cohort(spec, seed=5):
-            for enc in record.sequence:
-                video_bits = enc.bits[:N_VIDEOS].sum()
-                type_bits = enc.bits[N_VIDEOS:].sum()
+            for row in record.sequence:
+                video_bits = row[:N_VIDEOS].sum()
+                type_bits = row[N_VIDEOS:].sum()
                 assert type_bits == 1.0
                 assert video_bits in (0.0, 1.0)
-                if enc.bits[N_VIDEOS + 4:].sum() == 1.0:  # forum
+                if row[N_VIDEOS + 4:].sum() == 1.0:  # forum
                     assert video_bits == 0.0
                 else:
                     assert video_bits == 1.0
