@@ -23,7 +23,7 @@ from .federation import (
 )
 from .irt import fit_rasch, irt_confidence
 from .metrics import ScoredStudent, auc
-from .network import attention_pool, backward, bce_loss, gru_forward, predict_outcome
+from .network import attention_pool, backward, gru_forward
 from .optim import OptState, optimizer_step
 from .params import ModelParams, load_params, params_axpy, params_cosine, params_norm, save_params
 from .pretrain import make_cbow_instances, pretrain_epoch, transfer_weights

@@ -61,6 +61,15 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _coerce(kind, value, name: str):
+    """`value` converted by `kind` (int or float); one it cannot take is an error naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}") from exc
+
+
 def _path_exists(path: str, where: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"{where}: path does not exist: {path}")
@@ -81,7 +90,7 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         spec_path = os.path.join(base_dir, _require(dataset_raw, "spec_path", "dataset"))
         dataset = DatasetSource(kind="generated",
                                 spec_path=_path_exists(spec_path, "dataset.spec_path"),
-                                seed=int(dataset_raw.get("seed", 0)))
+                                seed=_coerce(int, dataset_raw.get("seed", 0), "dataset.seed"))
     elif kind == "csv":
         _check_keys(dataset_raw, _DATASET_KEYS_CSV, "dataset")
         events = os.path.join(base_dir, _require(dataset_raw, "events_path", "dataset"))
@@ -90,8 +99,8 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
             kind="csv",
             events_path=_path_exists(events, "dataset.events_path"),
             students_path=_path_exists(students, "dataset.students_path"),
-            n_videos=int(_require(dataset_raw, "n_videos", "dataset")),
-            max_sequence=int(dataset_raw.get("max_sequence", 256)),
+            n_videos=_coerce(int, _require(dataset_raw, "n_videos", "dataset"), "dataset.n_videos"),
+            max_sequence=_coerce(int, dataset_raw.get("max_sequence", 256), "dataset.max_sequence"),
         )
     else:
         raise ConfigError(f"dataset.kind must be 'generated' or 'csv', got {kind!r}")
@@ -113,12 +122,12 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     _check_keys(opt_raw, _OPT_KEYS, "optimizer")
     try:
         settings = TrainSettings(
-            hidden_dim=int(model_raw.get("hidden_dim", 48)),
-            dropout=float(model_raw.get("dropout", 0.5)),
-            batch_size=int(model_raw.get("batch_size", 8)),
+            hidden_dim=_coerce(int, model_raw.get("hidden_dim", 48), "model.hidden_dim"),
+            dropout=_coerce(float, model_raw.get("dropout", 0.5), "model.dropout"),
+            batch_size=_coerce(int, model_raw.get("batch_size", 8), "model.batch_size"),
             opt_kind=str(opt_raw.get("kind", "adam")),
-            lr=float(opt_raw.get("lr", 1e-3)),
-            decay=float(opt_raw.get("decay", 1e-3)),
+            lr=_coerce(float, opt_raw.get("lr", 1e-3), "optimizer.lr"),
+            decay=_coerce(float, opt_raw.get("decay", 1e-3), "optimizer.decay"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -132,11 +141,11 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     try:
         meta_batch = meta_raw.get("meta_batch")
         meta = MetaConfig(
-            inner_lr=float(meta_raw.get("inner_lr", 0.01)),
-            outer_lr=float(meta_raw.get("outer_lr", settings.lr)),
+            inner_lr=_coerce(float, meta_raw.get("inner_lr", 0.01), "meta.inner_lr"),
+            outer_lr=_coerce(float, meta_raw.get("outer_lr", settings.lr), "meta.outer_lr"),
             mode=str(meta_raw.get("mode", "first_order")),
-            hessian_step=float(meta_raw.get("hessian_step", 1e-4)),
-            meta_batch=int(meta_batch) if meta_batch is not None else None,
+            hessian_step=_coerce(float, meta_raw.get("hessian_step", 1e-4), "meta.hessian_step"),
+            meta_batch=_coerce(int, meta_batch, "meta.meta_batch") if meta_batch is not None else None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -145,7 +154,7 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     _check_keys(agg_raw, _AGG_KEYS, "aggregation")
     try:
         attn = AttnAggConfig(
-            step=float(agg_raw.get("step", 1.0)),
+            step=_coerce(float, agg_raw.get("step", 1.0), "aggregation.step"),
             mode=str(agg_raw.get("mode", "per_layer")),
         )
     except ValueError as exc:
@@ -154,13 +163,13 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     pretrain_raw = data.get("pretrain", {})
     _check_keys(pretrain_raw, _PRETRAIN_KEYS, "pretrain")
     pretrain_enabled = bool(pretrain_raw.get("enabled", False))
-    pretrain_epochs = int(pretrain_raw.get("epochs", 10))
+    pretrain_epochs = _coerce(int, pretrain_raw.get("epochs", 10), "pretrain.epochs")
     if pretrain_epochs < 0:
         raise ConfigError("pretrain.epochs must be >= 0")
 
-    rounds = int(data.get("rounds", 10))
-    local_iters = int(data.get("local_iters", 5))
-    folds = int(data.get("folds", 5))
+    rounds = _coerce(int, data.get("rounds", 10), "rounds")
+    local_iters = _coerce(int, data.get("local_iters", 5), "local_iters")
+    folds = _coerce(int, data.get("folds", 5), "folds")
     seeds = data.get("seeds", [0, 1, 2, 3, 4])
     if rounds < 0 or local_iters < 1:
         raise ConfigError("need rounds >= 0 and local_iters >= 1")
@@ -184,7 +193,7 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         pretrain_epochs=pretrain_epochs,
         folds=folds,
         seeds=tuple(seeds),
-        fold_seed=int(data.get("fold_seed", 1234)),
+        fold_seed=_coerce(int, data.get("fold_seed", 1234), "fold_seed"),
     )
     output_dir = os.path.join(base_dir, data.get("output_dir", "out"))
     return ExperimentConfig(dataset=dataset, plan=plan, output_dir=output_dir, raw=data)

@@ -24,7 +24,6 @@ from .federation import (
 )
 from .metrics import ScoredStudent, UndefinedAUCError, auc
 from .network import score
-from .optim import OptState
 from .params import ModelParams
 from .pretrain import run_pretraining
 from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, rng_for
@@ -157,9 +156,8 @@ def pretrain_for_fold(
         model0 = ModelParams.initialized(
             plan.settings.hidden_dim, input_dim, rng_for(seed, "pretrain-init")
         )
-        opt = OptState(kind=plan.settings.opt_kind, lr=plan.settings.lr, decay=plan.settings.decay)
         pretrained, losses = run_pretraining(
-            model0, sequences, plan.pretrain_epochs, opt, seed,
+            model0, sequences, plan.pretrain_epochs, plan.settings.make_opt(), seed,
             batch_size=plan.settings.batch_size,
         )
     return pretrained, losses, dict(monitor.counts)

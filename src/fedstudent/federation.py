@@ -175,47 +175,36 @@ class BatchObjective:
                       for _ in student_ids]
 
     def loss_and_gradient(self, params: ModelParams) -> tuple[float, Gradients]:
-        traces = forward_outcome(params, self.matrices, self.masks)
-        grads = params.zeros_like()
+        """The batch's summed loss, and the gradient of its mean loss."""
+        trace = forward_outcome(params, self.matrices, self.masks)
         total = 0.0
-        for trace, label, g in zip(traces, self.labels, backward(traces, self.labels, params)):
-            total += outcome_loss(trace.probs, label)
-            grads = grads + g
-        scale = 1.0 / len(traces)
-        return total * scale, grads * scale
-
-    def loss(self, params: ModelParams) -> float:
-        total = 0.0
-        for trace, label in zip(forward_outcome(params, self.matrices, self.masks), self.labels):
-            total += outcome_loss(trace.probs, label)
-        return total / len(self.labels)
-
-    def gradient(self, params: ModelParams) -> Gradients:
-        return self.loss_and_gradient(params)[1]
+        for probs, label in zip(trace.probs, self.labels):
+            total += outcome_loss(probs, label)
+        return total, backward(trace, self.labels, params) * (1.0 / len(self.labels))
 
 
-def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> Gradients:
-    """Gradient of the after-one-inner-step loss.
+def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> tuple[float, Gradients]:
+    """The objective's loss at `params`, and the gradient of its after-one-inner-step loss.
 
     first_order drops the curvature term; hessian_fd restores it through a
     central-difference Hessian-vector product:
         g = v - inner_lr * (grad(theta + dv) - grad(theta - dv)) / (2d),
         v = grad(theta - inner_lr * grad(theta)).
     """
-    g0 = objective.gradient(params)
+    loss, g0 = objective.loss_and_gradient(params)
     inner = params_axpy(-cfg.inner_lr, g0, params)
-    v = objective.gradient(inner)
+    v = objective.loss_and_gradient(inner)[1]
     if cfg.mode == "first_order":
         result = v
     else:
         delta = cfg.hessian_step
-        g_plus = objective.gradient(params_axpy(delta, v, params))
-        g_minus = objective.gradient(params_axpy(-delta, v, params))
+        g_plus = objective.loss_and_gradient(params_axpy(delta, v, params))[1]
+        g_minus = objective.loss_and_gradient(params_axpy(-delta, v, params))[1]
         hvp = (g_plus - g_minus) * (1.0 / (2.0 * delta))
         result = params_axpy(-cfg.inner_lr, hvp, v)
     if not result.all_finite():
         raise FederationError("meta-gradient produced non-finite values")
-    return result
+    return loss, result
 
 
 def _meta_epoch(params: ModelParams, client: ClientState, cfg: MetaConfig,
@@ -227,10 +216,12 @@ def _meta_epoch(params: ModelParams, client: ClientState, cfg: MetaConfig,
     for start in range(0, len(shuffled), batch_size):
         # The meta loss is a deterministic function of the parameters, so
         # meta objectives carry no dropout (rng=None).
-        objective = BatchObjective(client.ctx, shuffled[start:start + batch_size], None)
+        batch = shuffled[start:start + batch_size]
+        objective = BatchObjective(client.ctx, batch, None)
+        loss, grad = meta_gradient(params, objective, cfg)
         if losses is not None:
-            losses.append(objective.loss(params))
-        params = params_axpy(-cfg.outer_lr, meta_gradient(params, objective, cfg), params)
+            losses.append(loss / len(batch))
+        params = params_axpy(-cfg.outer_lr, grad, params)
     return params
 
 
@@ -272,9 +263,10 @@ def train_epoch(
     bs = ctx.settings.batch_size
     for start in range(0, len(shuffled), bs):
         batch = shuffled[start:start + bs]
-        objective = BatchObjective(ctx, batch, rng)
-        loss, grads = objective.loss_and_gradient(params)
-        total += loss * len(batch)
+        loss, grads = BatchObjective(ctx, batch, rng).loss_and_gradient(params)
+        # Through the batch mean and back (not `total += loss`): the rounding
+        # this report has always had.
+        total += loss * (1.0 / len(batch)) * len(batch)
         params = optimizer_step(params, grads, opt)
     opt.epoch += 1
     return params, total / len(shuffled)

@@ -19,7 +19,9 @@ Dropout (inverted scaling) is applied to the pooled vector before the outcome
 head only, and only when a mask is supplied.
 
 Every pass takes a list of (L, d) sequences of any lengths and runs them as one
-batch; each sequence's numbers are bit-identical to a batch holding it alone.
+batch, recorded in one `BatchTrace`; each sequence's numbers are bit-identical
+to a batch holding it alone. A backward pass returns the batch's summed
+gradient, added up in input order.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ PROB_CLAMP = 1e-12
 # 2,000 students of lengths up to 116 on a 2-vCPU Xeon VM, 16 rows peaked at
 # 3.8 MB and took 0.21 s, 64 rows 8.3 MB and 0.15 s, one student at a time 0.73 s.
 SCORE_CHUNK = 16
+# The (weights, bias) layers of each head.
+HEAD_LAYERS = {"outcome": ("head.W_l", "head.b_l"), "pretrain": ("pretrain.W_p", "pretrain.b_p")}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -78,54 +82,46 @@ def _rowwise_matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GruCache:
-    """Per-timestep quantities retained for backpropagation through time."""
+class BatchTrace:
+    """Everything a forward pass over a batch computed, sufficient for its exact backward pass.
 
-    X: np.ndarray       # (L, d) inputs
-    Z: np.ndarray       # (L, k) update gates
-    R: np.ndarray       # (L, k) reset gates
-    C: np.ndarray       # (L, k) candidates
-    H: np.ndarray       # (L, k) hidden states
+    The GRU arrays are (B, T, .) with rows ordered longest first, as
+    `_run_gru` steps them, and zeros past each sequence's end: input i sits in
+    row `rows[i]` for its first `lengths[i]` steps. Every other field is in
+    input order.
+    """
 
-
-@dataclass
-class AttnCache:
-    A: np.ndarray       # (L, k) tanh(H @ W_alpha^T)
-    alpha: np.ndarray   # (L,) attention weights
-    pooled: np.ndarray  # (k,)
-
-
-@dataclass
-class ForwardTrace:
-    """Everything a forward pass computed, sufficient for an exact backward pass."""
-
-    hidden_dim: int
-    input_dim: int
-    gru: GruCache
-    attn: AttnCache
-    dropout_mask: np.ndarray | None = None
-    pooled_final: np.ndarray | None = None   # pooled after dropout (outcome path)
-    logits: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    pre_logits: np.ndarray | None = None     # masked-activity head (pretraining path)
-    pre_probs: np.ndarray | None = None
-
-    @property
-    def pooled(self) -> np.ndarray:
-        return self.attn.pooled
+    head: str                        # a key of HEAD_LAYERS
+    sequences: list[np.ndarray]      # the (L, d) inputs
+    masks: list[np.ndarray | None]   # dropout mask of each input
+    rows: list[int]
+    lengths: list[int]
+    active: list[int]                # per step, how many leading rows are still running
+    ZR: np.ndarray                   # (B, T, 2k) update and reset gates
+    C: np.ndarray                    # (B, T, k) candidates
+    H: np.ndarray                    # (B, T, k) hidden states
+    A: list[np.ndarray]              # per input, (L, k) tanh(H @ W_alpha^T)
+    alpha: list[np.ndarray]          # per input, (L,) attention weights
+    pooled: np.ndarray               # (B, k)
+    head_input: np.ndarray           # (B, k) pooled after dropout
+    probs: np.ndarray                # (B, outputs) head probabilities
 
 
-def _run_gru(params: ModelParams, Xs: list[np.ndarray]) -> list[GruCache]:
-    """GRU caches for a batch of sequences of any lengths, in the given order.
+def _run_gru(params: ModelParams, Xs: list[np.ndarray]
+             ) -> tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Run a batch of sequences of any lengths through the GRU, all steps together.
 
-    All sequences advance together one step at a time; each row goes through
-    exactly the operations it would alone, so a sequence's numbers do not
-    depend on the batch it is in.
+    Returns each input's row, the active row count per step, and the padded
+    (B, T, .) gates ZR, candidates C and hidden states H, rows longest first.
+    Each row goes through exactly the operations it would alone, so a
+    sequence's numbers do not depend on the batch it is in.
     """
     k = params.hidden_dim
     W_in = params["gru.input_weights"]
     U = params["gru.recurrent_weights"]
     b = params["gru.biases"]
+    if not Xs:
+        raise ValueError("a batch needs at least one sequence")
     for X in Xs:
         if X.shape[0] == 0:
             raise ValueError("sequence must be non-empty")
@@ -134,8 +130,10 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]) -> list[GruCache]:
     lengths = [X.shape[0] for X in Xs]
     order, active = _longest_first(lengths)
     B, T = len(Xs), len(active)
+    rows = [0] * B
     XW = np.zeros((B, T, 3 * k))
     for row, i in enumerate(order):
+        rows[i] = row
         XW[row, : lengths[i]] = Xs[i] @ W_in.T + b   # biases folded in
     U_zr = U[: 2 * k]
     U_c = U[2 * k:]
@@ -151,24 +149,19 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]) -> list[GruCache]:
         ZR[:n, t] = zr
         C[:n, t] = c
         H[:n, t] = (1.0 - z) * h + z * c
-    caches: list[GruCache | None] = [None] * B
-    for row, i in enumerate(order):
-        L = lengths[i]
-        caches[i] = GruCache(X=Xs[i], Z=ZR[row, :L, :k], R=ZR[row, :L, k:], C=C[row, :L], H=H[row, :L])
-    return caches
+    return rows, active, ZR, C, H
 
 
 def gru_forward(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Hidden states (L, k) for a non-empty (L, d) sequence."""
-    return _run_gru(params, [X])[0].H
+    return _run_gru(params, [X])[-1][0]
 
 
-def _run_attention(params: ModelParams, H: np.ndarray) -> AttnCache:
+def _run_attention(params: ModelParams, H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tanh(H W_alpha^T), the attention weights and the pooled vector of one sequence."""
     A = np.tanh(H @ params["attn.W_alpha"].T)
-    e = A @ params["attn.p"]
-    alpha = _softmax(e)
-    pooled = alpha @ H
-    return AttnCache(A=A, alpha=alpha, pooled=pooled)
+    alpha = _softmax(A @ params["attn.p"])
+    return A, alpha, alpha @ H
 
 
 def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]:
@@ -176,14 +169,8 @@ def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]
     H = np.asarray(states, dtype=np.float64)
     if H.shape[0] == 0:
         raise ValueError("states must be non-empty")
-    cache = _run_attention(params, H)
-    return cache.pooled, cache.alpha
-
-
-def predict_outcome(params: ModelParams, pooled: np.ndarray) -> np.ndarray:
-    """Pass/fail probability pair from a pooled representation."""
-    logits = pooled @ params["head.W_l"] + params["head.b_l"]
-    return _softmax(logits)
+    _, alpha, pooled = _run_attention(params, H)
+    return pooled, alpha
 
 
 def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) -> np.ndarray | None:
@@ -194,30 +181,39 @@ def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) ->
     return (rng.random(hidden_dim) >= rate).astype(np.float64) / keep
 
 
+def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
+             masks: list[np.ndarray | None]) -> BatchTrace:
+    """A batch through the GRU, attention pooling and the named head."""
+    if len(masks) != len(sequences):
+        raise ValueError(f"{len(masks)} dropout masks for {len(sequences)} sequences")
+    rows, active, ZR, C, H = _run_gru(params, sequences)
+    W, b = (params[name] for name in HEAD_LAYERS[head])
+    lengths = [X.shape[0] for X in sequences]
+    pooled = np.empty((len(sequences), params.hidden_dim))
+    head_input = np.empty_like(pooled)
+    probs = np.empty((len(sequences), b.shape[0]))
+    As, alphas = [], []
+    for i, (row, L, mask) in enumerate(zip(rows, lengths, masks)):
+        A, alpha, vector = _run_attention(params, H[row, :L])
+        x = vector if mask is None else vector * mask
+        As.append(A)
+        alphas.append(alpha)
+        pooled[i] = vector
+        head_input[i] = x
+        probs[i] = _softmax(x @ W + b)
+    return BatchTrace(head, sequences, masks, rows, lengths, active, ZR, C, H,
+                      As, alphas, pooled, head_input, probs)
+
+
 def forward_outcome(
     params: ModelParams,
     sequences: list[np.ndarray],
     dropout_masks: list[np.ndarray | None] | None = None,
-) -> list[ForwardTrace]:
-    """Forward passes to outcome probabilities, one trace per sequence (with its
-    optional dropout mask), caching what `backward` needs."""
+) -> BatchTrace:
+    """Forward pass of a batch to outcome probabilities, each sequence with its
+    optional dropout mask, keeping what `backward` needs."""
     masks = dropout_masks if dropout_masks is not None else [None] * len(sequences)
-    traces = []
-    for gru, mask in zip(_run_gru(params, sequences), masks):
-        attn = _run_attention(params, gru.H)
-        pooled = attn.pooled if mask is None else attn.pooled * mask
-        logits = pooled @ params["head.W_l"] + params["head.b_l"]
-        traces.append(ForwardTrace(
-            hidden_dim=params.hidden_dim,
-            input_dim=params.input_dim,
-            gru=gru,
-            attn=attn,
-            dropout_mask=mask,
-            pooled_final=pooled,
-            logits=logits,
-            probs=_softmax(logits),
-        ))
-    return traces
+    return _forward(params, sequences, "outcome", masks)
 
 
 def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,27 +227,15 @@ def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray,
     order = sorted(range(len(sequences)), key=lambda i: sequences[i].shape[0])
     for start in range(0, len(order), SCORE_CHUNK):
         chunk = order[start:start + SCORE_CHUNK]
-        for i, trace in zip(chunk, forward_outcome(params, [sequences[i] for i in chunk])):
-            p_pass[i] = trace.probs[0]
-            pooled[i] = trace.pooled
+        trace = forward_outcome(params, [sequences[i] for i in chunk])
+        p_pass[chunk] = trace.probs[:, 0]
+        pooled[chunk] = trace.pooled
     return p_pass, pooled
 
 
-def forward_pretrain(params: ModelParams, masked_sequences: list[np.ndarray]) -> list[ForwardTrace]:
-    """Forward passes of the masked-activity prediction path (no dropout)."""
-    traces = []
-    for gru in _run_gru(params, masked_sequences):
-        attn = _run_attention(params, gru.H)
-        pre_logits = attn.pooled @ params["pretrain.W_p"] + params["pretrain.b_p"]
-        traces.append(ForwardTrace(
-            hidden_dim=params.hidden_dim,
-            input_dim=params.input_dim,
-            gru=gru,
-            attn=attn,
-            pre_logits=pre_logits,
-            pre_probs=_softmax(pre_logits),
-        ))
-    return traces
+def forward_pretrain(params: ModelParams, masked_sequences: list[np.ndarray]) -> BatchTrace:
+    """Forward pass of a batch through the masked-activity prediction path (no dropout)."""
+    return _forward(params, masked_sequences, "pretrain", [None] * len(masked_sequences))
 
 
 def _label_onehot(label: int) -> np.ndarray:
@@ -266,131 +250,105 @@ def outcome_loss(probs: np.ndarray, label: int) -> float:
     return float(-(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc)))
 
 
-def bce_loss(predictions, labels) -> float:
-    """Sum of per-student outcome losses over a cohort."""
-    if len(predictions) != len(labels):
-        raise ValueError("predictions and labels must have equal length")
-    return sum(outcome_loss(np.asarray(p, dtype=np.float64), y) for p, y in zip(predictions, labels))
-
-
 def pretrain_loss(pre_probs: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error between the predicted and original activity vector."""
     diff = pre_probs - target
     return float(diff @ diff) / diff.shape[0]
 
 
-def _check_trace(trace: ForwardTrace, params: ModelParams, need: str) -> None:
-    if trace.hidden_dim != params.hidden_dim or trace.input_dim != params.input_dim:
-        raise ValueError("trace does not match the supplied parameters")
-    if need == "outcome" and trace.probs is None:
-        raise ValueError("trace was not produced by an outcome forward pass")
-    if need == "pretrain" and trace.pre_probs is None:
-        raise ValueError("trace was not produced by a masked-activity forward pass")
-
-
 def _softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - float(grad_probs @ probs))
 
 
-def _backward_shared(
-    params: ModelParams,
-    traces: list[ForwardTrace],
-    grad_pooled: list[np.ndarray],
-    grads: list[Gradients],
-) -> None:
-    """Backpropagate each trace's gradient at its pooled vector through attention
-    and the GRU into its own gradients; the batch runs its time steps together."""
-    k = params.hidden_dim
-    lengths = [trace.gru.H.shape[0] for trace in traces]
-    order, active = _longest_first(lengths)
-    B, T = len(traces), len(active)
-    GH, Hprev, Z, R, C = (np.zeros((B, T, k)) for _ in range(5))
-    for row, i in enumerate(order):
-        gru, attn, g_pooled, g = traces[i].gru, traces[i].attn, grad_pooled[i], grads[i]
-        H = gru.H
-        # Attention: pooled = alpha @ H with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
-        galpha = H @ g_pooled
-        ge = attn.alpha * (galpha - float(attn.alpha @ galpha))
-        g["attn.p"] += attn.A.T @ ge
-        Gpre = (ge[:, None] * (1.0 - attn.A ** 2)) * params["attn.p"][None, :]
-        g["attn.W_alpha"] += Gpre.T @ H
-        L = lengths[i]
-        GH[row, :L] = attn.alpha[:, None] * g_pooled[None, :] + Gpre @ params["attn.W_alpha"]
-        Hprev[row, 1:L] = H[:-1]
-        Z[row, :L] = gru.Z
-        R[row, :L] = gru.R
-        C[row, :L] = gru.C
+def _check_trace(trace: BatchTrace, params: ModelParams, head: str, n: int) -> None:
+    if (trace.head != head or trace.H.shape[2] != params.hidden_dim
+            or trace.sequences[0].shape[1] != params.input_dim or len(trace.rows) != n):
+        raise ValueError(f"trace is not a {head} forward pass over {n} sequences "
+                         "with the supplied parameters")
 
-    # GRU backpropagation through time.
+
+def _backward(params: ModelParams, trace: BatchTrace, grad_probs: np.ndarray) -> Gradients:
+    """The batch's summed gradient, given the gradient at each sequence's head probabilities.
+
+    Each layer adds up its per-sequence terms in input order, so the sum is
+    bit-identical to per-sequence gradients added up in that order.
+    """
+    k = params.hidden_dim
+    W_name, b_name = HEAD_LAYERS[trace.head]
+    W_head = params[W_name]
+    W_alpha = params["attn.W_alpha"]
+    p = params["attn.p"]
+    g = params.zeros_like()
+    GH = np.zeros_like(trace.H)   # gradient at each hidden state from attention
+    for i, (row, L, mask) in enumerate(zip(trace.rows, trace.lengths, trace.masks)):
+        g_logits = _softmax_backward(trace.probs[i], grad_probs[i])
+        g[W_name] += np.outer(trace.head_input[i], g_logits)
+        g[b_name] += g_logits
+        g_pooled = W_head @ g_logits
+        if mask is not None:
+            g_pooled = g_pooled * mask
+        # Attention: pooled = alpha @ H with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
+        H, A, alpha = trace.H[row, :L], trace.A[i], trace.alpha[i]
+        galpha = H @ g_pooled
+        ge = alpha * (galpha - float(alpha @ galpha))
+        g["attn.p"] += A.T @ ge
+        Gpre = (ge[:, None] * (1.0 - A ** 2)) * p[None, :]
+        g["attn.W_alpha"] += Gpre.T @ H
+        GH[row, :L] = alpha[:, None] * g_pooled[None, :] + Gpre @ W_alpha
+
+    # GRU backpropagation through time, all rows together.
     U = params["gru.recurrent_weights"]
     U_zr = U[: 2 * k]
     U_c = U[2 * k:]
+    Z = trace.ZR[:, :, :k]
+    R = trace.ZR[:, :, k:]
+    C = trace.C
+    Hprev = np.zeros_like(trace.H)
+    Hprev[:, 1:] = trace.H[:, :-1]
     # Factors that do not depend on the incoming gradient, for every step at once.
     C_minus_H = C - Hprev
     one_minus_Z = 1.0 - Z
     one_minus_R = 1.0 - R
     one_minus_C2 = 1.0 - C * C
+    B, T = GH.shape[:2]
     dgates = np.zeros((B, T, 3 * k))
     gh = np.zeros((B, k))
     for t in range(T - 1, -1, -1):
-        n = active[t]
-        g = gh[:n] + GH[:n, t]
+        n = trace.active[t]
+        gt = gh[:n] + GH[:n, t]
         z = Z[:n, t]
         r = R[:n, t]
-        dc_raw = g * z * one_minus_C2[:n, t]
+        dc_raw = gt * z * one_minus_C2[:n, t]
         tmp = _rowwise_matvec(U_c.T, dc_raw)
-        dgates[:n, t, :k] = g * C_minus_H[:n, t] * z * one_minus_Z[:n, t]
+        dgates[:n, t, :k] = gt * C_minus_H[:n, t] * z * one_minus_Z[:n, t]
         dgates[:n, t, k: 2 * k] = tmp * Hprev[:n, t] * r * one_minus_R[:n, t]
         dgates[:n, t, 2 * k:] = dc_raw
-        gh[:n] = g * one_minus_Z[:n, t] + tmp * r + _rowwise_matvec(U_zr.T, dgates[:n, t, : 2 * k])
+        gh[:n] = gt * one_minus_Z[:n, t] + tmp * r + _rowwise_matvec(U_zr.T, dgates[:n, t, : 2 * k])
 
-    for row, i in enumerate(order):
-        L = lengths[i]
+    for X, row, L in zip(trace.sequences, trace.rows, trace.lengths):
         dg = dgates[row, :L]
         hprev = Hprev[row, :L]
-        g = grads[i]
-        g["gru.input_weights"] += dg.T @ traces[i].gru.X
+        g["gru.input_weights"] += dg.T @ X
         g["gru.recurrent_weights"][: 2 * k] += dg[:, : 2 * k].T @ hprev
-        g["gru.recurrent_weights"][2 * k:] += dg[:, 2 * k:].T @ (traces[i].gru.R * hprev)
+        g["gru.recurrent_weights"][2 * k:] += dg[:, 2 * k:].T @ (R[row, :L] * hprev)
         g["gru.biases"] += dg.sum(axis=0)
+    return g
 
 
-def backward(traces: list[ForwardTrace], labels: list[int], params: ModelParams) -> list[Gradients]:
-    """Exact gradients of each student's outcome loss with respect to every layer."""
-    grads, grad_pooled = [], []
-    for trace, label in zip(traces, labels):
-        _check_trace(trace, params, "outcome")
-        g = params.zeros_like()
-        y = _label_onehot(label)
-        probs = trace.probs
-        pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        grad_probs = -y / pc + (1.0 - y) / (1.0 - pc)
-        grad_probs = np.where(probs == pc, grad_probs, 0.0)  # clamp region is flat
-        g_logits = _softmax_backward(probs, grad_probs)
-        g["head.W_l"] += np.outer(trace.pooled_final, g_logits)
-        g["head.b_l"] += g_logits
-        g_pooled = params["head.W_l"] @ g_logits
-        if trace.dropout_mask is not None:
-            g_pooled = g_pooled * trace.dropout_mask
-        grads.append(g)
-        grad_pooled.append(g_pooled)
-    _backward_shared(params, traces, grad_pooled, grads)
-    return grads
+def backward(trace: BatchTrace, labels: list[int], params: ModelParams) -> Gradients:
+    """Exact gradient of the batch's summed outcome loss with respect to every layer."""
+    _check_trace(trace, params, "outcome", len(labels))
+    Y = np.array([_label_onehot(label) for label in labels])
+    probs = trace.probs
+    pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    grad_probs = -Y / pc + (1.0 - Y) / (1.0 - pc)
+    grad_probs = np.where(probs == pc, grad_probs, 0.0)  # clamp region is flat
+    return _backward(params, trace, grad_probs)
 
 
-def backward_pretrain(traces: list[ForwardTrace], targets: list[np.ndarray],
-                      params: ModelParams) -> list[Gradients]:
-    """Exact gradients of each masked-activity MSE with respect to every layer."""
-    grads, grad_pooled = [], []
-    for trace, target in zip(traces, targets):
-        _check_trace(trace, params, "pretrain")
-        g = params.zeros_like()
-        d = target.shape[0]
-        grad_probs = 2.0 * (trace.pre_probs - target) / d
-        g_logits = _softmax_backward(trace.pre_probs, grad_probs)
-        g["pretrain.W_p"] += np.outer(trace.pooled, g_logits)
-        g["pretrain.b_p"] += g_logits
-        grads.append(g)
-        grad_pooled.append(params["pretrain.W_p"] @ g_logits)
-    _backward_shared(params, traces, grad_pooled, grads)
-    return grads
+def backward_pretrain(trace: BatchTrace, targets: list[np.ndarray], params: ModelParams) -> Gradients:
+    """Exact gradient of the batch's summed masked-activity MSE with respect to every layer."""
+    _check_trace(trace, params, "pretrain", len(targets))
+    targets = np.array(targets)
+    grad_probs = 2.0 * (trace.probs - targets) / targets.shape[1]
+    return _backward(params, trace, grad_probs)

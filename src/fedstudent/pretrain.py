@@ -44,14 +44,12 @@ def make_cbow_instances(X: np.ndarray) -> list[CbowInstance]:
 
 
 def _instance_step(model: ModelParams, batch: list[CbowInstance], opt: OptState) -> tuple[float, ModelParams]:
-    traces = forward_pretrain(model, [instance.masked_matrix() for instance in batch])
+    trace = forward_pretrain(model, [instance.masked_matrix() for instance in batch])
     targets = [instance.target for instance in batch]
-    grads = model.zeros_like()
     total = 0.0
-    for trace, target, g in zip(traces, targets, backward_pretrain(traces, targets, model)):
-        total += pretrain_loss(trace.pre_probs, target)
-        grads = grads + g
-    grads = grads * (1.0 / len(batch))
+    for probs, target in zip(trace.probs, targets):
+        total += pretrain_loss(probs, target)
+    grads = backward_pretrain(trace, targets, model) * (1.0 / len(batch))
     return total, optimizer_step(model, grads, opt)
 
 

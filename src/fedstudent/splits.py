@@ -90,9 +90,6 @@ class DatasetSplit:
     def subgroups(self) -> list[SubgroupKey]:
         return sorted(self.assignments)
 
-    def all_test_ids(self) -> set[str]:
-        return {sid for a in self.assignments.values() for sid in a.test}
-
     def all_train_ids(self) -> set[str]:
         return {sid for a in self.assignments.values() for sid in a.train}
 

@@ -20,7 +20,10 @@ the arithmetic: `sequence_matrix(x)` became `x` (and the input width is the
 matrix's column count), and each one-sequence `forward_outcome(p, X,
 dropout_mask=m)` and `backward(t, y, p)` became a batch of one,
 `forward_outcome(p, [X], [m])[0]` and `backward([t], [y], p)[0]`, which runs
-exactly the operations the one-sequence call ran.
+exactly the operations the one-sequence call ran. Those calls go to
+`reference.network_v0`, the frozen per-sequence network, so this oracle keeps
+one trace and one gradient per student while the package's network returns one
+trace and one summed gradient per batch.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ import numpy as np
 
 from fedstudent.irt import build_response_matrix, fit_rasch, irt_confidence
 from fedstudent.metrics import ScoredStudent, UndefinedAUCError, auc
-from fedstudent.network import forward_outcome, make_dropout_mask, outcome_loss, backward
 from fedstudent.optim import OptState, optimizer_step
 from fedstudent.params import Gradients, ModelParams, params_axpy, params_cosine
 from fedstudent.pretrain import transfer_weights
 from fedstudent.splits import DatasetSplit, SubgroupKey, ids_digest, rng_for
 from fedstudent.tracking import NullMonitor
+from reference.network_v0 import backward, forward_outcome, make_dropout_mask, outcome_loss
 
 logger = logging.getLogger(__name__)
 

@@ -77,8 +77,7 @@ class TestCriterion1GradientCorrectness:
             params = random_params(k, d, seed)
             X = random_sequence(L, d, rng)
             label = seed % 2
-            trace = forward_outcome(params, [X])[0]
-            analytic = backward([trace], [label], params)[0]
+            analytic = backward(forward_outcome(params, [X]), [label], params)
 
             for name in params.names():
                 arr = params[name]
@@ -87,9 +86,9 @@ class TestCriterion1GradientCorrectness:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up = outcome_loss(forward_outcome(params, [X])[0].probs, label)
+                    up = outcome_loss(forward_outcome(params, [X]).probs[0], label)
                     flat[i] = orig - step
-                    down = outcome_loss(forward_outcome(params, [X])[0].probs, label)
+                    down = outcome_loss(forward_outcome(params, [X]).probs[0], label)
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     denom = max(abs(g[i]) + abs(fd), 1e-4)
@@ -105,8 +104,8 @@ class QuadraticObjective:
     def __init__(self, curvature):
         self.a = curvature
 
-    def gradient(self, params):
-        return params * self.a
+    def loss_and_gradient(self, params):
+        return 0.5 * self.a * params_norm(params) ** 2, params * self.a
 
 
 class TestCriterion2MetaGradientOracle:
@@ -114,12 +113,12 @@ class TestCriterion2MetaGradientOracle:
         start = time.perf_counter()
         a, inner = 2.0, 0.1
         theta = random_params(2, 9, 0, scale=1.0)
-        fo = meta_gradient(theta, QuadraticObjective(a), MetaConfig(inner_lr=inner, mode="first_order"))
+        _, fo = meta_gradient(theta, QuadraticObjective(a), MetaConfig(inner_lr=inner, mode="first_order"))
         expected_fo = theta * (a * (1 - inner * a))
         err_fo = max(
             float(np.max(np.abs(fo[n] - expected_fo[n]))) for n in theta.names()
         )
-        hf = meta_gradient(
+        _, hf = meta_gradient(
             theta, QuadraticObjective(a),
             MetaConfig(inner_lr=inner, mode="hessian_fd", hessian_step=1e-4),
         )

@@ -118,6 +118,25 @@ class TestRun:
         assert main(["run", "--config", str(config_path)]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    # One row per section holding a number: (top-level key, its value, the key the error names).
+    @pytest.mark.parametrize("key, value, name", [
+        ("rounds", "ten", "rounds"),
+        ("dataset", {"kind": "generated", "spec_path": "spec.json", "seed": "three"}, "dataset.seed"),
+        ("model", {"hidden_dim": [3]}, "model.hidden_dim"),
+        ("optimizer", {"lr": [0.1]}, "optimizer.lr"),
+        ("meta", {"meta_batch": {"size": 4}}, "meta.meta_batch"),
+        ("aggregation", {"step": None}, "aggregation.step"),
+        ("pretrain", {"enabled": True, "epochs": "two"}, "pretrain.epochs"),
+    ])
+    def test_wrongly_typed_number_exits_2_naming_key(self, tmp_path, capsys, key, value, name):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / "out", **{key: value})
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_seed_override_gives_single_run(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)

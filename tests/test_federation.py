@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedstudent import federation
 from fedstudent.federation import (
     AttnAggConfig,
     ClientState,
@@ -35,18 +36,15 @@ class QuadraticObjective:
     def __init__(self, curvature):
         self.a = curvature
 
-    def gradient(self, params):
-        return params * self.a
-
-    def loss(self, params):
-        return 0.5 * self.a * params_norm(params) ** 2
+    def loss_and_gradient(self, params):
+        return 0.5 * self.a * params_norm(params) ** 2, params * self.a
 
 
 class TestMetaGradient:
     def test_first_order_matches_closed_form(self):
         theta = random_params(2, 9, 0)
         cfg = MetaConfig(inner_lr=0.1, mode="first_order")
-        grad = meta_gradient(theta, QuadraticObjective(2.0), cfg)
+        _, grad = meta_gradient(theta, QuadraticObjective(2.0), cfg)
         expected = theta * (2.0 * (1.0 - 0.1 * 2.0))
         for name in theta.names():
             np.testing.assert_allclose(grad[name], expected[name], atol=1e-10)
@@ -54,7 +52,7 @@ class TestMetaGradient:
     def test_hessian_fd_matches_closed_form(self):
         theta = random_params(2, 9, 1)
         cfg = MetaConfig(inner_lr=0.1, mode="hessian_fd", hessian_step=1e-4)
-        grad = meta_gradient(theta, QuadraticObjective(2.0), cfg)
+        _, grad = meta_gradient(theta, QuadraticObjective(2.0), cfg)
         factor = 2.0 * (1.0 - 0.1 * 2.0) ** 2
         expected = theta * factor
         for name in theta.names():
@@ -64,14 +62,14 @@ class TestMetaGradient:
         theta = random_params(2, 9, 2)
         for mode in ("first_order", "hessian_fd"):
             cfg = MetaConfig(inner_lr=0.0, mode=mode)
-            grad = meta_gradient(theta, QuadraticObjective(3.0), cfg)
+            _, grad = meta_gradient(theta, QuadraticObjective(3.0), cfg)
             for name in theta.names():
                 np.testing.assert_allclose(grad[name], 3.0 * theta[name], atol=1e-9)
 
     def test_unit_inner_step_on_unit_quadratic_returns_zero(self):
         theta = random_params(2, 9, 3)
         cfg = MetaConfig(inner_lr=1.0, mode="first_order")
-        grad = meta_gradient(theta, QuadraticObjective(1.0), cfg)
+        _, grad = meta_gradient(theta, QuadraticObjective(1.0), cfg)
         assert params_norm(grad) < 1e-12
 
 
@@ -237,6 +235,26 @@ class TestLocalAdaptation:
         for name in base.names():
             assert np.array_equal(adapted[name], base[name])
 
+    def test_first_order_meta_batch_runs_two_passes(self, monkeypatch):
+        """The loss recorded for a meta batch comes from the first gradient pass, not a third forward."""
+        calls = {"forward_outcome": 0, "backward": 0}
+
+        def counted(name):
+            original = getattr(federation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(federation, name, counted(name))
+        client = self.client_for(tiny_cohort())
+        base = random_params(6, N_VIDEOS + 7, 0, scale=0.2)
+        local_adaptation(base, client, 2, MetaConfig(inner_lr=0.05, outer_lr=0.01), round_idx=0)
+        batches = 2 * -(-client.count // client.ctx.settings.batch_size)
+        assert calls == {"forward_outcome": 2 * batches, "backward": 2 * batches}
+
     def test_identical_clients_produce_identical_outputs(self):
         records = tiny_cohort()
         c1 = self.client_for(records)
@@ -253,7 +271,7 @@ class TestLocalAdaptation:
         theta = random_params(2, 9, 4)
         cfg = MetaConfig(inner_lr=0.1, outer_lr=0.05, mode="first_order")
         a = 2.0
-        grad = meta_gradient(theta, QuadraticObjective(a), cfg)
+        _, grad = meta_gradient(theta, QuadraticObjective(a), cfg)
         stepped = theta - cfg.outer_lr * grad
         factor = 1.0 - cfg.outer_lr * a * (1.0 - cfg.inner_lr * a)
         for name in theta.names():
@@ -412,7 +430,7 @@ class TestAdaptForEval:
         expected = theta * (factor ** 3)
         stepped = theta
         for _ in range(3):
-            grad = meta_gradient(stepped, QuadraticObjective(a), cfg)
+            _, grad = meta_gradient(stepped, QuadraticObjective(a), cfg)
             stepped = stepped - cfg.outer_lr * grad
         for name in theta.names():
             np.testing.assert_allclose(stepped[name], expected[name], atol=1e-10)

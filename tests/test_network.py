@@ -9,13 +9,11 @@ from fedstudent.network import (
     attention_pool,
     backward,
     backward_pretrain,
-    bce_loss,
     forward_outcome,
     forward_pretrain,
     gru_forward,
     make_dropout_mask,
     outcome_loss,
-    predict_outcome,
     pretrain_loss,
     score,
 )
@@ -131,50 +129,45 @@ class TestAttentionPool:
 
 
 class TestPredictOutcome:
+    """The outcome head's probabilities, read from a forward pass."""
+
+    def probs(self, params):
+        X = random_sequence(3, params.input_dim, 0)
+        return forward_outcome(params, [X]).probs[0]
+
     def test_zero_head_gives_uniform(self):
         params = ModelParams.zeros(3, 10)
-        probs = predict_outcome(params, np.array([0.5, -1.0, 2.0]))
-        np.testing.assert_allclose(probs, [0.5, 0.5])
+        params["gru.input_weights"] = np.full((9, 10), 0.4)   # a non-zero pooled vector
+        np.testing.assert_allclose(self.probs(params), [0.5, 0.5])
 
     def test_constant_bias_shift_invariance(self):
         params = ModelParams.zeros(3, 10)
         params["head.b_l"] = np.array([7.3, 7.3])
-        probs = predict_outcome(params, np.zeros(3))
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(self.probs(params), [0.5, 0.5], atol=1e-12)
 
     def test_log_nine_logit(self):
         params = ModelParams.zeros(1, 8)
         params["head.b_l"] = np.array([math.log(9.0), 0.0])
-        probs = predict_outcome(params, np.zeros(1))
-        np.testing.assert_allclose(probs, [0.9, 0.1], rtol=1e-12)
+        np.testing.assert_allclose(self.probs(params), [0.9, 0.1], rtol=1e-12)
 
     def test_shift_invariance_random(self):
         params = random_params(4, 11, 3)
-        pooled = np.random.default_rng(0).normal(size=4)
-        base = predict_outcome(params, pooled)
+        base = self.probs(params)
         shifted = params.copy()
         shifted["head.b_l"] = params["head.b_l"] + 123.456
-        np.testing.assert_allclose(predict_outcome(shifted, pooled), base, atol=1e-12)
+        np.testing.assert_allclose(self.probs(shifted), base, atol=1e-12)
 
 
 class TestBceLoss:
     def test_uniform_prediction_two_term_value(self):
         # Both terms of the two-term form contribute ln 2.
-        assert bce_loss([[0.5, 0.5]], [1]) == pytest.approx(2.0 * math.log(2.0))
+        assert outcome_loss(np.array([0.5, 0.5]), 1) == pytest.approx(2.0 * math.log(2.0))
 
     def test_perfect_prediction_near_zero(self):
-        assert bce_loss([[1.0, 0.0]], [1]) < 1e-10
+        assert outcome_loss(np.array([1.0, 0.0]), 1) < 1e-10
 
     def test_confident_pair_value(self):
-        assert bce_loss([[0.9, 0.1]], [1]) == pytest.approx(-2.0 * math.log(0.9), rel=1e-9)
-
-    def test_sum_over_students(self):
-        single = outcome_loss(np.array([0.7, 0.3]), 1)
-        assert bce_loss([[0.7, 0.3]] * 3, [1, 1, 1]) == pytest.approx(3 * single)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bce_loss([[0.5, 0.5]], [1, 0])
+        assert outcome_loss(np.array([0.9, 0.1]), 1) == pytest.approx(-2.0 * math.log(0.9), rel=1e-9)
 
 
 def finite_difference_grads(params, loss_fn, step=1e-5):
@@ -213,11 +206,9 @@ class TestBackward:
             label = seed % 2
 
             def loss_fn(p):
-                trace = forward_outcome(p, [X])[0]
-                return outcome_loss(trace.probs, label)
+                return outcome_loss(forward_outcome(p, [X]).probs[0], label)
 
-            trace = forward_outcome(params, [X])[0]
-            analytic = backward([trace], [label], params)[0]
+            analytic = backward(forward_outcome(params, [X]), [label], params)
             numeric = finite_difference_grads(params, loss_fn)
             assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -227,36 +218,37 @@ class TestBackward:
         mask = make_dropout_mask(np.random.default_rng(0), 4, 0.5)
 
         def loss_fn(p):
-            return outcome_loss(forward_outcome(p, [X], [mask])[0].probs, 1)
+            return outcome_loss(forward_outcome(p, [X], [mask]).probs[0], 1)
 
-        trace = forward_outcome(params, [X], [mask])[0]
-        analytic = backward([trace], [1], params)[0]
+        analytic = backward(forward_outcome(params, [X], [mask]), [1], params)
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_pretrain_head_gradient_exactly_zero(self):
         params = random_params(4, 10, 4)
-        trace = forward_outcome(params, [random_sequence(5, 10, 5)])[0]
-        grads = backward([trace], [0], params)[0]
+        grads = backward(forward_outcome(params, [random_sequence(5, 10, 5)]), [0], params)
         assert np.all(grads["pretrain.W_p"] == 0.0)
         assert np.all(grads["pretrain.b_p"] == 0.0)
 
     def test_balanced_batch_zero_bias_gradient_on_zero_model(self):
         params = ModelParams.zeros(4, 10)
         X = random_sequence(5, 10, 6)
-        total = params.zeros_like()
-        for label in (0, 1):
-            trace = forward_outcome(params, [X])[0]
-            g = backward([trace], [label], params)[0]
-            total = total + g
+        total = backward(forward_outcome(params, [X, X]), [0, 1], params)
         np.testing.assert_allclose(total["head.b_l"], [0.0, 0.0], atol=1e-12)
 
     def test_stale_trace_rejected(self):
         params = random_params(4, 10, 7)
         other = random_params(5, 10, 8)
-        trace = forward_outcome(params, [random_sequence(4, 10, 9)])[0]
+        X = random_sequence(4, 10, 9)
+        trace = forward_outcome(params, [X])
         with pytest.raises(ValueError):
-            backward([trace], [1], other)
+            backward(trace, [1], other)
+        with pytest.raises(ValueError):
+            backward(trace, [1, 0], params)
+        with pytest.raises(ValueError):
+            backward_pretrain(trace, [X[0]], params)
+        with pytest.raises(ValueError):
+            backward(forward_pretrain(params, [X]), [1], params)
 
 
 class TestPretrainPath:
@@ -268,18 +260,16 @@ class TestPretrainPath:
         masked[2] = 0.0
 
         def loss_fn(p):
-            return pretrain_loss(forward_pretrain(p, [masked])[0].pre_probs, target)
+            return pretrain_loss(forward_pretrain(p, [masked]).probs[0], target)
 
-        trace = forward_pretrain(params, [masked])[0]
-        analytic = backward_pretrain([trace], [target], params)[0]
+        analytic = backward_pretrain(forward_pretrain(params, [masked]), [target], params)
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_outcome_head_untouched_by_pretrain_loss(self):
         params = random_params(4, 10, 13)
         X = random_sequence(4, 10, 14)
-        trace = forward_pretrain(params, [X])[0]
-        grads = backward_pretrain([trace], [X[0]], params)[0]
+        grads = backward_pretrain(forward_pretrain(params, [X]), [X[0]], params)
         assert np.all(grads["head.W_l"] == 0.0)
         assert np.all(grads["head.b_l"] == 0.0)
 
@@ -289,22 +279,26 @@ class TestForwardDeterminism:
         params = random_params(4, 10, 20)
         X = random_sequence(8, 10, 21)
         mask = make_dropout_mask(np.random.default_rng(5), 4, 0.5)
-        t1 = forward_outcome(params, [X], [mask])[0]
-        t2 = forward_outcome(params, [X], [mask])[0]
+        t1 = forward_outcome(params, [X], [mask])
+        t2 = forward_outcome(params, [X], [mask])
         assert np.array_equal(t1.probs, t2.probs)
-        assert np.array_equal(t1.gru.H, t2.gru.H)
+        assert np.array_equal(t1.H, t2.H)
 
     def test_probability_outputs_are_distributions(self):
         for seed in range(10):
             params = random_params(4, 10, seed, scale=1.0)
-            trace = forward_outcome(params, [random_sequence(6, 10, seed)])[0]
+            trace = forward_outcome(params, [random_sequence(6, 10, seed)])
             assert np.all(trace.probs >= 0)
-            assert abs(trace.probs.sum() - 1.0) < 1e-9
-            assert abs(trace.attn.alpha.sum() - 1.0) < 1e-9
+            assert abs(trace.probs[0].sum() - 1.0) < 1e-9
+            assert abs(trace.alpha[0].sum() - 1.0) < 1e-9
+
+
+def same_layers(a, b):
+    return all(np.array_equal(a[name], b[name]) for name in a.names())
 
 
 class TestBatchedPasses:
-    """A batch is its sequences run alone: same bits, whatever the lengths or order."""
+    """A batch's rows are its sequences run alone, and its gradient is theirs added up in input order."""
 
     LENGTHS = (7, 1, 12, 7, 3)
 
@@ -316,46 +310,52 @@ class TestBatchedPasses:
         labels = [i % 2 for i in range(len(Xs))]
         return params, Xs, masks, labels
 
+    def assert_rows_alone(self, trace, alone, i, j=0):
+        L = trace.lengths[i]
+        assert L == alone.lengths[j]
+        assert np.array_equal(trace.ZR[trace.rows[i], :L], alone.ZR[alone.rows[j], :L])
+        assert np.array_equal(trace.C[trace.rows[i], :L], alone.C[alone.rows[j], :L])
+        assert np.array_equal(trace.H[trace.rows[i], :L], alone.H[alone.rows[j], :L])
+        assert np.array_equal(trace.alpha[i], alone.alpha[j])
+        assert np.array_equal(trace.pooled[i], alone.pooled[j])
+        assert np.array_equal(trace.probs[i], alone.probs[j])
+
     def test_outcome_batch_matches_single_sequences(self):
         params, Xs, masks, labels = self.batch()
-        traces = forward_outcome(params, Xs, masks)
-        grads = backward(traces, labels, params)
-        for X, mask, label, trace, g in zip(Xs, masks, labels, traces, grads):
-            alone = forward_outcome(params, [X], [mask])[0]
-            assert trace.gru.H.shape == (X.shape[0], params.hidden_dim)
-            for name in ("Z", "R", "C", "H"):
-                assert np.array_equal(getattr(trace.gru, name), getattr(alone.gru, name))
-            assert np.array_equal(trace.probs, alone.probs)
-            g_alone = backward([alone], [label], params)[0]
-            for name in params.names():
-                assert np.array_equal(g[name], g_alone[name]), name
+        for order in (list(range(len(Xs))), list(range(len(Xs)))[::-1]):
+            trace = forward_outcome(params, [Xs[i] for i in order], [masks[i] for i in order])
+            total = params.zeros_like()
+            for row, i in enumerate(order):
+                alone = forward_outcome(params, [Xs[i]], [masks[i]])
+                self.assert_rows_alone(trace, alone, row)
+                total = total + backward(alone, [labels[i]], params)
+            assert same_layers(backward(trace, [labels[i] for i in order], params), total)
 
     def test_pretrain_batch_matches_single_sequences(self):
         params, Xs, _, _ = self.batch()
-        traces = forward_pretrain(params, Xs)
-        grads = backward_pretrain(traces, [X[0] for X in Xs], params)
-        for X, trace, g in zip(Xs, traces, grads):
-            alone = forward_pretrain(params, [X])[0]
-            assert np.array_equal(trace.pre_probs, alone.pre_probs)
-            g_alone = backward_pretrain([alone], [X[0]], params)[0]
-            for name in params.names():
-                assert np.array_equal(g[name], g_alone[name]), name
+        for batch in (Xs, Xs[::-1]):
+            trace = forward_pretrain(params, batch)
+            total = params.zeros_like()
+            for i, X in enumerate(batch):
+                alone = forward_pretrain(params, [X])
+                self.assert_rows_alone(trace, alone, i)
+                total = total + backward_pretrain(alone, [X[0]], params)
+            assert same_layers(backward_pretrain(trace, [X[0] for X in batch], params), total)
 
     def test_batch_order_does_not_matter(self):
         params, Xs, masks, labels = self.batch()
-        traces = forward_outcome(params, Xs, masks)
-        grads = backward(traces, labels, params)
-        rev_traces = forward_outcome(params, Xs[::-1], masks[::-1])
-        rev_grads = backward(rev_traces, labels[::-1], params)
-        for a, b, ga, gb in zip(traces, rev_traces[::-1], grads, rev_grads[::-1]):
-            assert np.array_equal(a.probs, b.probs)
-            for name in params.names():
-                assert np.array_equal(ga[name], gb[name])
+        trace = forward_outcome(params, Xs, masks)
+        rev = forward_outcome(params, Xs[::-1], masks[::-1])
+        n = len(Xs)
+        for i in range(n):
+            self.assert_rows_alone(trace, rev, i, n - 1 - i)
 
     def test_empty_sequence_in_batch_rejected(self):
         params = random_params(4, 11, 1)
         with pytest.raises(ValueError):
             forward_outcome(params, [random_sequence(3, 11, 0), np.zeros((0, 11))])
+        with pytest.raises(ValueError):
+            forward_outcome(params, [])
 
 
 class TestScore:
@@ -370,6 +370,6 @@ class TestScore:
             assert p_pass.shape == (len(Xs),)
             assert pooled.shape == (len(Xs), params.hidden_dim)
             for X, p, vector in zip(Xs, p_pass, pooled):
-                alone = forward_outcome(params, [X])[0]
-                assert p == alone.probs[0]
-                assert np.array_equal(vector, alone.pooled)
+                alone = forward_outcome(params, [X])
+                assert p == alone.probs[0, 0]
+                assert np.array_equal(vector, alone.pooled[0])
