@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -62,12 +63,16 @@ def _require(section: dict, key: str, where: str):
 
 
 def _coerce(kind, value, name: str):
-    """`value` converted by `kind` (int or float); one it cannot take is an error naming the key."""
+    """`value` converted by `kind` (int or float); one it cannot take, or a float
+    that is not finite, is an error naming the key."""
     try:
-        return kind(value)
+        converted = kind(value)
     except (TypeError, ValueError) as exc:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {expected}, got {value!r}") from exc
+    if kind is float and not math.isfinite(converted):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return converted
 
 
 def _path_exists(path: str, where: str) -> str:
@@ -135,6 +140,10 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("model.hidden_dim and model.batch_size must be >= 1")
     if not 0.0 <= settings.dropout < 1.0:
         raise ConfigError("model.dropout must lie in [0, 1)")
+    if settings.lr <= 0.0:
+        raise ConfigError(f"optimizer.lr must be > 0, got {settings.lr!r}")
+    if settings.decay < 0.0:
+        raise ConfigError(f"optimizer.decay must be >= 0, got {settings.decay!r}")
 
     meta_raw = data.get("meta", {})
     _check_keys(meta_raw, _META_KEYS, "meta")

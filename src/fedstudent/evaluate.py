@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,15 @@ class RunOutcome:
     pretrain_losses: list[float] = field(default_factory=list)
 
 
+@contextmanager
+def _failure_named(task: str):
+    """Re-raise a failure of the enclosed step as a FederationError naming the task it belongs to."""
+    try:
+        yield
+    except (FederationError, ValueError) as exc:
+        raise FederationError(f"{task}: {exc}") from exc
+
+
 def pretrain_for_fold(
     records: list[StudentRecord],
     plan: ExperimentPlan,
@@ -149,7 +159,7 @@ def pretrain_for_fold(
     record_index = {r.student_id: r for r in records}
     tracked = track_records(records, monitor)
     split = build_fold_split(record_index, plan, fold_idx)
-    with monitor.phase("pretrain"):
+    with monitor.phase("pretrain"), _failure_named(f"pretraining fold {fold_idx} seed {seed}"):
         train_ids = sorted(split.all_train_ids())
         sequences = [tracked[sid].sequence for sid in train_ids]
         input_dim = sequences[0].shape[1]
@@ -188,14 +198,13 @@ def execute_run(
             monitor.counts[key] += count
 
     schedule = FederationSchedule(strategy, rounds=plan.rounds, local_iters=plan.local_iters)
-    try:
+    task = f"{strategy} fold {fold_idx} seed {seed}"
+    with _failure_named(task):
         result = run_federation(
             tracked, split, schedule, seed,
             settings=plan.settings, meta_cfg=plan.meta, attn_cfg=plan.attn,
             pretrained=pretrained, monitor=monitor,
         )
-    except FederationError as exc:
-        raise FederationError(f"{strategy} fold {fold_idx} seed {seed}: {exc}") from exc
     warnings.extend(result.warnings)
 
     subgroup_auc: dict[str, float | None] = {}
@@ -205,7 +214,7 @@ def execute_run(
         eval_models[str(key)] = model = result.eval_models[key]
         assignment = split.assignments[key]
         test_ids[str(key)] = list(assignment.test)
-        with monitor.phase("evaluate"):
+        with monitor.phase("evaluate"), _failure_named(task):
             p_pass, _ = score(model, [tracked[sid].sequence for sid in assignment.test])
             scored = [ScoredStudent(sid, float(p), tracked[sid].label, key)
                       for sid, p in zip(assignment.test, p_pass)]
@@ -213,7 +222,7 @@ def execute_run(
             subgroup_auc[str(key)] = auc(scored)
         except UndefinedAUCError as exc:
             subgroup_auc[str(key)] = None
-            warnings.append(f"{strategy} fold {fold_idx} seed {seed} subgroup {key}: {exc}")
+            warnings.append(f"{task} subgroup {key}: {exc}")
 
     round_tuples = [
         (strategy, fold_idx, seed, row.round, row.subgroup, row.val_auc, row.train_loss)

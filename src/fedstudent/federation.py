@@ -35,7 +35,7 @@ from .tracking import NullMonitor
 
 
 class FederationError(RuntimeError):
-    """Raised when a round fails; carries round and subgroup context."""
+    """Raised when a run fails; names its task, and its round and subgroup where it has them."""
 
 
 @dataclass

@@ -7,6 +7,7 @@ Conventions fixed here so hand-written oracles can reproduce every number:
       r_t = sigmoid(W_r x_t + U_r h_{t-1} + b_r)
       c_t = tanh(W_c x_t + U_c (r_t * h_{t-1}) + b_c)
       h_t = (1 - z_t) * h_{t-1} + z_t * c_t,   h_0 = 0
+  with sigmoid(x) evaluated as 0.5 * tanh(0.5 * x) + 0.5, which never overflows.
 * Attention over hidden states with a single learned context vector p:
       e_t = p . tanh(W_alpha h_t),  alpha = softmax(e),  pooled = sum_t alpha_t h_t
 * Outcome head: probs = softmax(pooled @ W_l + b_l), slot 0 = pass.
@@ -19,9 +20,18 @@ Dropout (inverted scaling) is applied to the pooled vector before the outcome
 head only, and only when a mask is supplied.
 
 Every pass takes a list of (L, d) sequences of any lengths and runs them as one
-batch, recorded in one `BatchTrace`; each sequence's numbers are bit-identical
-to a batch holding it alone. A backward pass returns the batch's summed
-gradient, added up in input order.
+padded, time-major batch, recorded in one `BatchTrace`. A sequence's numbers
+agree with a batch holding it alone to rounding (about 1e-15), not bit for bit,
+because a matrix product adds its terms in an order that depends on its row
+count. A backward pass returns the batch's summed gradient.
+
+Products over the whole (T, B, .) batch are stacked matmuls, which numpy runs
+as one (B, .) BLAS product per step. One (T*B)-row product is a little faster
+on a single BLAS thread, but it is large enough for OpenBLAS to start threads,
+and while the cores are busy, as in a `--jobs` pool, each product then waits
+for them: a two-worker PerFedAttn and FedAvg run on 2 vCPUs took 19 s that way
+against 10-11 s stacked. Per-step products of training-sized batches stay on
+one thread. Either way the results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -34,31 +44,24 @@ from .params import Gradients, ModelParams
 
 PROB_CLAMP = 1e-12
 # Rows per `score` chunk. A chunk's GRU arrays are padded to its longest
-# sequence, (rows, L, 3k) floats, so this bounds the scorer's memory. Scoring
-# 2,000 students of lengths up to 116 on a 2-vCPU Xeon VM, 16 rows peaked at
-# 3.8 MB and took 0.21 s, 64 rows 8.3 MB and 0.15 s, one student at a time 0.73 s.
+# sequence, (L, rows, 3k) floats, so this bounds the scorer's memory. Scoring
+# 2,000 students of lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS
+# thread, 16 rows peaked at 4.5 MB and took 0.08 s, 64 rows 9.8 MB and 0.05 s,
+# one student at a time 0.42-0.47 s.
 SCORE_CHUNK = 16
 # The (weights, bias) layers of each head.
 HEAD_LAYERS = {"outcome": ("head.W_l", "head.b_l"), "pretrain": ("pretrain.W_p", "pretrain.b_p")}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: it is exp(-x) where x >= 0 and exp(x) elsewhere.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def _longest_first(lengths: list[int]) -> tuple[list[int], list[int]]:
-    """Batch rows ordered by decreasing length, and per step how many are still running.
+    """Batch columns ordered by decreasing length, and per step how many are still running.
 
-    With rows in this order the sequences that reach step t are a leading
-    block of rows, so a step works on one contiguous slice.
+    With columns in this order the sequences that reach step t are a leading
+    block of columns, so a step works on one contiguous slice.
     """
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
     active, n = [], len(order)
@@ -69,57 +72,41 @@ def _longest_first(lengths: list[int]) -> tuple[list[int], list[int]]:
     return order, active
 
 
-def _rowwise_matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M @ v for every row v of V.
-
-    One matrix-vector product per row rather than one matrix product, so each
-    row is rounded exactly as a lone vector would be. A single row takes the
-    cheaper plain call, which makes the same product.
-    """
-    if len(V) == 1:
-        return (M @ V[0])[None]
-    return (M @ V[:, :, None])[:, :, 0]
-
-
 @dataclass
 class BatchTrace:
     """Everything a forward pass over a batch computed, sufficient for its exact backward pass.
 
-    The GRU arrays are (B, T, .) with rows ordered longest first, as
-    `_run_gru` steps them, and zeros past each sequence's end: input i sits in
-    row `rows[i]` for its first `lengths[i]` steps. Every other field is in
+    The GRU and attention arrays are time-major, (T, B, .), padded with zeros
+    past each sequence's end, with columns ordered longest first: input
+    `order[j]` sits in column j. `pooled`, `head_input` and `probs` are in
     input order.
     """
 
     head: str                        # a key of HEAD_LAYERS
-    sequences: list[np.ndarray]      # the (L, d) inputs
-    masks: list[np.ndarray | None]   # dropout mask of each input
-    rows: list[int]
-    lengths: list[int]
-    active: list[int]                # per step, how many leading rows are still running
-    ZR: np.ndarray                   # (B, T, 2k) update and reset gates
-    C: np.ndarray                    # (B, T, k) candidates
-    H: np.ndarray                    # (B, T, k) hidden states
-    A: list[np.ndarray]              # per input, (L, k) tanh(H @ W_alpha^T)
-    alpha: list[np.ndarray]          # per input, (L,) attention weights
+    X: np.ndarray                    # (T, B, d) padded inputs
+    order: list[int]                 # input index of each column
+    active: list[int]                # per step, how many leading columns are still running
+    ZR: np.ndarray                   # (T, B, 2k) update and reset gates
+    C: np.ndarray                    # (T, B, k) candidates
+    H: np.ndarray                    # (T + 1, B, k) hidden states, H[0] = h_0 = 0
+    A: np.ndarray                    # (T, B, k) tanh(H W_alpha^T)
+    alpha: np.ndarray                # (T, B) attention weights, 0 past each end
     pooled: np.ndarray               # (B, k)
+    mask: np.ndarray                 # (B, k) dropout mask, ones where none was given
     head_input: np.ndarray           # (B, k) pooled after dropout
     probs: np.ndarray                # (B, outputs) head probabilities
 
 
-def _run_gru(params: ModelParams, Xs: list[np.ndarray]
-             ) -> tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of sequences of any lengths through the GRU, all steps together.
+def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
+    """Run a batch of sequences of any lengths through the GRU, all columns of a step together.
 
-    Returns each input's row, the active row count per step, and the padded
-    (B, T, .) gates ZR, candidates C and hidden states H, rows longest first.
-    Each row goes through exactly the operations it would alone, so a
-    sequence's numbers do not depend on the batch it is in.
+    Returns the column order, the active column count per step, the padded
+    inputs X (T, B, d), gates ZR (T, B, 2k), candidates C (T, B, k) and hidden
+    states H (T + 1, B, k) with H[0] = 0.
     """
     k = params.hidden_dim
     W_in = params["gru.input_weights"]
     U = params["gru.recurrent_weights"]
-    b = params["gru.biases"]
     if not Xs:
         raise ValueError("a batch needs at least one sequence")
     for X in Xs:
@@ -127,41 +114,48 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]
             raise ValueError("sequence must be non-empty")
         if X.shape[1] != params.input_dim:
             raise ValueError(f"input width {X.shape[1]} does not match model input_dim {params.input_dim}")
-    lengths = [X.shape[0] for X in Xs]
-    order, active = _longest_first(lengths)
+    order, active = _longest_first([X.shape[0] for X in Xs])
     B, T = len(Xs), len(active)
-    rows = [0] * B
-    XW = np.zeros((B, T, 3 * k))
-    for row, i in enumerate(order):
-        rows[i] = row
-        XW[row, : lengths[i]] = Xs[i] @ W_in.T + b   # biases folded in
-    U_zr = U[: 2 * k]
-    U_c = U[2 * k:]
-    ZR = np.zeros((B, T, 2 * k))
-    C = np.zeros((B, T, k))
-    H = np.zeros((B, T, k))
-    h0 = np.zeros((B, k))
+    X = np.zeros((T, B, params.input_dim))
+    for j, i in enumerate(order):
+        X[: Xs[i].shape[0], j] = Xs[i]
+    # Every step's input projection before the recurrence, biases folded in.
+    XW = X @ W_in.T
+    XW += params["gru.biases"]
+    U_zr_T = U[: 2 * k].T
+    U_c_T = U[2 * k:].T
+    ZR = np.zeros((T, B, 2 * k))
+    C = np.zeros((T, B, k))
+    H = np.zeros((T + 1, B, k))
     for t, n in enumerate(active):
-        h = H[:n, t - 1] if t else h0[:n]
-        zr = _sigmoid(XW[:n, t, : 2 * k] + _rowwise_matvec(U_zr, h))
-        z = zr[:, :k]
-        c = np.tanh(XW[:n, t, 2 * k:] + _rowwise_matvec(U_c, zr[:, k:] * h))
-        ZR[:n, t] = zr
-        C[:n, t] = c
-        H[:n, t] = (1.0 - z) * h + z * c
-    return rows, active, ZR, C, H
+        h = H[t, :n]
+        zr = _sigmoid(XW[t, :n, : 2 * k] + h @ U_zr_T)
+        c = np.tanh(XW[t, :n, 2 * k:] + (zr[:, k:] * h) @ U_c_T)
+        ZR[t, :n] = zr
+        C[t, :n] = c
+        H[t + 1, :n] = h + zr[:, :k] * (c - h)
+    return order, active, X, ZR, C, H
 
 
 def gru_forward(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Hidden states (L, k) for a non-empty (L, d) sequence."""
-    return _run_gru(params, [X])[-1][0]
+    return _run_gru(params, [X])[-1][1:, 0]
 
 
-def _run_attention(params: ModelParams, H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tanh(H W_alpha^T), the attention weights and the pooled vector of one sequence."""
-    A = np.tanh(H @ params["attn.W_alpha"].T)
-    alpha = _softmax(A @ params["attn.p"])
-    return A, alpha, alpha @ H
+def _attend(params: ModelParams, H: np.ndarray, active: list[int]):
+    """tanh(H W_alpha^T), the attention weights and the pooled vectors of (T, B, k) hidden states.
+
+    Column j holds a sequence for the steps t with j < active[t]; the other
+    steps get weight 0.
+    """
+    B = H.shape[1]
+    A = H @ params["attn.W_alpha"].T
+    np.tanh(A, out=A)
+    e = A @ params["attn.p"]
+    e[np.arange(B) >= np.array(active)[:, None]] = -np.inf
+    ex = np.exp(e - e.max(axis=0))
+    alpha = ex / ex.sum(axis=0)
+    return A, alpha, np.einsum("tb,tbk->bk", alpha, H)
 
 
 def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +163,8 @@ def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]
     H = np.asarray(states, dtype=np.float64)
     if H.shape[0] == 0:
         raise ValueError("states must be non-empty")
-    _, alpha, pooled = _run_attention(params, H)
-    return pooled, alpha
+    _, alpha, pooled = _attend(params, H[:, None], [1] * H.shape[0])
+    return pooled[0], alpha[:, 0]
 
 
 def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) -> np.ndarray | None:
@@ -186,23 +180,20 @@ def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
     """A batch through the GRU, attention pooling and the named head."""
     if len(masks) != len(sequences):
         raise ValueError(f"{len(masks)} dropout masks for {len(sequences)} sequences")
-    rows, active, ZR, C, H = _run_gru(params, sequences)
+    order, active, X, ZR, C, H = _run_gru(params, sequences)
+    A, alpha, by_column = _attend(params, H[1:], active)
+    pooled = np.empty_like(by_column)
+    pooled[order] = by_column
+    mask = np.ones_like(pooled)
+    for i, m in enumerate(masks):
+        if m is not None:
+            mask[i] = m
+    head_input = pooled * mask
     W, b = (params[name] for name in HEAD_LAYERS[head])
-    lengths = [X.shape[0] for X in sequences]
-    pooled = np.empty((len(sequences), params.hidden_dim))
-    head_input = np.empty_like(pooled)
-    probs = np.empty((len(sequences), b.shape[0]))
-    As, alphas = [], []
-    for i, (row, L, mask) in enumerate(zip(rows, lengths, masks)):
-        A, alpha, vector = _run_attention(params, H[row, :L])
-        x = vector if mask is None else vector * mask
-        As.append(A)
-        alphas.append(alpha)
-        pooled[i] = vector
-        head_input[i] = x
-        probs[i] = _softmax(x @ W + b)
-    return BatchTrace(head, sequences, masks, rows, lengths, active, ZR, C, H,
-                      As, alphas, pooled, head_input, probs)
+    logits = head_input @ W + b
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = ex / ex.sum(axis=1, keepdims=True)
+    return BatchTrace(head, X, order, active, ZR, C, H, A, alpha, pooled, mask, head_input, probs)
 
 
 def forward_outcome(
@@ -220,7 +211,7 @@ def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray,
     """Pass probability (B,) and pooled vector (B, k) of each sequence, without dropout.
 
     Sequences run in chunks of SCORE_CHUNK of similar length; results come back
-    in input order, bit-identical to `forward_outcome` over each one alone.
+    in input order, bit-identical to `forward_outcome` over each chunk.
     """
     p_pass = np.empty(len(sequences))
     pooled = np.empty((len(sequences), params.hidden_dim))
@@ -256,82 +247,67 @@ def pretrain_loss(pre_probs: np.ndarray, target: np.ndarray) -> float:
     return float(diff @ diff) / diff.shape[0]
 
 
-def _softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    return probs * (grad_probs - float(grad_probs @ probs))
-
-
 def _check_trace(trace: BatchTrace, params: ModelParams, head: str, n: int) -> None:
     if (trace.head != head or trace.H.shape[2] != params.hidden_dim
-            or trace.sequences[0].shape[1] != params.input_dim or len(trace.rows) != n):
+            or trace.X.shape[2] != params.input_dim or trace.X.shape[1] != n):
         raise ValueError(f"trace is not a {head} forward pass over {n} sequences "
                          "with the supplied parameters")
 
 
 def _backward(params: ModelParams, trace: BatchTrace, grad_probs: np.ndarray) -> Gradients:
-    """The batch's summed gradient, given the gradient at each sequence's head probabilities.
-
-    Each layer adds up its per-sequence terms in input order, so the sum is
-    bit-identical to per-sequence gradients added up in that order.
-    """
+    """The batch's summed gradient, given the gradient at each sequence's (B, outputs) head probabilities."""
     k = params.hidden_dim
     W_name, b_name = HEAD_LAYERS[trace.head]
-    W_head = params[W_name]
     W_alpha = params["attn.W_alpha"]
-    p = params["attn.p"]
     g = params.zeros_like()
-    GH = np.zeros_like(trace.H)   # gradient at each hidden state from attention
-    for i, (row, L, mask) in enumerate(zip(trace.rows, trace.lengths, trace.masks)):
-        g_logits = _softmax_backward(trace.probs[i], grad_probs[i])
-        g[W_name] += np.outer(trace.head_input[i], g_logits)
-        g[b_name] += g_logits
-        g_pooled = W_head @ g_logits
-        if mask is not None:
-            g_pooled = g_pooled * mask
-        # Attention: pooled = alpha @ H with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
-        H, A, alpha = trace.H[row, :L], trace.A[i], trace.alpha[i]
-        galpha = H @ g_pooled
-        ge = alpha * (galpha - float(alpha @ galpha))
-        g["attn.p"] += A.T @ ge
-        Gpre = (ge[:, None] * (1.0 - A ** 2)) * p[None, :]
-        g["attn.W_alpha"] += Gpre.T @ H
-        GH[row, :L] = alpha[:, None] * g_pooled[None, :] + Gpre @ W_alpha
 
-    # GRU backpropagation through time, all rows together.
+    # Head: probs = softmax(head_input @ W + b), head_input = pooled * mask.
+    probs = trace.probs
+    g_logits = probs * (grad_probs - (grad_probs * probs).sum(axis=1, keepdims=True))
+    g[W_name] = trace.head_input.T @ g_logits
+    g[b_name] = g_logits.sum(axis=0)
+    g_pooled = ((g_logits @ params[W_name].T) * trace.mask)[trace.order]   # by column
+
+    # Attention: pooled = sum_t alpha_t H_t with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
+    H, A, alpha = trace.H[1:], trace.A, trace.alpha
+    T, B = alpha.shape
+    galpha = np.einsum("tbk,bk->tb", H, g_pooled)
+    ge = alpha * (galpha - (alpha * galpha).sum(axis=0))
+    g["attn.p"] = np.einsum("tbk,tb->k", A, ge)
+    Gpre = (ge[:, :, None] * (1.0 - A * A)) * params["attn.p"]
+    g["attn.W_alpha"] = (Gpre.transpose(0, 2, 1) @ H).sum(axis=0)
+    # Gradient at each hidden state.
+    GH = alpha[:, :, None] * g_pooled + Gpre @ W_alpha
+
+    # GRU backpropagation through time: only the recurrence stays in the loop.
     U = params["gru.recurrent_weights"]
     U_zr = U[: 2 * k]
     U_c = U[2 * k:]
     Z = trace.ZR[:, :, :k]
     R = trace.ZR[:, :, k:]
     C = trace.C
-    Hprev = np.zeros_like(trace.H)
-    Hprev[:, 1:] = trace.H[:, :-1]
-    # Factors that do not depend on the incoming gradient, for every step at once.
-    C_minus_H = C - Hprev
+    Hprev = trace.H[:-1]
     one_minus_Z = 1.0 - Z
-    one_minus_R = 1.0 - R
-    one_minus_C2 = 1.0 - C * C
-    B, T = GH.shape[:2]
-    dgates = np.zeros((B, T, 3 * k))
+    dz_factor = (C - Hprev) * Z * one_minus_Z
+    dc_factor = Z * (1.0 - C * C)
+    dr_factor = Hprev * R * (1.0 - R)
+    dgates = np.zeros((T, B, 3 * k))   # stays zero past each sequence's end
     gh = np.zeros((B, k))
     for t in range(T - 1, -1, -1):
         n = trace.active[t]
-        gt = gh[:n] + GH[:n, t]
-        z = Z[:n, t]
-        r = R[:n, t]
-        dc_raw = gt * z * one_minus_C2[:n, t]
-        tmp = _rowwise_matvec(U_c.T, dc_raw)
-        dgates[:n, t, :k] = gt * C_minus_H[:n, t] * z * one_minus_Z[:n, t]
-        dgates[:n, t, k: 2 * k] = tmp * Hprev[:n, t] * r * one_minus_R[:n, t]
-        dgates[:n, t, 2 * k:] = dc_raw
-        gh[:n] = gt * one_minus_Z[:n, t] + tmp * r + _rowwise_matvec(U_zr.T, dgates[:n, t, : 2 * k])
+        gt = gh[:n] + GH[t, :n]
+        dc = gt * dc_factor[t, :n]
+        tmp = dc @ U_c
+        dgates[t, :n, :k] = gt * dz_factor[t, :n]
+        dgates[t, :n, k: 2 * k] = tmp * dr_factor[t, :n]
+        dgates[t, :n, 2 * k:] = dc
+        gh[:n] = gt * one_minus_Z[t, :n] + tmp * R[t, :n] + dgates[t, :n, : 2 * k] @ U_zr
 
-    for X, row, L in zip(trace.sequences, trace.rows, trace.lengths):
-        dg = dgates[row, :L]
-        hprev = Hprev[row, :L]
-        g["gru.input_weights"] += dg.T @ X
-        g["gru.recurrent_weights"][: 2 * k] += dg[:, : 2 * k].T @ hprev
-        g["gru.recurrent_weights"][2 * k:] += dg[:, 2 * k:].T @ (R[row, :L] * hprev)
-        g["gru.biases"] += dg.sum(axis=0)
+    dgT = dgates.transpose(0, 2, 1)
+    g["gru.input_weights"] = (dgT @ trace.X).sum(axis=0)
+    g["gru.recurrent_weights"][: 2 * k] = (dgT[:, : 2 * k] @ Hprev).sum(axis=0)
+    g["gru.recurrent_weights"][2 * k:] = (dgT[:, 2 * k:] @ (R * Hprev)).sum(axis=0)
+    g["gru.biases"] = dgates.sum(axis=(0, 1))
     return g
 
 

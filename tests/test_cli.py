@@ -129,6 +129,24 @@ class TestRun:
         ("pretrain", {"enabled": True, "epochs": "two"}, "pretrain.epochs"),
     ])
     def test_wrongly_typed_number_exits_2_naming_key(self, tmp_path, capsys, key, value, name):
+        self.assert_rejected(tmp_path, capsys, key, value, name)
+
+    # Rates that are not finite or have the wrong sign; each used to fail late or train backwards.
+    @pytest.mark.parametrize("key, value, name", [
+        ("optimizer", {"lr": -0.5}, "optimizer.lr"),
+        ("optimizer", {"lr": 0.0}, "optimizer.lr"),
+        ("optimizer", {"lr": float("nan")}, "optimizer.lr"),
+        ("optimizer", {"decay": -1.0}, "optimizer.decay"),
+        ("meta", {"inner_lr": float("nan")}, "meta.inner_lr"),
+        ("meta", {"outer_lr": float("inf")}, "meta.outer_lr"),
+        ("meta", {"hessian_step": float("nan")}, "meta.hessian_step"),
+        ("aggregation", {"step": float("inf")}, "aggregation.step"),
+    ])
+    def test_bad_rate_exits_2_naming_key(self, tmp_path, capsys, key, value, name):
+        self.assert_rejected(tmp_path, capsys, key, value, name)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, key, value, name):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)
         config_path = tmp_path / "config.json"

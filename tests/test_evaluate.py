@@ -9,7 +9,7 @@ from fedstudent.evaluate import (
     execute_run,
     export_embeddings,
 )
-from fedstudent import federation
+from fedstudent import evaluate, federation
 from fedstudent.federation import FederationError, MetaConfig, TrainSettings
 from fedstudent.params import ModelParams
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
@@ -189,6 +189,26 @@ class TestFailedRunIsNamed:
         monkeypatch.setattr(federation, "meta_gradient", failing_meta_gradient)
         plan = small_plan(strategies=("FedAvg", "PerFedAvgAgg"), seeds=(3,), folds=2)
         with pytest.raises(FederationError, match="PerFedAvgAgg fold 0 seed 3: .*meta-gradient"):
+            cross_validate(small_cohort(), plan, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scoring_error_names_strategy_fold_and_seed(self, monkeypatch, jobs):
+        def failing_score(*args, **kwargs):
+            raise ValueError("scorer exploded")
+
+        monkeypatch.setattr(evaluate, "score", failing_score)
+        plan = small_plan(seeds=(3,), folds=2)
+        with pytest.raises(FederationError, match="^FedAvg fold 0 seed 3: scorer exploded$"):
+            cross_validate(small_cohort(), plan, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pretraining_error_names_fold_and_seed(self, monkeypatch, jobs):
+        def failing_pretraining(*args, **kwargs):
+            raise ValueError("pretraining exploded")
+
+        monkeypatch.setattr(evaluate, "run_pretraining", failing_pretraining)
+        plan = small_plan(seeds=(3,), folds=2, pretrain_enabled=True, pretrain_epochs=1)
+        with pytest.raises(FederationError, match="^pretraining fold 0 seed 3: pretraining exploded$"):
             cross_validate(small_cohort(), plan, jobs=jobs)
 
 

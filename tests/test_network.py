@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,15 +294,30 @@ class TestForwardDeterminism:
             trace = forward_outcome(params, [random_sequence(6, 10, seed)])
             assert np.all(trace.probs >= 0)
             assert abs(trace.probs[0].sum() - 1.0) < 1e-9
-            assert abs(trace.alpha[0].sum() - 1.0) < 1e-9
+            assert abs(trace.alpha[:, 0].sum() - 1.0) < 1e-9
 
 
-def same_layers(a, b):
-    return all(np.array_equal(a[name], b[name]) for name in a.names())
+def assert_close_to_sum(grad, parts):
+    """Each layer of grad within 1e-12 of the parts added up, relative to their summed norms."""
+    for name in grad.names():
+        total = sum(g[name] for g in parts)
+        scale = sum(np.linalg.norm(g[name]) for g in parts)
+        assert np.linalg.norm(grad[name] - total) <= 1e-12 * scale + 1e-14, name
+
+
+def same_trace(t1, t2):
+    fields = ("X", "ZR", "C", "H", "A", "alpha", "pooled", "head_input", "probs")
+    return t1.order == t2.order and all(getattr(t1, f).tobytes() == getattr(t2, f).tobytes()
+                                        for f in fields)
 
 
 class TestBatchedPasses:
-    """A batch's rows are its sequences run alone, and its gradient is theirs added up in input order."""
+    """A batch's rows are its sequences run alone, and its gradient is theirs added up.
+
+    Within 1e-12, not bit for bit: a batch runs each step as one matrix
+    product over its rows, and a product adds its terms in an order that
+    depends on its row count, so a row rounds differently than alone.
+    """
 
     LENGTHS = (7, 1, 12, 7, 3)
 
@@ -311,36 +330,39 @@ class TestBatchedPasses:
         return params, Xs, masks, labels
 
     def assert_rows_alone(self, trace, alone, i, j=0):
-        L = trace.lengths[i]
-        assert L == alone.lengths[j]
-        assert np.array_equal(trace.ZR[trace.rows[i], :L], alone.ZR[alone.rows[j], :L])
-        assert np.array_equal(trace.C[trace.rows[i], :L], alone.C[alone.rows[j], :L])
-        assert np.array_equal(trace.H[trace.rows[i], :L], alone.H[alone.rows[j], :L])
-        assert np.array_equal(trace.alpha[i], alone.alpha[j])
-        assert np.array_equal(trace.pooled[i], alone.pooled[j])
-        assert np.array_equal(trace.probs[i], alone.probs[j])
+        a, b = trace.order.index(i), alone.order.index(j)
+        L = sum(n > a for n in trace.active)
+        assert L == sum(n > b for n in alone.active)
+        for name in ("ZR", "C", "A"):
+            np.testing.assert_allclose(getattr(trace, name)[:L, a], getattr(alone, name)[:L, b],
+                                       rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(trace.H[: L + 1, a], alone.H[: L + 1, b], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.alpha[:L, a], alone.alpha[:L, b], rtol=0, atol=1e-12)
+        assert np.all(trace.alpha[L:, a] == 0.0)
+        np.testing.assert_allclose(trace.pooled[i], alone.pooled[j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.probs[i], alone.probs[j], rtol=0, atol=1e-12)
 
     def test_outcome_batch_matches_single_sequences(self):
         params, Xs, masks, labels = self.batch()
         for order in (list(range(len(Xs))), list(range(len(Xs)))[::-1]):
             trace = forward_outcome(params, [Xs[i] for i in order], [masks[i] for i in order])
-            total = params.zeros_like()
+            lone = []
             for row, i in enumerate(order):
                 alone = forward_outcome(params, [Xs[i]], [masks[i]])
                 self.assert_rows_alone(trace, alone, row)
-                total = total + backward(alone, [labels[i]], params)
-            assert same_layers(backward(trace, [labels[i] for i in order], params), total)
+                lone.append(backward(alone, [labels[i]], params))
+            assert_close_to_sum(backward(trace, [labels[i] for i in order], params), lone)
 
     def test_pretrain_batch_matches_single_sequences(self):
         params, Xs, _, _ = self.batch()
         for batch in (Xs, Xs[::-1]):
             trace = forward_pretrain(params, batch)
-            total = params.zeros_like()
+            lone = []
             for i, X in enumerate(batch):
                 alone = forward_pretrain(params, [X])
                 self.assert_rows_alone(trace, alone, i)
-                total = total + backward_pretrain(alone, [X[0]], params)
-            assert same_layers(backward_pretrain(trace, [X[0] for X in batch], params), total)
+                lone.append(backward_pretrain(alone, [X[0]], params))
+            assert_close_to_sum(backward_pretrain(trace, [X[0] for X in batch], params), lone)
 
     def test_batch_order_does_not_matter(self):
         params, Xs, masks, labels = self.batch()
@@ -349,6 +371,16 @@ class TestBatchedPasses:
         n = len(Xs)
         for i in range(n):
             self.assert_rows_alone(trace, rev, i, n - 1 - i)
+
+    def test_same_batch_twice_gives_identical_bytes(self):
+        params, Xs, masks, labels = self.batch()
+        t1 = forward_outcome(params, Xs, masks)
+        t2 = forward_outcome(params, Xs, masks)
+        assert same_trace(t1, t2)
+        g1, g2 = backward(t1, labels, params), backward(t2, labels, params)
+        assert all(g1[name].tobytes() == g2[name].tobytes() for name in g1.names())
+        p1, p2 = forward_pretrain(params, Xs), forward_pretrain(params, Xs)
+        assert same_trace(p1, p2)
 
     def test_empty_sequence_in_batch_rejected(self):
         params = random_params(4, 11, 1)
@@ -360,6 +392,7 @@ class TestBatchedPasses:
 
 class TestScore:
     def test_matches_lone_forward_in_input_order(self):
+        """Within 1e-12 of a lone run (a chunk rounds differently); bit for bit its own chunk's forward."""
         params = random_params(5, 11, 31, scale=0.8)
         rng = np.random.default_rng(8)
         # Ties, both extremes, and more rows than one chunk holds.
@@ -371,5 +404,46 @@ class TestScore:
             assert pooled.shape == (len(Xs), params.hidden_dim)
             for X, p, vector in zip(Xs, p_pass, pooled):
                 alone = forward_outcome(params, [X])
-                assert p == alone.probs[0, 0]
-                assert np.array_equal(vector, alone.pooled[0])
+                assert abs(p - alone.probs[0, 0]) <= 1e-12
+                np.testing.assert_allclose(vector, alone.pooled[0], rtol=0, atol=1e-12)
+            by_length = sorted(range(len(Xs)), key=lambda i: Xs[i].shape[0])
+            for start in range(0, len(Xs), SCORE_CHUNK):
+                chunk = by_length[start:start + SCORE_CHUNK]
+                trace = forward_outcome(params, [Xs[i] for i in chunk])
+                assert p_pass[chunk].tobytes() == trace.probs[:, 0].tobytes()
+                assert pooled[chunk].tobytes() == trace.pooled.tobytes()
+
+
+# Runs a forward, a backward and `score`, and prints a digest of every output's
+# bytes. Each step's products over 256 sequences (256 x 12 x 144) are large
+# enough for OpenBLAS to run them on two threads when it may.
+THREADED_RUN = """
+import hashlib
+import numpy as np
+from fedstudent.network import backward, forward_outcome, make_dropout_mask, score
+from fedstudent.params import ModelParams
+
+rng = np.random.default_rng(0)
+params = ModelParams.initialized(48, 12, rng)
+Xs = [rng.integers(0, 2, size=(L, 12)).astype(float) for L in rng.integers(1, 41, size=256)]
+masks = [make_dropout_mask(rng, 48, 0.5) for _ in Xs]
+trace = forward_outcome(params, Xs, masks)
+grad = backward(trace, [i % 2 for i in range(256)], params)
+p_pass, pooled = score(params, Xs)
+digest = hashlib.sha256()
+for array in (trace.H, trace.probs, *(grad[name] for name in grad.names()), p_pass, pooled):
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_change_results():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", THREADED_RUN], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -1,8 +1,15 @@
 """The batch network against `reference.network_v0`, its frozen per-sequence predecessor.
 
 Over random batches, every row's probabilities, pooled vector and hidden states
-must equal the oracle's bit for bit, and the batch gradient must equal the
-oracle's per-sequence gradients added up in input order.
+must be within 1e-12 of the oracle's, and each layer of the batch gradient
+must differ from the oracle's per-sequence gradients added up by at most
+1e-12 times the sum of their norms, plus 1e-14. Not bit for bit: the batch
+network runs each step as one matrix product over all its rows and sums each
+layer gradient over the whole batch, which adds terms in another order than
+the oracle's one product per row; and the gradient of a saturated head is itself
+rounding noise, so only a bound relative to the terms summed holds.
+(Measured: at most 1e-15 on values, 1.4e-14 relative and 3e-16 absolute on
+gradients, over 400 batches per head.)
 """
 
 import numpy as np
@@ -46,9 +53,11 @@ def summed(grads, params):
     return total
 
 
-def assert_same_layers(a, b):
-    for name in a.names():
-        assert a[name].tobytes() == b[name].tobytes(), name
+def assert_close_layers(grad, old_grads, params):
+    total = summed(old_grads, params)
+    for name in grad.names():
+        scale = sum(np.linalg.norm(g[name]) for g in old_grads)
+        assert np.linalg.norm(grad[name] - total[name]) <= 1e-12 * scale + 1e-14, name
 
 
 @pytest.mark.parametrize("head", ["outcome", "pretrain"])
@@ -71,10 +80,10 @@ def test_batch_network_matches_per_sequence_oracle(head):
             old_grads = ref.backward_pretrain(old, targets, params)
             old_probs = [t.pre_probs for t in old]
         for i, (t, probs) in enumerate(zip(old, old_probs)):
-            assert trace.probs[i].tobytes() == probs.tobytes(), (seed, i)
-            assert trace.pooled[i].tobytes() == t.pooled.tobytes(), (seed, i)
-            hidden = trace.H[trace.rows[i], :trace.lengths[i]]
-            assert hidden.tobytes() == t.gru.H.tobytes(), (seed, i)
-        assert_same_layers(grad, summed(old_grads, params))
+            np.testing.assert_allclose(trace.probs[i], probs, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
+            np.testing.assert_allclose(trace.pooled[i], t.pooled, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
+            hidden = trace.H[1:len(Xs[i]) + 1, trace.order.index(i)]
+            np.testing.assert_allclose(hidden, t.gru.H, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
+        assert_close_layers(grad, old_grads, params)
     if head == "outcome":
         assert clamped > 0

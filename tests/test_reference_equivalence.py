@@ -1,9 +1,20 @@
 """The round driver against a frozen copy of the four loops it replaced.
 
 `reference.federation_v0` is the earlier `federation.py` with its evaluation
-model rebuilt by replaying the adaptation, as `execute_run` used to do. Every
-strategy must give bit-identical round rows, final parameters, selected round
-and evaluation models, with three exceptions:
+model rebuilt by replaying the adaptation, as `execute_run` used to do, on the
+earlier per-sequence network. Every strategy must give the same validation AUC
+in every round row, the same selected round and the same warnings, and final
+parameters, evaluation models and train_loss within a relative tolerance:
+
+* 1e-12 for first-order strategies. The batch network runs each step as one
+  matrix product over the batch, which adds its terms in another order than
+  the per-sequence oracle, so values differ by rounding (about 1e-15) that
+  training carries forward (measured at most 2.5e-14 over seeds 4-7);
+* 1e-9 for PerFedAttn, whose finite-difference Hessian-vector product divides
+  the rounding difference of two gradients by the step 2 * delta = 2e-4
+  (measured at most 1.1e-11 over seeds 4-7).
+
+Three further differences are expected:
 
 * Local's rows now come step-major rather than subgroup-major, so both lists
   are compared after a stable sort by subgroup;
@@ -70,8 +81,10 @@ def meta_cfg(strategy):
     return MetaConfig(inner_lr=0.05, outer_lr=0.1, mode=mode)
 
 
-def layer_bytes(params):
-    return {name: params[name].tobytes() for name in params.names()}
+def assert_close_params(new, old, tol, what):
+    assert new.names() == old.names()
+    for name in old.names():
+        assert np.linalg.norm(new[name] - old[name]) <= tol * np.linalg.norm(old[name]), (what, name)
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +117,11 @@ def test_matches_reference(data, strategy, scenario, seed):
     if scenario == "single_label_val":
         assert old.warnings
 
-    assert layer_bytes(new.final_params) == layer_bytes(old.final.params)
+    tol = 1e-9 if strategy == "PerFedAttn" else 1e-12
+    assert_close_params(new.final_params, old.final.params, tol, "final")
     assert set(new.eval_models) == set(old_models)
     for key, model in old_models.items():
-        assert layer_bytes(new.eval_models[key]) == layer_bytes(model), key
+        assert_close_params(new.eval_models[key], model, tol, key)
     assert new.best_round == old.best_round
     if scenario == "zero_rounds":
         assert not new.warnings
@@ -120,12 +134,15 @@ def test_matches_reference(data, strategy, scenario, seed):
     if strategy == "Local":
         new_rows.sort(key=lambda row: row[1])
         old_rows.sort(key=lambda row: row[1])
+    assert [row[:3] for row in new_rows] == [row[:3] for row in old_rows]
     if strategy == "FedIRT":
         assert all(row[3] is None for row in old_rows)
         assert all(np.isfinite(row[3]) and row[3] > 0 for row in new_rows)
-        new_rows = [row[:3] for row in new_rows]
-        old_rows = [row[:3] for row in old_rows]
-    assert new_rows == old_rows
+    else:
+        for (*_, new_loss), (*_, old_loss) in zip(new_rows, old_rows):
+            assert (new_loss is None) == (old_loss is None)
+            if old_loss is not None:
+                assert abs(new_loss - old_loss) <= tol * abs(old_loss)
 
 
 def test_fedirt_loss_is_last_local_epoch(data):
