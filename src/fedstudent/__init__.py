@@ -17,7 +17,6 @@ from .federation import (
     adapt_for_eval,
     fedatt_aggregate,
     fedavg_aggregate,
-    local_adaptation,
     meta_gradient,
     run_federation,
 )
@@ -26,7 +25,7 @@ from .metrics import ScoredStudent, auc
 from .network import attention_pool, backward, gru_forward
 from .optim import OptState, optimizer_step
 from .params import ModelParams, load_params, params_axpy, params_cosine, params_norm, save_params
-from .pretrain import make_cbow_instances, pretrain_epoch, transfer_weights
+from .pretrain import make_cbow_instances, run_pretraining, transfer_weights
 from .splits import SubgroupKey, build_subgroups, split_train_test
 from .synthgen import CohortSpec, SubgroupProfile, generate_cohort, profile_divergence
 

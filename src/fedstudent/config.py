@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .activity import VARIABLES
 from .evaluate import ExperimentPlan
 from .federation import STRATEGIES, AttnAggConfig, MetaConfig, TrainSettings
+from .optim import OPTIMIZER_KINDS
 
 CONFIG_VERSION = 1
 
@@ -75,6 +76,14 @@ def _coerce(kind, value, name: str):
     return converted
 
 
+def _boolean(value, name: str) -> bool:
+    """`value` if it is a JSON boolean; anything else, the string "false" too, is an
+    error naming the key."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _path_exists(path: str, where: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"{where}: path does not exist: {path}")
@@ -107,6 +116,11 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
             n_videos=_coerce(int, _require(dataset_raw, "n_videos", "dataset"), "dataset.n_videos"),
             max_sequence=_coerce(int, dataset_raw.get("max_sequence", 256), "dataset.max_sequence"),
         )
+        # A cap below 1 would not cap: load_records keeps rows[-max_sequence:].
+        for name in ("n_videos", "max_sequence"):
+            value = getattr(dataset, name)
+            if value < 1:
+                raise ConfigError(f"dataset.{name} must be >= 1, got {value!r}")
     else:
         raise ConfigError(f"dataset.kind must be 'generated' or 'csv', got {kind!r}")
 
@@ -120,17 +134,22 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError(f"strategies must be distinct, got {strategies!r}")
 
     model_raw = data.get("model", {})
     _check_keys(model_raw, _MODEL_KEYS, "model")
     opt_raw = data.get("optimizer", {})
     _check_keys(opt_raw, _OPT_KEYS, "optimizer")
+    opt_kind = opt_raw.get("kind", "adam")
+    if opt_kind not in OPTIMIZER_KINDS:
+        raise ConfigError(f"optimizer.kind must be one of {OPTIMIZER_KINDS}, got {opt_kind!r}")
     try:
         settings = TrainSettings(
             hidden_dim=_coerce(int, model_raw.get("hidden_dim", 48), "model.hidden_dim"),
             dropout=_coerce(float, model_raw.get("dropout", 0.5), "model.dropout"),
             batch_size=_coerce(int, model_raw.get("batch_size", 8), "model.batch_size"),
-            opt_kind=str(opt_raw.get("kind", "adam")),
+            opt_kind=opt_kind,
             lr=_coerce(float, opt_raw.get("lr", 1e-3), "optimizer.lr"),
             decay=_coerce(float, opt_raw.get("decay", 1e-3), "optimizer.decay"),
         )
@@ -171,7 +190,7 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
     pretrain_raw = data.get("pretrain", {})
     _check_keys(pretrain_raw, _PRETRAIN_KEYS, "pretrain")
-    pretrain_enabled = bool(pretrain_raw.get("enabled", False))
+    pretrain_enabled = _boolean(pretrain_raw.get("enabled", False), "pretrain.enabled")
     pretrain_epochs = _coerce(int, pretrain_raw.get("epochs", 10), "pretrain.epochs")
     if pretrain_epochs < 0:
         raise ConfigError("pretrain.epochs must be >= 0")
@@ -191,7 +210,7 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
     plan = ExperimentPlan(
         variable=variable,
-        include_unspecified=bool(data.get("include_unspecified", False)),
+        include_unspecified=_boolean(data.get("include_unspecified", False), "include_unspecified"),
         strategies=tuple(strategies),
         rounds=rounds,
         local_iters=local_iters,

@@ -27,7 +27,7 @@ import numpy as np
 from .irt import build_response_matrix, fit_rasch, irt_confidence
 from .metrics import ScoredStudent, UndefinedAUCError, auc
 from .network import backward, forward_outcome, make_dropout_mask, outcome_loss, score
-from .optim import OptState, optimizer_step
+from .optim import OptState, run_epoch
 from .params import Gradients, ModelParams, params_axpy, params_cosine
 from .pretrain import transfer_weights
 from .splits import DatasetSplit, SubgroupKey, ids_digest, rng_for
@@ -59,6 +59,10 @@ class MetaConfig:
             raise ValueError("meta step sizes must be non-negative (hessian_step positive)")
         if self.meta_batch is not None and self.meta_batch < 1:
             raise ValueError("meta_batch must be >= 1 when given")
+
+    def make_opt(self) -> OptState:
+        """The outer step: plain SGD at outer_lr, never decayed."""
+        return OptState(kind="sgd", lr=self.outer_lr, decay=0.0)
 
 
 @dataclass
@@ -120,20 +124,6 @@ RULES = {
 STRATEGIES = tuple(RULES)
 
 
-class TrainContext:
-    """Shared access point for record matrices and labels during a run."""
-
-    def __init__(self, records: dict, settings: TrainSettings):
-        self.records = records
-        self.settings = settings
-
-    def matrix(self, student_id: str) -> np.ndarray:
-        return self.records[student_id].sequence
-
-    def label(self, student_id: str) -> int:
-        return self.records[student_id].label
-
-
 @dataclass
 class ClientState:
     """One subgroup (or, for Central, the union of them) acting as a federated client."""
@@ -141,7 +131,8 @@ class ClientState:
     key: SubgroupKey
     train_ids: list[str]
     val_ids: list[str]
-    ctx: TrainContext
+    records: dict                            # student id -> record, shared by every client of a run
+    settings: TrainSettings
     seed: int
     prev_model: ModelParams | None = None   # previous round's local endpoint
     opt: OptState = field(init=False)        # persists across the client's rounds
@@ -152,7 +143,7 @@ class ClientState:
             raise FederationError(f"subgroup {self.key} has an empty training split")
         self.train_ids = sorted(self.train_ids)
         self.digest = ids_digest(self.train_ids)
-        self.opt = self.ctx.settings.make_opt()
+        self.opt = self.settings.make_opt()
 
     @property
     def count(self) -> int:
@@ -166,11 +157,11 @@ class BatchObjective:
     parameters, which meta-gradient and finite-difference evaluations require.
     """
 
-    def __init__(self, ctx: TrainContext, student_ids: list[str], rng: np.random.Generator | None):
-        dropout = ctx.settings.dropout
-        k = ctx.settings.hidden_dim
-        self.matrices = [ctx.matrix(sid) for sid in student_ids]
-        self.labels = [ctx.label(sid) for sid in student_ids]
+    def __init__(self, client: ClientState, student_ids: list[str], rng: np.random.Generator | None):
+        dropout = client.settings.dropout
+        k = client.settings.hidden_dim
+        self.matrices = [client.records[sid].sequence for sid in student_ids]
+        self.labels = [client.records[sid].label for sid in student_ids]
         self.masks = [make_dropout_mask(rng, k, dropout) if rng is not None and dropout > 0 else None
                       for _ in student_ids]
 
@@ -207,69 +198,29 @@ def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> tuple[floa
     return loss, result
 
 
-def _meta_epoch(params: ModelParams, client: ClientState, cfg: MetaConfig,
-                rng: np.random.Generator, losses: list[float] | None = None) -> ModelParams:
-    """One shuffled sweep of meta-updates; appends each pre-step batch loss to `losses`."""
-    order = rng.permutation(len(client.train_ids))
-    shuffled = [client.train_ids[i] for i in order]
-    batch_size = min(cfg.meta_batch or client.ctx.settings.batch_size, len(shuffled))
-    for start in range(0, len(shuffled), batch_size):
-        # The meta loss is a deterministic function of the parameters, so
-        # meta objectives carry no dropout (rng=None).
-        batch = shuffled[start:start + batch_size]
-        objective = BatchObjective(client.ctx, batch, None)
-        loss, grad = meta_gradient(params, objective, cfg)
-        if losses is not None:
-            losses.append(loss / len(batch))
-        params = params_axpy(-cfg.outer_lr, grad, params)
-    return params
-
-
-def local_adaptation(
-    global_params: ModelParams,
-    client: ClientState,
-    local_iters: int,
-    cfg: MetaConfig,
-    round_idx: int = 0,
-) -> tuple[ModelParams, float]:
-    """E local iterations of mini-batched meta-updates from the global model.
-
-    Each local iteration sweeps the client's training split once, applying the
-    meta-update rule per drawn batch, so one iteration is the same unit of
-    work as one epoch of the conventional strategies. Returns the adapted
-    parameters and the mean pre-step batch loss.
-    """
-    if local_iters < 1:
-        raise ValueError("local_iters must be >= 1")
-    params = global_params
-    rng = rng_for(client.seed, "meta", client.digest, round_idx)
-    losses: list[float] = []
-    for _ in range(local_iters):
-        params = _meta_epoch(params, client, cfg, rng, losses)
-    return params, float(np.mean(losses))
-
-
 def train_epoch(
     params: ModelParams,
-    ctx: TrainContext,
-    train_ids: list[str],
+    client: ClientState,
     opt: OptState,
     rng: np.random.Generator,
+    meta_cfg: MetaConfig | None = None,
 ) -> tuple[ModelParams, float]:
-    """One shuffled epoch of mini-batch descent; returns (params, mean student loss)."""
-    order = rng.permutation(len(train_ids))
-    shuffled = [train_ids[i] for i in order]
-    total = 0.0
-    bs = ctx.settings.batch_size
-    for start in range(0, len(shuffled), bs):
-        batch = shuffled[start:start + bs]
-        loss, grads = BatchObjective(ctx, batch, rng).loss_and_gradient(params)
-        # Through the batch mean and back (not `total += loss`): the rounding
-        # this report has always had.
-        total += loss * (1.0 / len(batch)) * len(batch)
-        params = optimizer_step(params, grads, opt)
-    opt.epoch += 1
-    return params, total / len(shuffled)
+    """One shuffled epoch over the client's training split; returns (params, mean student loss).
+
+    Without `meta_cfg` each batch takes a plain descent step on its dropout
+    loss. With it, each batch of meta_batch students steps along its
+    meta-gradient; the meta loss is a deterministic function of the
+    parameters, so meta objectives carry no dropout.
+    """
+    if meta_cfg is None:
+        def loss_and_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
+            return BatchObjective(client, batch, rng).loss_and_gradient(p)
+        batch_size = client.settings.batch_size
+    else:
+        def loss_and_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
+            return meta_gradient(p, BatchObjective(client, batch, None), meta_cfg)
+        batch_size = meta_cfg.meta_batch or client.settings.batch_size
+    return run_epoch(params, client.train_ids, batch_size, loss_and_gradient, opt, rng)
 
 
 def local_update(
@@ -282,20 +233,24 @@ def local_update(
 ) -> tuple[ModelParams, float]:
     """The client's local training from `start`; returns (params, last epoch's mean loss).
 
-    plain and irt run the given epochs of `train_epoch`; irt first starts from
-    lambda * previous local + (1 - lambda) * start, lambda the cosine of the two
-    (no previous local on the first round). meta runs as many meta epochs.
+    Each rule runs the given epochs of `train_epoch`. plain and irt step the
+    client's persistent optimizer with one RNG stream per epoch; irt first
+    starts from lambda * previous local + (1 - lambda) * start, lambda the
+    cosine of the two (no previous local on the first round). meta takes
+    outer SGD steps with one RNG stream for the round.
     """
+    params = start
+    if rule == "irt" and client.prev_model is not None:
+        lam = params_cosine(client.prev_model, start)
+        params = params_axpy(lam, client.prev_model, (1.0 - lam) * start)
     if rule == "meta":
-        params, loss = local_adaptation(start, client, len(epochs), meta_cfg, round_idx)
-    else:
-        params = start
-        if rule == "irt" and client.prev_model is not None:
-            lam = params_cosine(client.prev_model, start)
-            params = params_axpy(lam, client.prev_model, (1.0 - lam) * start)
-        for e in epochs:
+        opt, rng = meta_cfg.make_opt(), rng_for(client.seed, "meta", client.digest, round_idx)
+    for e in epochs:
+        if rule == "meta":
+            params, loss = train_epoch(params, client, opt, rng, meta_cfg)
+        else:
             rng = rng_for(client.seed, "epoch", client.digest, round_idx, e)
-            params, loss = train_epoch(params, client.ctx, client.train_ids, client.opt, rng)
+            params, loss = train_epoch(params, client, client.opt, rng)
     client.prev_model = params
     return params, loss
 
@@ -389,7 +344,7 @@ def _fit_confidence(clients: list[ClientState]) -> dict[SubgroupKey, float]:
     fits = {}
     for client in clients:
         try:
-            matrix = build_response_matrix([client.ctx.records[sid] for sid in client.train_ids])
+            matrix = build_response_matrix([client.records[sid] for sid in client.train_ids])
             fits[client.key] = fit_rasch(matrix)
         except ValueError as exc:
             raise FederationError(f"subgroup {client.key}: cannot fit responses: {exc}") from exc
@@ -406,16 +361,16 @@ def adapt_for_eval(
     """One local epoch of the strategy's update rule, for evaluation only.
 
     `step` is the validation step the model is evaluated at (0 before any);
-    it keys the epoch's RNG. plain is `train_epoch` with a fresh optimizer,
-    meta is one meta epoch.
+    it keys the epoch's RNG. plain and meta are one `train_epoch` with a
+    fresh optimizer of the rule's kind.
     """
     if mode == "none":
         return params
     rng = rng_for(client.seed, "adapt", client.digest, step)
     if mode == "plain":
-        return train_epoch(params, client.ctx, client.train_ids, client.ctx.settings.make_opt(), rng)[0]
+        return train_epoch(params, client, client.settings.make_opt(), rng)[0]
     if mode == "meta":
-        return _meta_epoch(params, client, meta_cfg, rng)
+        return train_epoch(params, client, meta_cfg.make_opt(), rng, meta_cfg)[0]
     raise ValueError(f"unknown adaptation mode {mode!r}")
 
 
@@ -441,8 +396,8 @@ def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
     if not client.val_ids:
         return None
     with monitor.phase("validate"):
-        p_pass, _ = score(params, [client.ctx.matrix(sid) for sid in client.val_ids])
-        scored = [ScoredStudent(sid, float(p), client.ctx.label(sid), client.key)
+        p_pass, _ = score(params, [client.records[sid].sequence for sid in client.val_ids])
+        scored = [ScoredStudent(sid, float(p), client.records[sid].label, client.key)
                   for sid, p in zip(client.val_ids, p_pass)]
     try:
         return auc(scored)
@@ -482,13 +437,12 @@ def run_federation(
     monitor = monitor or NullMonitor()
     strategy = schedule.strategy
 
-    ctx = TrainContext(records, settings)
     clients = [
         ClientState(key=key, train_ids=split.assignments[key].train,
-                    val_ids=split.assignments[key].val, ctx=ctx, seed=seed)
+                    val_ids=split.assignments[key].val, records=records, settings=settings, seed=seed)
         for key in split.subgroups()
     ]
-    input_dim = ctx.matrix(clients[0].train_ids[0]).shape[1]
+    input_dim = records[clients[0].train_ids[0]].sequence.shape[1]
     init = ModelParams.initialized(settings.hidden_dim, input_dim, rng_for(seed, "init"))
     # Pretrained weights initialize the shared global model; purely local
     # training has no global model and starts from scratch.
@@ -499,7 +453,8 @@ def run_federation(
     trainers = clients
     if rules.aggregate == "pooled":
         union = sorted({sid for c in clients for sid in c.train_ids})
-        trainers = [ClientState(SubgroupKey(clients[0].key.variable, "union"), union, [], ctx, seed)]
+        trainers = [ClientState(SubgroupKey(clients[0].key.variable, "union"), union, [],
+                                records, settings, seed)]
     # The training client that holds each subgroup's data.
     home = {c.key: trainers[0].key if rules.aggregate == "pooled" else c.key for c in clients}
     confidence = None

@@ -1,7 +1,9 @@
-"""SGD and Adam parameter updates with epoch-decayed learning rates."""
+"""SGD and Adam parameter updates with epoch-decayed learning rates, and the
+one epoch loop that every kind of training steps through."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +13,7 @@ from .params import Gradients, ModelParams
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+OPTIMIZER_KINDS = ("adam", "sgd")
 
 
 @dataclass
@@ -30,7 +33,7 @@ class OptState:
     v: ModelParams | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
+        if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
     def effective_lr(self) -> float:
@@ -66,3 +69,28 @@ def optimizer_step(params: ModelParams, grads: Gradients, opt: OptState) -> Mode
         v_hat = opt.v[name] / bc2
         new_layers[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return ModelParams(params.hidden_dim, params.input_dim, new_layers)
+
+
+def run_epoch(
+    params: ModelParams,
+    items: list,
+    batch_size: int,
+    loss_and_gradient: Callable[[ModelParams, list], tuple[float, Gradients]],
+    opt: OptState,
+    rng: np.random.Generator,
+) -> tuple[ModelParams, float]:
+    """One shuffled pass over `items`, one optimizer step per batch.
+
+    `loss_and_gradient(params, batch)` returns the batch's summed loss and the
+    gradient to step along. Advances `opt.epoch`; returns (params, mean loss
+    per item), the mean 0.0 when there are no items.
+    """
+    order = rng.permutation(len(items))
+    shuffled = [items[i] for i in order]
+    total = 0.0
+    for start in range(0, len(shuffled), batch_size):
+        loss, grads = loss_and_gradient(params, shuffled[start:start + batch_size])
+        total += loss
+        params = optimizer_step(params, grads, opt)
+    opt.epoch += 1
+    return params, (total / len(items) if items else 0.0)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import backward_pretrain, forward_pretrain, pretrain_loss
-from .optim import OptState, optimizer_step
-from .params import ModelParams
+from .optim import OptState, run_epoch
+from .params import Gradients, ModelParams
 from .splits import rng_for
 
 TRANSFER_LAYERS = ("gru.input_weights", "gru.recurrent_weights", "gru.biases", "attn.W_alpha", "attn.p")
@@ -43,31 +43,14 @@ def make_cbow_instances(X: np.ndarray) -> list[CbowInstance]:
     return [CbowInstance(source=X, target_position=t) for t in range(X.shape[0])]
 
 
-def _instance_step(model: ModelParams, batch: list[CbowInstance], opt: OptState) -> tuple[float, ModelParams]:
+def _loss_and_gradient(model: ModelParams, batch: list[CbowInstance]) -> tuple[float, Gradients]:
+    """The batch's summed masked-activity loss, and the gradient of its mean."""
     trace = forward_pretrain(model, [instance.masked_matrix() for instance in batch])
     targets = [instance.target for instance in batch]
     total = 0.0
     for probs, target in zip(trace.probs, targets):
         total += pretrain_loss(probs, target)
-    grads = backward_pretrain(trace, targets, model) * (1.0 / len(batch))
-    return total, optimizer_step(model, grads, opt)
-
-
-def pretrain_epoch(
-    model: ModelParams,
-    instances: list[CbowInstance],
-    opt: OptState,
-    batch_size: int = 8,
-) -> tuple[float, ModelParams]:
-    """One pass over the instances in their given order; returns (mean loss, updated model)."""
-    if not instances:
-        return 0.0, model
-    total = 0.0
-    for start in range(0, len(instances), batch_size):
-        batch = instances[start:start + batch_size]
-        batch_total, model = _instance_step(model, batch, opt)
-        total += batch_total
-    return total / len(instances), model
+    return total, backward_pretrain(trace, targets, model) * (1.0 / len(batch))
 
 
 def run_pretraining(
@@ -85,11 +68,8 @@ def run_pretraining(
     losses = []
     for epoch in range(epochs):
         rng = rng_for(seed, "pretrain-shuffle", epoch)
-        order = rng.permutation(len(instances))
-        shuffled = [instances[i] for i in order]
-        loss, model = pretrain_epoch(model, shuffled, opt, batch_size=batch_size)
+        model, loss = run_epoch(model, instances, batch_size, _loss_and_gradient, opt, rng)
         losses.append(loss)
-        opt.epoch += 1
     return model, losses
 
 

@@ -35,6 +35,10 @@ def write_spec(path, pop=16):
     return spec
 
 
+CSV_DATASET = {"kind": "csv", "events_path": "data/events.csv",
+               "students_path": "data/students.csv", "n_videos": N_VIDEOS}
+
+
 def write_config(path, spec_path, out_dir, strategies=("FedAvg",), seeds=(0,), **extra):
     config = {
         "version": 1,
@@ -143,6 +147,24 @@ class TestRun:
         ("aggregation", {"step": float("inf")}, "aggregation.step"),
     ])
     def test_bad_rate_exits_2_naming_key(self, tmp_path, capsys, key, value, name):
+        self.assert_rejected(tmp_path, capsys, key, value, name)
+
+    # Values each used to be accepted and to fail late (an unknown optimizer) or to run
+    # silently wrong: twice the runs, a feature switched on by the string "false", or a
+    # sequence cap that drops the oldest events or no cap at all.
+    @pytest.mark.parametrize("key, value, name", [
+        ("optimizer", {"kind": "adamw"}, "optimizer.kind"),
+        ("strategies", ["FedAvg", "FedAvg"], "strategies"),
+        ("include_unspecified", "false", "include_unspecified"),
+        ("pretrain", {"enabled": "false", "epochs": 1}, "pretrain.enabled"),
+        ("dataset", {**CSV_DATASET, "max_sequence": -3}, "dataset.max_sequence"),
+        ("dataset", {**CSV_DATASET, "max_sequence": 0}, "dataset.max_sequence"),
+        ("dataset", {**CSV_DATASET, "n_videos": 0}, "dataset.n_videos"),
+    ])
+    def test_bad_setting_exits_2_naming_key(self, tmp_path, capsys, key, value, name):
+        write_spec(tmp_path / "spec.json")
+        main(["generate", "--spec", str(tmp_path / "spec.json"), "--seed", "5",
+              "--out", str(tmp_path / "data")])
         self.assert_rejected(tmp_path, capsys, key, value, name)
 
     @staticmethod

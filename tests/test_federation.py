@@ -8,19 +8,21 @@ from fedstudent.federation import (
     FederationError,
     FederationSchedule,
     MetaConfig,
-    TrainContext,
     TrainSettings,
     adapt_for_eval,
     fedatt_aggregate,
     fedavg_aggregate,
     irt_aggregate,
     local_update,
-    local_adaptation,
     meta_gradient,
     run_federation,
 )
-from fedstudent.params import ModelParams, layer_shapes, params_cosine, params_norm
-from fedstudent.splits import DatasetSplit, SplitAssignment, SubgroupKey, split_train_test, build_subgroups
+from fedstudent.network import forward_outcome, outcome_loss
+from fedstudent.optim import optimizer_step
+from fedstudent.params import ModelParams, layer_shapes, params_axpy, params_cosine, params_norm
+from fedstudent.splits import (
+    DatasetSplit, SplitAssignment, SubgroupKey, build_subgroups, rng_for, split_train_test,
+)
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 
 
@@ -219,19 +221,33 @@ def record_map(records):
     return {r.student_id: r for r in records}
 
 
-class TestLocalAdaptation:
-    def client_for(self, records, key_tag="M"):
-        split = make_split(records)
-        key = SubgroupKey("G", key_tag)
-        ctx = TrainContext(record_map(records), tiny_settings())
-        a = split.assignments[key]
-        return ClientState(key=key, train_ids=a.train, val_ids=a.val, ctx=ctx, seed=3)
+def client_for(records, key_tag="M", seed=3):
+    split = make_split(records)
+    key = SubgroupKey("G", key_tag)
+    a = split.assignments[key]
+    return ClientState(key=key, train_ids=a.train, val_ids=a.val, records=record_map(records),
+                       settings=tiny_settings(), seed=seed)
 
+
+def clients_for(records):
+    split = make_split(records)
+    return [
+        ClientState(key=key, train_ids=split.assignments[key].train,
+                    val_ids=split.assignments[key].val, records=record_map(records),
+                    settings=tiny_settings(), seed=0)
+        for key in split.subgroups()
+    ]
+
+
+def meta_update(base, client, epochs, cfg, round_idx):
+    return local_update("meta", base, client, range(epochs), round_idx, cfg)
+
+
+class TestLocalAdaptation:
     def test_zero_outer_lr_returns_global_unchanged(self):
-        records = tiny_cohort()
-        client = self.client_for(records)
+        client = client_for(tiny_cohort())
         base = random_params(6, N_VIDEOS + 7, 0, scale=0.2)
-        adapted, _ = local_adaptation(base, client, 3, MetaConfig(outer_lr=0.0), round_idx=0)
+        adapted, _ = meta_update(base, client, 3, MetaConfig(outer_lr=0.0), round_idx=0)
         for name in base.names():
             assert np.array_equal(adapted[name], base[name])
 
@@ -249,23 +265,52 @@ class TestLocalAdaptation:
 
         for name in calls:
             monkeypatch.setattr(federation, name, counted(name))
-        client = self.client_for(tiny_cohort())
+        client = client_for(tiny_cohort())
         base = random_params(6, N_VIDEOS + 7, 0, scale=0.2)
-        local_adaptation(base, client, 2, MetaConfig(inner_lr=0.05, outer_lr=0.01), round_idx=0)
-        batches = 2 * -(-client.count // client.ctx.settings.batch_size)
+        meta_update(base, client, 2, MetaConfig(inner_lr=0.05, outer_lr=0.01), round_idx=0)
+        batches = 2 * -(-client.count // client.settings.batch_size)
         assert calls == {"forward_outcome": 2 * batches, "backward": 2 * batches}
 
     def test_identical_clients_produce_identical_outputs(self):
         records = tiny_cohort()
-        c1 = self.client_for(records)
-        c2 = self.client_for(records)
+        c1 = client_for(records)
+        c2 = client_for(records)
         base = random_params(6, N_VIDEOS + 7, 1, scale=0.2)
         cfg = MetaConfig(inner_lr=0.05, outer_lr=0.01)
-        a1, l1 = local_adaptation(base, c1, 3, cfg, round_idx=2)
-        a2, l2 = local_adaptation(base, c2, 3, cfg, round_idx=2)
+        a1, l1 = meta_update(base, c1, 3, cfg, round_idx=2)
+        a2, l2 = meta_update(base, c2, 3, cfg, round_idx=2)
         assert l1 == l2
         for name in a1.names():
             assert np.array_equal(a1[name], a2[name])
+
+    def test_train_loss_is_mean_student_loss_of_last_epoch(self):
+        """At outer_lr 0 the model stays at its start, so a meta round's train_loss is the
+        mean outcome loss over each training split at the initial parameters. Batches of
+        3 over 8 students are uneven, so a mean of batch means would differ."""
+        records = tiny_cohort()
+        split = make_split(records)
+        by_id = record_map(records)
+        seed = 4
+        result = run_federation(by_id, split, FederationSchedule("PerFedAvgAgg", 1, 2), seed=seed,
+                                settings=tiny_settings(dropout=0.5),
+                                meta_cfg=MetaConfig(inner_lr=0.05, outer_lr=0.0, meta_batch=3))
+        init = ModelParams.initialized(6, N_VIDEOS + 7, rng_for(seed, "init"))
+        for row in result.rounds:
+            train = split.assignments[SubgroupKey("G", row.subgroup.split(":")[1])].train
+            trace = forward_outcome(init, [by_id[sid].sequence for sid in train])
+            losses = [outcome_loss(p, by_id[sid].label) for p, sid in zip(trace.probs, train)]
+            assert abs(row.train_loss - np.mean(losses)) <= 1e-12
+
+    def test_outer_step_is_sgd_at_outer_lr(self):
+        """The meta outer step goes through the optimizer and lands where theta - outer_lr * g does."""
+        theta, grad = random_params(2, 9, 5), random_params(2, 9, 6)
+        opt = MetaConfig(outer_lr=0.25).make_opt()
+        for _ in range(2):
+            stepped = optimizer_step(theta, grad, opt)
+            opt.epoch += 1
+            expected = params_axpy(-0.25, grad, theta)
+            for name in theta.names():
+                assert np.array_equal(stepped[name], expected[name])
 
     def test_quadratic_single_step_closed_form(self):
         theta = random_params(2, 9, 4)
@@ -301,28 +346,14 @@ class TestFedirtRound:
         )
 
     def test_unnormalized_weights_rejected(self):
-        records = tiny_cohort()
-        split = make_split(records)
-        ctx = TrainContext(record_map(records), tiny_settings())
-        clients = [
-            ClientState(key=key, train_ids=split.assignments[key].train,
-                        val_ids=split.assignments[key].val, ctx=ctx, seed=0)
-            for key in split.subgroups()
-        ]
+        clients = clients_for(tiny_cohort())
         weights = {c.key: 0.7 for c in clients}
         g = random_params(6, N_VIDEOS + 7, 0)
         with pytest.raises(ValueError, match="sum to 1"):
             irt_aggregate({c.key: g for c in clients}, weights)
 
     def test_round_runs_and_aggregates(self):
-        records = tiny_cohort()
-        split = make_split(records)
-        ctx = TrainContext(record_map(records), tiny_settings())
-        clients = [
-            ClientState(key=key, train_ids=split.assignments[key].train,
-                        val_ids=split.assignments[key].val, ctx=ctx, seed=0)
-            for key in split.subgroups()
-        ]
+        clients = clients_for(tiny_cohort())
         weights = {c.key: 1.0 / len(clients) for c in clients}
         g = random_params(6, N_VIDEOS + 7, 1, scale=0.2)
         locals_ = {c.key: local_update("irt", g, c, range(1), 0, MetaConfig())[0] for c in clients}
@@ -396,12 +427,7 @@ class TestRunFederation:
 
 class TestAdaptForEval:
     def setup_client(self):
-        records = tiny_cohort()
-        split = make_split(records)
-        key = SubgroupKey("G", "M")
-        ctx = TrainContext(record_map(records), tiny_settings())
-        a = split.assignments[key]
-        return ClientState(key=key, train_ids=a.train, val_ids=a.val, ctx=ctx, seed=9)
+        return client_for(tiny_cohort(), seed=9)
 
     def test_zero_outer_lr_is_identity(self):
         client = self.setup_client()

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -65,3 +68,18 @@ def test_non_finite_gradient_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         OptState(kind="rmsprop")
+
+
+def test_only_the_epoch_loop_steps_an_optimizer():
+    """Every kind of training goes through `run_epoch`, so no second batch loop comes back."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    for path in package.rglob("*.py"):
+        if path.stem not in ("optim", "__init__"):
+            assert "optimizer_step" not in path.read_text(encoding="utf-8"), path
+    tree = ast.parse((package / "optim.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "optimizer_step"]
+    loop = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "run_epoch")
+    assert len(calls) == 1 and loop.lineno <= calls[0] <= loop.end_lineno

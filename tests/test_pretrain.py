@@ -5,7 +5,6 @@ from fedstudent.optim import OptState
 from fedstudent.params import ModelParams, layer_shapes
 from fedstudent.pretrain import (
     make_cbow_instances,
-    pretrain_epoch,
     run_pretraining,
     transfer_weights,
 )
@@ -59,18 +58,16 @@ class TestPretrainEpoch:
         X = np.zeros((3, d))
         X[:, 0] = 1.0
         X[:, d - 7 + 1] = 1.0  # two set bits per row
-        instances = make_cbow_instances(X)
         opt = OptState(kind="sgd", lr=0.0)
-        loss, _ = pretrain_epoch(params, instances, opt)
+        _, (loss,) = run_pretraining(params, [X], epochs=1, opt=opt, seed=0)
         m = 2
         expected = (m * (1 - 1 / d) ** 2 + (d - m) * (1 / d) ** 2) / d
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_loss_nonnegative(self):
         params = random_params(3, 10, 3)
-        instances = make_cbow_instances(random_sequence(6, 10, 4))
         opt = OptState(kind="sgd", lr=0.1)
-        loss, _ = pretrain_epoch(params, instances, opt)
+        _, (loss,) = run_pretraining(params, [random_sequence(6, 10, 4)], epochs=1, opt=opt, seed=0)
         assert loss >= 0.0
 
     def test_zero_lr_loss_constant_across_epochs(self):
@@ -87,6 +84,15 @@ class TestPretrainEpoch:
         opt = OptState(kind="adam", lr=5e-3, decay=0.0)
         _, losses = run_pretraining(params, sequences, epochs=5, opt=opt, seed=1)
         assert losses[-1] < losses[0]
+
+    def test_no_instances_leave_model_unchanged(self):
+        params = random_params(3, 10, 12)
+        sequences = [random_sequence(1, 10, s) for s in range(3)]
+        opt = OptState(kind="adam", lr=5e-3, decay=0.0)
+        model, losses = run_pretraining(params, sequences, epochs=2, opt=opt, seed=0)
+        assert losses == [0.0, 0.0]
+        for name in params.names():
+            assert np.array_equal(model[name], params[name])
 
 
 class TestTransferWeights:

@@ -14,14 +14,16 @@ parameters, evaluation models and train_loss within a relative tolerance:
   the rounding difference of two gradients by the step 2 * delta = 2e-4
   (measured at most 1.1e-11 over seeds 4-7).
 
-Three further differences are expected:
+Four further differences are expected:
 
 * Local's rows now come step-major rather than subgroup-major, so both lists
   are compared after a stable sort by subgroup;
 * FedIRT's train_loss used to be None and is now the last local epoch's mean
   loss, as for FedAvg;
 * at zero rounds no validation step runs, so no strategy warns that validation
-  AUC was never defined, where the old Local and Central loops did.
+  AUC was never defined, where the old Local and Central loops did;
+* the meta strategies' train_loss used to be the mean of the round's batch
+  means and is now the last local epoch's mean student loss, as for FedAvg.
 """
 
 import pathlib
@@ -137,6 +139,7 @@ def test_matches_reference(data, strategy, scenario, seed):
     assert [row[:3] for row in new_rows] == [row[:3] for row in old_rows]
     if strategy == "FedIRT":
         assert all(row[3] is None for row in old_rows)
+    if strategy in ("FedIRT", "PerFedAvgAgg", "PerFedAttn"):
         assert all(np.isfinite(row[3]) and row[3] > 0 for row in new_rows)
     else:
         for (*_, new_loss), (*_, old_loss) in zip(new_rows, old_rows):
