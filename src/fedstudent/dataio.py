@@ -1,11 +1,10 @@
-"""CSV ingest and emission for events, student tables, splits, and reports.
+"""CSV ingest and emission for events and student tables.
 
 events.csv columns: student_id, timestamp, kind, video_index, points, max_points
   (video_index only for watch kinds; points/max_points only when a quiz answer
    was recorded; kind may be the generic "watch", resolved from the outcome).
 students.csv columns: student_id, gender, continent, birth_year, label
   (empty demographic cells mean unspecified).
-splits.csv columns: student_id, subgroup, role  (role in train/val/test).
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from .activity import (
     StudentRecord,
     encode_event,
 )
-from .splits import DatasetSplit
 from .synthgen import DEFAULT_MAX_SEQUENCE
 
 logger = logging.getLogger(__name__)
 
 EVENT_HEADER = ["student_id", "timestamp", "kind", "video_index", "points", "max_points"]
 STUDENT_HEADER = ["student_id", "gender", "continent", "birth_year", "label"]
-SPLIT_HEADER = ["student_id", "subgroup", "role"]
 
 
 class IngestError(ValueError):
@@ -125,12 +122,6 @@ def _event_rows(path: str):
             yield line_no, event, outcome
 
 
-def read_events_csv(path: str):
-    """Yield (ActivityEvent, QuizOutcome | None) pairs in file order."""
-    for _, event, outcome in _event_rows(path):
-        yield event, outcome
-
-
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     table: dict[str, tuple[Demographics, int]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -195,14 +186,3 @@ def load_records(
                     quiz_responses[event.video_index] = outcome.first_attempt_score
         records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))
     return records
-
-
-def write_split_csv(split: DatasetSplit, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPLIT_HEADER)
-        for key in split.subgroups():
-            assignment = split.assignments[key]
-            for role, ids in (("train", assignment.train), ("val", assignment.val), ("test", assignment.test)):
-                for sid in ids:
-                    writer.writerow([sid, str(key), role])

@@ -34,6 +34,10 @@ from .splits import DatasetSplit, SubgroupKey, ids_digest, rng_for
 from .tracking import NullMonitor
 
 
+META_MODES = ("first_order", "hessian_fd")
+AGG_MODES = ("per_layer", "scalar_sum")
+
+
 class FederationError(RuntimeError):
     """Raised when a run fails; names its task, and its round and subgroup where it has them."""
 
@@ -53,7 +57,7 @@ class MetaConfig:
     meta_batch: int | None = None  # None: use the training batch size
 
     def __post_init__(self):
-        if self.mode not in ("first_order", "hessian_fd"):
+        if self.mode not in META_MODES:
             raise ValueError(f"unknown meta mode {self.mode!r}")
         if self.inner_lr < 0 or self.outer_lr < 0 or self.hessian_step <= 0:
             raise ValueError("meta step sizes must be non-negative (hessian_step positive)")
@@ -68,12 +72,12 @@ class MetaConfig:
 @dataclass
 class AttnAggConfig:
     step: float = 1.0
-    mode: str = "per_layer"  # or "scalar_sum"
+    mode: str = "per_layer"  # one of AGG_MODES
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("aggregation step size must be positive")
-        if self.mode not in ("per_layer", "scalar_sum"):
+        if self.mode not in AGG_MODES:
             raise ValueError(f"unknown aggregation mode {self.mode!r}")
 
 

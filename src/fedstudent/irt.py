@@ -8,7 +8,6 @@ improves). Difficulties are anchored to mean zero after fitting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,13 +178,3 @@ def irt_confidence(fits: dict[SubgroupKey, RaschFit]) -> dict[SubgroupKey, float
     raw = np.array([np.exp(fits[k].mean_log_likelihood) for k in keys])
     weights = raw / raw.sum()
     return {k: float(w) for k, w in zip(keys, weights)}
-
-
-def export_fit_csv(fit: RaschFit, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "kind", "value"])
-        for sid in sorted(fit.abilities):
-            writer.writerow([sid, "ability", repr(fit.abilities[sid])])
-        for item in sorted(fit.difficulties):
-            writer.writerow([item, "difficulty", repr(fit.difficulties[item])])

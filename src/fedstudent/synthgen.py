@@ -18,7 +18,7 @@ import numpy as np
 
 from .activity import (
     N_KINDS,
-    UNSPECIFIED,
+    VARIABLES,
     ActivityEvent,
     ActivityKind,
     Demographics,
@@ -29,6 +29,7 @@ from .activity import (
     WATCH_KINDS,
     encode_event,
 )
+from .config import json_value
 from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
@@ -103,13 +104,19 @@ class CohortSpec:
             problems.append("n_videos must be >= 1")
         if not set(self.quiz_videos) <= set(range(self.n_videos)):
             problems.append("quiz_videos must be a subset of [0, n_videos)")
+        if self.max_sequence < 1:
+            problems.append("max_sequence must be >= 1")
         names = [p.name for p in self.profiles]
         if len(names) != len(set(names)):
             problems.append("profile names must be distinct")
-        valid_tags = set(canonical_groups(self.demographic_variable))
+        valid_tags = None
+        if self.demographic_variable in VARIABLES:
+            valid_tags = set(canonical_groups(self.demographic_variable))
+        else:
+            problems.append(f"demographic_variable must be one of {VARIABLES}")
         for p in self.profiles:
             problems.extend(p.validate(self.n_videos))
-            if p.name not in valid_tags:
+            if valid_tags is not None and p.name not in valid_tags:
                 problems.append(
                     f"profile {p.name}: name must be a {self.demographic_variable} group tag "
                     f"({sorted(valid_tags)})"
@@ -298,43 +305,55 @@ def spec_to_dict(spec: CohortSpec) -> dict:
     }
 
 
-_PROFILE_KEYS = {
-    "name", "population", "transition", "video_access", "quiz_correct_prob",
-    "length_mean", "length_dispersion", "pass_intercept", "pass_weight_correct",
-    "pass_weight_forum",
+# The JSON type of every cohort spec and profile key, read as the experiment config is.
+_SPEC_TYPES = {
+    "version": "integer", "n_videos": "integer", "quiz_videos": "integer array",
+    "demographic_variable": "string", "unspecified_fraction": "number",
+    "max_sequence": "integer", "profiles": "object array",
 }
-_SPEC_KEYS = {
-    "version", "n_videos", "quiz_videos", "demographic_variable",
-    "unspecified_fraction", "max_sequence", "profiles",
+_PROFILE_TYPES = {
+    "name": "string", "population": "integer", "transition": "number array array",
+    "video_access": "number array", "quiz_correct_prob": "number", "length_mean": "number",
+    "length_dispersion": "number", "pass_intercept": "number", "pass_weight_correct": "number",
+    "pass_weight_forum": "number",
 }
+
+
+def _typed(entry, types: dict, where: str, required: tuple) -> dict:
+    """`entry`'s values, each checked against its JSON type in `types`; `where` names
+    the entry in errors and prefixes its keys' names ("" for the spec itself)."""
+    prefix = f"{where}." if where else ""
+    where = where or "cohort spec"
+    json_value(entry, "object", where, CohortSpecError)
+    unknown = set(entry) - set(types)
+    if unknown:
+        raise CohortSpecError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in entry]
+    if missing:
+        raise CohortSpecError(f"{where} is missing keys: {missing}")
+    return {key: json_value(value, types[key], prefix + key, CohortSpecError)
+            for key, value in entry.items()}
 
 
 def spec_from_dict(data: dict) -> CohortSpec:
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise CohortSpecError(f"unknown cohort spec keys: {sorted(unknown)}")
-    if data.get("version") != 1:
-        raise CohortSpecError(f"unsupported cohort spec version: {data.get('version')!r}")
+    fields = _typed(data, _SPEC_TYPES, "", ("version", "n_videos"))
+    if fields["version"] != 1:
+        raise CohortSpecError(f"unsupported cohort spec version: {fields['version']!r}")
     profiles = []
-    for entry in data.get("profiles", []):
-        bad = set(entry) - _PROFILE_KEYS
-        if bad:
-            raise CohortSpecError(f"unknown profile keys: {sorted(bad)}")
-        try:
-            profiles.append(SubgroupProfile(**entry))
-        except TypeError as exc:
-            raise CohortSpecError(f"incomplete profile entry: {exc}") from exc
-    try:
-        spec = CohortSpec(
-            n_videos=int(data["n_videos"]),
-            quiz_videos=set(int(v) for v in data.get("quiz_videos", [])),
-            profiles=profiles,
-            demographic_variable=data.get("demographic_variable", "G"),
-            unspecified_fraction=float(data.get("unspecified_fraction", 0.0)),
-            max_sequence=int(data.get("max_sequence", DEFAULT_MAX_SEQUENCE)),
-        )
-    except KeyError as exc:
-        raise CohortSpecError(f"missing cohort spec key: {exc}") from exc
+    for i, entry in enumerate(fields.get("profiles", [])):
+        profile = _typed(entry, _PROFILE_TYPES, f"profiles[{i}]",
+                         ("name", "population", "transition", "video_access", "quiz_correct_prob"))
+        if len({len(row) for row in profile["transition"]}) > 1:
+            raise CohortSpecError(f"profiles[{i}].transition rows must have equal lengths")
+        profiles.append(SubgroupProfile(**profile))
+    spec = CohortSpec(
+        n_videos=fields["n_videos"],
+        quiz_videos=set(fields.get("quiz_videos", [])),
+        profiles=profiles,
+        demographic_variable=fields.get("demographic_variable", "G"),
+        unspecified_fraction=fields.get("unspecified_fraction", 0.0),
+        max_sequence=fields.get("max_sequence", DEFAULT_MAX_SEQUENCE),
+    )
     problems = spec.validate()
     if problems:
         raise CohortSpecError("invalid cohort spec: " + "; ".join(problems))

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from fedstudent.cli import main
+from fedstudent.config import KEYS, REQUIRED, parse_config
 from fedstudent.dataio import load_records
 from fedstudent.params import ModelParams, save_params
 from fedstudent.synthgen import (
@@ -12,6 +14,7 @@ from fedstudent.synthgen import (
     SubgroupProfile,
     kind_biased_transition,
     save_cohort_spec,
+    spec_to_dict,
 )
 
 N_VIDEOS = 5
@@ -199,6 +202,100 @@ class TestRun:
         assert [p.name for p in m1] == [p.name for p in m2]
         for p1, p2 in zip(m1, m2):
             assert p1.read_bytes() == p2.read_bytes()
+
+
+# Wrongly typed values for each type a config row can have; a boolean is never a number.
+WRONG_TYPE = {"integer": [2.7, True, "3"], "number": [True, "0.1"], "boolean": [0, "false"],
+              "string": [5], "file": [5], "dir": [5]}
+
+
+def table_cases():
+    """(dotted name, the dataset kind it needs, a value to reject) for every row of the
+    config table: wrongly typed values, its absence where it is required, and values
+    out of its bound or set where it has one; and a non-object for every section."""
+    cases = []
+    for key in KEYS:
+        item_type = key.type.removesuffix(" array")
+        outside = []
+        if key.choices is not None:
+            outside.append("x" if item_type == "string" else max(key.choices) + 1)
+        if key.low is not None:
+            outside.append(key.low if key.strict else key.low - 1)
+        if key.high is not None:
+            outside.append(key.high)
+        if key.type == "file":
+            outside.append("missing.json")
+        bad = WRONG_TYPE[item_type] + outside
+        if key.type.endswith(" array"):
+            bad = ["x", [], key.default[:1] * 2] + [[value] for value in bad]
+        if key.default is REQUIRED:
+            bad.append(REQUIRED)
+        cases += [pytest.param(key.name, key.dataset, value,
+                               id=f"{key.name}=" + ("<missing>" if value is REQUIRED else repr(value)))
+                  for value in bad]
+    sections = sorted({key.name.partition(".")[0] for key in KEYS if "." in key.name})
+    return cases + [pytest.param(name, None, 5, id=f"{name}=5") for name in sections]
+
+
+@pytest.mark.parametrize("name, dataset_kind, value", table_cases())
+def test_config_table_rejects_naming_key(tmp_path, capsys, name, dataset_kind, value):
+    spec_path = tmp_path / "spec.json"
+    write_spec(spec_path)
+    config = write_config(tmp_path / "config.json", spec_path, tmp_path / "out")
+    if dataset_kind == "csv":
+        (tmp_path / "data").mkdir()
+        for path in (CSV_DATASET["events_path"], CSV_DATASET["students_path"]):
+            (tmp_path / path).touch()
+        config["dataset"] = dict(CSV_DATASET)
+    section, _, field = name.rpartition(".")
+    holder = config.setdefault(section, {}) if section else config
+    if value is REQUIRED:
+        del holder[field]
+    else:
+        holder[field] = value
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
+# Cohort spec values that were truncated (n_videos, quiz_videos), read as 1 (a boolean),
+# accepted (a fractional population), or ended in a traceback (a string, a non-array,
+# ragged transition rows, an unknown variable, a sequence cap below 1).
+@pytest.mark.parametrize("path, value, name", [
+    (("n_videos",), 12.9, "n_videos"),
+    (("max_sequence",), True, "max_sequence"),
+    (("profiles", 0, "population"), 400.7, "profiles[0].population"),
+    (("quiz_videos",), [0.5], "quiz_videos"),
+    (("profiles", 0, "population"), "400", "profiles[0].population"),
+    (("profiles",), 5, "profiles"),
+    (("profiles", 0, "transition"), [[1.0], [0.5, 0.5]], "profiles[0].transition"),
+    (("demographic_variable",), "Q", "demographic_variable"),
+    (("max_sequence",), 0, "max_sequence"),
+])
+def test_cohort_spec_types_exit_2_naming_key(tmp_path, capsys, path, value, name):
+    data = spec_to_dict(write_spec(tmp_path / "good.json"))
+    holder = data
+    for part in path[:-1]:
+        holder = holder[part]
+    holder[path[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    assert main(["generate", "--spec", str(spec_path), "--seed", "0", "--out", str(tmp_path / "data")]) == 2
+    assert name in capsys.readouterr().err
+    write_config(tmp_path / "config.json", spec_path, tmp_path / "out")
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--jobs", "1"]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_readme_config_example_parses():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"### Experiment configuration\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    example = json.loads(block)
+    config = parse_config(example, base_dir=os.path.join(root, "examples_config"))
+    assert config.plan.strategies == tuple(example["strategies"])
 
 
 class TestDumpEmbeddings:

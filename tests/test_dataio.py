@@ -3,17 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from fedstudent.activity import ActivityKind
+from fedstudent.activity import KIND_SLOT, ActivityKind
 from fedstudent.dataio import (
     IngestError,
     load_records,
-    read_events_csv,
     read_students_csv,
     write_events_csv,
-    write_split_csv,
     write_students_csv,
 )
-from fedstudent.splits import SubgroupKey, split_train_test
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, uniform_transition
 
 N_VIDEOS = 4
@@ -63,34 +60,34 @@ class TestRoundTrip:
                 assert np.array_equal(a, b)
 
 
+def load_events(tmp_path, events_text):
+    """The records `load_records` builds from `events_text` and a one-student table (s1)."""
+    events = tmp_path / "events.csv"
+    students = tmp_path / "students.csv"
+    events.write_text(events_text)
+    students.write_text("student_id,gender,continent,birth_year,label\ns1,,,,1\n")
+    return load_records(str(events), str(students), N_VIDEOS)
+
+
 class TestReaders:
     def test_bad_event_header_rejected(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text("wrong,header\n")
         with pytest.raises(IngestError, match="header"):
-            list(read_events_csv(str(path)))
+            load_events(tmp_path, "wrong,header\n")
 
     def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text(
-            "student_id,timestamp,kind,video_index,points,max_points\n"
-            "s1,0,video_binge,0,,\n"
-        )
         with pytest.raises(IngestError, match="video_binge"):
-            list(read_events_csv(str(path)))
+            load_events(tmp_path,
+                        "student_id,timestamp,kind,video_index,points,max_points\n"
+                        "s1,0,video_binge,0,,\n")
 
     def test_generic_watch_resolved_by_outcome(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text(
-            "student_id,timestamp,kind,video_index,points,max_points\n"
-            "s1,0,watch,1,1.0,1.0\n"
-            "s1,1,watch,2,,\n"
-        )
-        rows = list(read_events_csv(str(path)))
-        assert rows[0][0].kind is ActivityKind.WATCH_CORRECT
-        assert rows[0][1].first_attempt_score == 1
-        assert rows[1][0].kind is ActivityKind.WATCH_NOQUIZ
-        assert rows[1][1] is None
+        [record] = load_events(tmp_path,
+                               "student_id,timestamp,kind,video_index,points,max_points\n"
+                               "s1,0,watch,1,1.0,1.0\n"
+                               "s1,1,watch,2,,\n")
+        slots = [int(row[N_VIDEOS:].argmax()) for row in record.sequence]
+        assert slots == [KIND_SLOT[ActivityKind.WATCH_CORRECT], KIND_SLOT[ActivityKind.WATCH_NOQUIZ]]
+        assert record.quiz_responses == {1: 1}
 
     def test_student_table_parses_blanks_as_unspecified(self, tmp_path):
         path = tmp_path / "students.csv"
@@ -154,15 +151,3 @@ def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad
     bad = events if bad_file == "events" else students
     with pytest.raises(IngestError, match=re.escape(f"{bad}:3: ")):
         load_records(str(events), str(students), N_VIDEOS)
-
-
-def test_split_csv(tmp_path):
-    groups = {SubgroupKey("G", "M"): [f"s{i}" for i in range(10)]}
-    split = split_train_test(groups, seed=0)
-    path = tmp_path / "split.csv"
-    write_split_csv(split, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "student_id,subgroup,role"
-    assert len(lines) == 11
-    roles = {line.split(",")[2] for line in lines[1:]}
-    assert roles == {"train", "val", "test"}

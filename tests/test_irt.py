@@ -6,7 +6,6 @@ from fedstudent.irt import (
     ResponseMatrix,
     ResponseMatrixError,
     build_response_matrix,
-    export_fit_csv,
     fit_rasch,
     irt_confidence,
 )
@@ -155,14 +154,3 @@ class TestBuildResponseMatrix:
 
         with pytest.raises(ResponseMatrixError):
             build_response_matrix([Rec()])
-
-
-def test_export_csv(tmp_path):
-    fit = RaschFit(abilities={"s1": 0.25}, difficulties={3: -0.5},
-                   mean_log_likelihood=-0.4, converged=True)
-    path = tmp_path / "fit.csv"
-    export_fit_csv(fit, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entity,kind,value"
-    assert any("ability" in line for line in lines)
-    assert any("difficulty" in line for line in lines)
