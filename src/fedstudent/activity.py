@@ -3,7 +3,8 @@
 An encoded activity is the concatenation (video id one-hot; 4 watch-type bits;
 3 forum-type bits), giving a vector of length n_videos + 7. Watch events set
 exactly one video bit and one watch bit; forum events set exactly one forum
-bit and nothing else.
+bit and nothing else. `event_columns` names one event's set bits; both record
+builders (the generator and CSV ingest) write them into a zeroed matrix.
 """
 
 from __future__ import annotations
@@ -92,42 +93,26 @@ class ActivityEvent:
             raise ValueError(f"{self.kind.value} event must not carry a video_index")
 
 
-@dataclass(frozen=True)
-class EncodedActivity:
-    """One-hot activity vector of length n_videos + 7: one row of a record's sequence matrix."""
+def event_columns(kind: ActivityKind, video_index: int | None, first_attempt_score: int | None,
+                  n_videos: int) -> tuple[int, ...]:
+    """The hot columns of one event's row in (video one-hot; watch bits; forum bits).
 
-    bits: np.ndarray
-    n_videos: int
-
-
-def encode_event(event: ActivityEvent, outcome: QuizOutcome | None, n_videos: int) -> EncodedActivity:
-    """Encode one event as (video one-hot; watch bits; forum bits).
-
-    A watch event carrying an outcome is resolved to watch_correct or
-    watch_incorrect from the recorded score; a watch without an outcome keeps
-    its own tag (watch_noanswer stays, anything else means the video had no
-    quiz and becomes watch_noquiz).
+    A forum event sets its forum column only. A watch sets its video's column
+    and one watch column: with a first-attempt score it resolves to
+    watch_correct or watch_incorrect; without one, watch_noanswer stays and
+    anything else means the video had no quiz and becomes watch_noquiz.
     """
-    bits = np.zeros(n_videos + N_KINDS)
-    if event.kind.is_forum:
-        if outcome is not None:
-            raise EncodingError(f"outcome supplied for forum event of {event.student_id}")
-        bits[n_videos + KIND_SLOT[event.kind]] = 1.0
-        return EncodedActivity(bits=bits, n_videos=n_videos)
-
-    if event.video_index is None or not 0 <= event.video_index < n_videos:
-        raise EncodingError(
-            f"video_index {event.video_index} out of range [0, {n_videos}) for {event.student_id}"
-        )
-    if outcome is not None:
-        kind = ActivityKind.WATCH_CORRECT if outcome.first_attempt_score else ActivityKind.WATCH_INCORRECT
-    elif event.kind is ActivityKind.WATCH_NOANSWER:
-        kind = ActivityKind.WATCH_NOANSWER
-    else:
+    if kind.is_forum:
+        if first_attempt_score is not None:
+            raise EncodingError(f"quiz outcome supplied for a {kind.value} event")
+        return (n_videos + KIND_SLOT[kind],)
+    if video_index is None or not 0 <= video_index < n_videos:
+        raise EncodingError(f"video_index {video_index} out of range [0, {n_videos})")
+    if first_attempt_score is not None:
+        kind = ActivityKind.WATCH_CORRECT if first_attempt_score else ActivityKind.WATCH_INCORRECT
+    elif kind is not ActivityKind.WATCH_NOANSWER:
         kind = ActivityKind.WATCH_NOQUIZ
-    bits[event.video_index] = 1.0
-    bits[n_videos + KIND_SLOT[kind]] = 1.0
-    return EncodedActivity(bits=bits, n_videos=n_videos)
+    return (video_index, n_videos + KIND_SLOT[kind])
 
 
 @dataclass(frozen=True)

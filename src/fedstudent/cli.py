@@ -45,8 +45,8 @@ def _sha256_file(path: str) -> str:
 
 def cmd_generate(spec_path: str, seed: int, out_dir: str) -> int:
     try:
-        if not os.path.exists(spec_path):
-            print(f"error: cohort spec not found: {spec_path}", file=sys.stderr)
+        if not os.path.isfile(spec_path):
+            print(f"error: cohort spec: no such file: {spec_path}", file=sys.stderr)
             return EXIT_CONFIG
         spec = load_cohort_spec(spec_path)
     except CohortSpecError as exc:

@@ -22,7 +22,7 @@ from .activity import (
     EncodingError,
     QuizOutcome,
     StudentRecord,
-    encode_event,
+    event_columns,
 )
 from .synthgen import DEFAULT_MAX_SEQUENCE
 
@@ -174,15 +174,20 @@ def load_records(
             logger.warning("student %s has no events; dropped", sid)
             continue
         rows = rows[-max_sequence:]
-        sequence = np.empty((len(rows), n_videos + N_KINDS))
+        hot_rows: list[int] = []
+        hot_cols: list[int] = []
         quiz_responses: dict[int, int] = {}
         for t, (_, line_no, event, outcome) in enumerate(rows):
+            score = None if outcome is None else outcome.first_attempt_score
             try:
-                sequence[t] = encode_event(event, outcome, n_videos).bits
+                columns = event_columns(event.kind, event.video_index, score, n_videos)
             except EncodingError as exc:
                 raise IngestError(f"{events_path}:{line_no}: {exc}") from exc
-            if outcome is not None and event.video_index is not None:
-                if event.video_index not in quiz_responses:
-                    quiz_responses[event.video_index] = outcome.first_attempt_score
+            hot_rows.extend([t] * len(columns))
+            hot_cols.extend(columns)
+            if score is not None:
+                quiz_responses.setdefault(event.video_index, score)
+        sequence = np.zeros((len(rows), n_videos + N_KINDS))
+        sequence[hot_rows, hot_cols] = 1.0
         records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))
     return records

@@ -6,28 +6,31 @@ watches on quiz videos resolve to correct/incorrect by a Bernoulli draw
 (noanswer passes through), watches elsewhere become noquiz. The pass label is
 sampled from a logistic model on the student's realized correct and forum
 fractions, so the label signal is carried by the sequence itself.
+
+Every categorical choice is one `rng.random()` searched with `bisect_right` in
+the distribution's CDF, `p.cumsum() / p.cumsum()[-1]`, computed once per
+profile. That is the draw `rng.choice(n, p=p)` makes, so cohorts keep the
+records that generator gave, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activity import (
     N_KINDS,
     VARIABLES,
-    ActivityEvent,
     ActivityKind,
     Demographics,
     FORUM_KINDS,
-    KIND_SLOT,
-    QuizOutcome,
     StudentRecord,
     WATCH_KINDS,
-    encode_event,
+    event_columns,
 )
 from .config import json_value
 from .splits import canonical_groups, rng_for
@@ -63,27 +66,35 @@ class SubgroupProfile:
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.video_access = np.asarray(self.video_access, dtype=np.float64)
 
-    def validate(self, n_videos: int) -> list[str]:
+    def validate(self, n_videos: int, where: str = "profile") -> list[str]:
+        """Every violated invariant, each naming its key under `where` (e.g. "profiles[0]").
+
+        Probabilities are checked once here: the generator draws from them by hand.
+        """
         problems = []
         if self.population < 1:
-            problems.append(f"profile {self.name}: population must be >= 1")
+            problems.append(f"{where}.population must be >= 1")
         if self.transition.shape != (N_KINDS, N_KINDS):
-            problems.append(f"profile {self.name}: transition must be 7x7")
+            problems.append(f"{where}.transition must be 7x7")
+        elif not np.all(np.isfinite(self.transition)):
+            problems.append(f"{where}.transition has non-finite entries")
         else:
             if np.any(self.transition < 0):
-                problems.append(f"profile {self.name}: transition has negative entries")
+                problems.append(f"{where}.transition has negative entries")
             if np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9):
-                problems.append(f"profile {self.name}: transition rows must sum to 1")
+                problems.append(f"{where}.transition rows must sum to 1")
         if self.video_access.shape != (n_videos,):
-            problems.append(f"profile {self.name}: video_access must have length {n_videos}")
+            problems.append(f"{where}.video_access must have length {n_videos}")
+        elif not np.all(np.isfinite(self.video_access)):
+            problems.append(f"{where}.video_access has non-finite entries")
         elif np.any(self.video_access < 0) or abs(self.video_access.sum() - 1.0) > 1e-9:
-            problems.append(f"profile {self.name}: video_access must be a distribution")
+            problems.append(f"{where}.video_access must be a distribution")
         if not 0.0 <= self.quiz_correct_prob <= 1.0:
-            problems.append(f"profile {self.name}: quiz_correct_prob must lie in [0, 1]")
-        if self.length_mean < 1.0:
-            problems.append(f"profile {self.name}: length_mean must be >= 1")
-        if self.length_dispersion <= 0.0:
-            problems.append(f"profile {self.name}: length_dispersion must be > 0")
+            problems.append(f"{where}.quiz_correct_prob must lie in [0, 1]")
+        if not self.length_mean >= 1.0:
+            problems.append(f"{where}.length_mean must be >= 1")
+        if not self.length_dispersion > 0.0:
+            problems.append(f"{where}.length_dispersion must be > 0")
         return problems
 
 
@@ -106,19 +117,23 @@ class CohortSpec:
             problems.append("quiz_videos must be a subset of [0, n_videos)")
         if self.max_sequence < 1:
             problems.append("max_sequence must be >= 1")
-        names = [p.name for p in self.profiles]
-        if len(names) != len(set(names)):
-            problems.append("profile names must be distinct")
         valid_tags = None
         if self.demographic_variable in VARIABLES:
             valid_tags = set(canonical_groups(self.demographic_variable))
         else:
             problems.append(f"demographic_variable must be one of {VARIABLES}")
-        for p in self.profiles:
-            problems.extend(p.validate(self.n_videos))
+        first_with_name: dict[str, int] = {}
+        for i, p in enumerate(self.profiles):
+            where = f"profiles[{i}]"
+            problems.extend(p.validate(self.n_videos, where))
+            if p.name in first_with_name:
+                problems.append(f"{where}.name {p.name!r} repeats "
+                                f"profiles[{first_with_name[p.name]}].name")
+            else:
+                first_with_name[p.name] = i
             if valid_tags is not None and p.name not in valid_tags:
                 problems.append(
-                    f"profile {p.name}: name must be a {self.demographic_variable} group tag "
+                    f"{where}.name {p.name!r} must be a {self.demographic_variable} group tag "
                     f"({sorted(valid_tags)})"
                 )
         if not 0.0 <= self.unspecified_fraction < 1.0:
@@ -147,47 +162,65 @@ def _draw_length(profile: SubgroupProfile, rng: np.random.Generator, cap: int) -
     return min(length, cap)
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The table `rng.choice(len(p), p=p)` searches: p's running sums over its total."""
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
+@dataclass(frozen=True)
+class _ProfileTables:
+    """A profile's categorical distributions as CDFs, built once per profile."""
+
+    first_kind: list[float]          # the average transition row
+    next_kind: list[list[float]]     # one per transition row
+    video: list[float]
+
+    @classmethod
+    def of(cls, profile: SubgroupProfile) -> "_ProfileTables":
+        return cls(_cdf(profile.transition.mean(axis=0)),
+                   [_cdf(row) for row in profile.transition], _cdf(profile.video_access))
+
+
 def _simulate_student(
     spec: CohortSpec,
     profile: SubgroupProfile,
+    tables: _ProfileTables,
     student_id: str,
     rng: np.random.Generator,
 ) -> StudentRecord:
     length = _draw_length(profile, rng, spec.max_sequence)
     # First kind follows the profile's average transition row.
-    kind_idx = int(rng.choice(N_KINDS, p=profile.transition.mean(axis=0)))
-    timestamp = 1_600_000_000 + int(rng.integers(0, 86_400))
-    rows: list[np.ndarray] = []
+    kind_idx = bisect_right(tables.first_kind, rng.random())
+    # Records keep no timestamps; the first and each next one are still drawn
+    # so that every later draw stays where it was in the stream.
+    rng.integers(0, 86_400)
+    hot_rows: list[int] = []
+    hot_cols: list[int] = []
     quiz_responses: dict[int, int] = {}
     n_watch = 0
     n_correct = 0
     n_forum = 0
-    for _ in range(length):
+    for t in range(length):
         kind = KIND_ORDER[kind_idx]
+        video = score = None
         if kind.is_watch:
             n_watch += 1
-            video = int(rng.choice(spec.n_videos, p=profile.video_access))
-            outcome = None
+            video = bisect_right(tables.video, rng.random())
             if video not in spec.quiz_videos:
-                event_kind = ActivityKind.WATCH_NOQUIZ
-            elif kind is ActivityKind.WATCH_NOANSWER:
-                event_kind = kind
-            else:
-                event_kind = kind
+                kind = ActivityKind.WATCH_NOQUIZ
+            elif kind is not ActivityKind.WATCH_NOANSWER:
                 correct = rng.random() < profile.quiz_correct_prob
-                outcome = QuizOutcome(points=1.0 if correct else 0.0, max_points=1.0)
-                if video not in quiz_responses:
-                    quiz_responses[video] = outcome.first_attempt_score
-                if correct:
-                    n_correct += 1
-            event = ActivityEvent(student_id, timestamp, event_kind, video_index=video)
+                score = int(correct)
+                quiz_responses.setdefault(video, score)
+                n_correct += score
         else:
             n_forum += 1
-            event = ActivityEvent(student_id, timestamp, kind)
-            outcome = None
-        rows.append(encode_event(event, outcome, spec.n_videos).bits)
-        timestamp += int(rng.integers(1, 3600))
-        kind_idx = int(rng.choice(N_KINDS, p=profile.transition[kind_idx]))
+        columns = event_columns(kind, video, score, spec.n_videos)
+        hot_rows.extend([t] * len(columns))
+        hot_cols.extend(columns)
+        rng.integers(1, 3600)
+        kind_idx = bisect_right(tables.next_kind[kind_idx], rng.random())
 
     correct_fraction = n_correct / max(1, n_watch)
     forum_fraction = n_forum / length
@@ -205,10 +238,12 @@ def _simulate_student(
         if demo_rng_draw < spec.unspecified_fraction
         else _demographics_for(spec.demographic_variable, profile.name, rng)
     )
+    sequence = np.zeros((length, spec.n_videos + N_KINDS))
+    sequence[hot_rows, hot_cols] = 1.0
     return StudentRecord(
         student_id=student_id,
         demographics=demo,
-        sequence=np.stack(rows),
+        sequence=sequence,
         quiz_responses=quiz_responses,
         label=label,
     )
@@ -226,10 +261,11 @@ def generate_cohort(spec: CohortSpec, seed: int) -> list[StudentRecord]:
         raise CohortSpecError("invalid cohort spec: " + "; ".join(problems))
     records = []
     for p_idx, profile in enumerate(spec.profiles):
+        tables = _ProfileTables.of(profile)
         for s_idx in range(profile.population):
             rng = rng_for(seed, p_idx, s_idx)
             student_id = f"{profile.name}-{s_idx:05d}"
-            records.append(_simulate_student(spec, profile, student_id, rng))
+            records.append(_simulate_student(spec, profile, tables, student_id, rng))
     return records
 
 
@@ -240,24 +276,6 @@ def profile_divergence(a: SubgroupProfile, b: SubgroupProfile) -> float:
     row_tv = 0.5 * np.abs(a.transition - b.transition).sum(axis=1).mean()
     access_tv = 0.5 * np.abs(a.video_access - b.video_access).sum()
     return float(row_tv + access_tv)
-
-
-def activity_heatmap(records: list[StudentRecord], n_steps: int) -> np.ndarray:
-    """(7, n_steps) fraction of still-active students doing each kind at each step.
-
-    Diagnostic approximation: the denominator at step t counts students whose
-    sequence is longer than t.
-    """
-    counts = np.zeros((N_KINDS, n_steps))
-    active = np.zeros(n_steps)
-    for record in records:
-        n_videos = record.sequence.shape[1] - N_KINDS
-        slots = record.sequence[:n_steps, n_videos:].argmax(axis=1)
-        counts[slots, np.arange(len(slots))] += 1.0
-        active[:len(slots)] += 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        heat = np.where(active > 0, counts / active, 0.0)
-    return heat
 
 
 def uniform_transition() -> np.ndarray:

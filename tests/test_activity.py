@@ -9,18 +9,10 @@ from fedstudent.activity import (
     QuizOutcome,
     StudentRecord,
     demographic_group,
-    encode_event,
+    event_columns,
     score_first_attempt,
     year_band,
 )
-
-
-def watch(kind, video, sid="s1", ts=0):
-    return ActivityEvent(student_id=sid, timestamp=ts, kind=kind, video_index=video)
-
-
-def forum(kind, sid="s1", ts=0):
-    return ActivityEvent(student_id=sid, timestamp=ts, kind=kind)
 
 
 class TestScoreFirstAttempt:
@@ -42,35 +34,46 @@ class TestScoreFirstAttempt:
             score_first_attempt(0, 0)
 
 
+def encode(kind, video, score, n_videos):
+    """The one-hot row `event_columns` describes."""
+    row = np.zeros(n_videos + 7)
+    row[list(event_columns(kind, video, score, n_videos))] = 1.0
+    return row
+
+
 class TestEncodeEvent:
     def test_watch_correct_layout(self):
-        enc = encode_event(watch(ActivityKind.WATCH_CORRECT, 2), QuizOutcome(1, 1), n_videos=5)
-        assert enc.bits.tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+        score = QuizOutcome(1, 1).first_attempt_score
+        assert event_columns(ActivityKind.WATCH_CORRECT, 2, score, n_videos=5) == (2, 6)
+        assert encode(ActivityKind.WATCH_CORRECT, 2, score, 5).tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_forum_view_zeroes_video_halves(self):
-        enc = encode_event(forum(ActivityKind.FORUM_VIEW), None, n_videos=5)
-        assert enc.bits.tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert event_columns(ActivityKind.FORUM_VIEW, None, None, n_videos=5) == (11,)
+        assert encode(ActivityKind.FORUM_VIEW, None, None, 5).tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_width_is_n_plus_seven(self):
-        enc = encode_event(watch(ActivityKind.WATCH_NOQUIZ, 0), None, n_videos=43)
-        assert enc.bits.shape == (50,)
+        # The first video and the last activity slot bound the n + 7 columns.
+        assert event_columns(ActivityKind.WATCH_NOQUIZ, 0, None, n_videos=43) == (0, 43)
+        assert event_columns(ActivityKind.FORUM_VIEW, None, None, n_videos=43) == (49,)
 
     def test_outcome_resolves_watch_kind(self):
-        enc = encode_event(watch(ActivityKind.WATCH_NOQUIZ, 1), QuizOutcome(0, 2), n_videos=3)
+        score = QuizOutcome(0, 2).first_attempt_score
         # incorrect slot is the third activity-type position
-        assert enc.bits[3 + 2] == 1.0
+        assert event_columns(ActivityKind.WATCH_NOQUIZ, 1, score, n_videos=3) == (1, 3 + 2)
 
     def test_noanswer_kept_without_outcome(self):
-        enc = encode_event(watch(ActivityKind.WATCH_NOANSWER, 1), None, n_videos=3)
-        assert enc.bits[3 + 3] == 1.0
+        assert event_columns(ActivityKind.WATCH_NOANSWER, 1, None, n_videos=3) == (1, 3 + 3)
 
     def test_video_index_out_of_range(self):
+        with pytest.raises(EncodingError, match="video_index 7"):
+            event_columns(ActivityKind.WATCH_NOQUIZ, 7, None, n_videos=5)
         with pytest.raises(EncodingError):
-            encode_event(watch(ActivityKind.WATCH_NOQUIZ, 7), None, n_videos=5)
+            event_columns(ActivityKind.WATCH_NOQUIZ, -1, None, n_videos=5)
 
     def test_outcome_for_forum_event_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_event(forum(ActivityKind.FORUM_POST), QuizOutcome(1, 1), n_videos=5)
+        score = QuizOutcome(1, 1).first_attempt_score
+        with pytest.raises(EncodingError, match="forum_post"):
+            event_columns(ActivityKind.FORUM_POST, None, score, n_videos=5)
 
     def test_set_bit_counts(self):
         rng = np.random.default_rng(0)
@@ -79,16 +82,16 @@ class TestEncodeEvent:
             if rng.random() < 0.5:
                 kind = ActivityKind(list(ActivityKind)[rng.integers(0, 4)])
                 has_outcome = kind not in (ActivityKind.WATCH_NOQUIZ, ActivityKind.WATCH_NOANSWER)
-                outcome = QuizOutcome(float(rng.integers(0, 2)), 1) if has_outcome else None
-                enc = encode_event(watch(kind, int(rng.integers(0, n))), outcome, n)
-                assert enc.bits[:n].sum() == 1
-                assert enc.bits[n:].sum() == 1
-                assert enc.bits.sum() == 2
+                score = QuizOutcome(float(rng.integers(0, 2)), 1).first_attempt_score if has_outcome else None
+                row = encode(kind, int(rng.integers(0, n)), score, n)
+                assert row[:n].sum() == 1
+                assert row[n:].sum() == 1
+                assert row.sum() == 2
             else:
                 kind = ActivityKind(list(ActivityKind)[4 + rng.integers(0, 3)])
-                enc = encode_event(forum(kind), None, n)
-                assert enc.bits[:n].sum() == 0
-                assert enc.bits.sum() == 1
+                row = encode(kind, None, None, n)
+                assert row[:n].sum() == 0
+                assert row.sum() == 1
 
 
 class TestEventValidation:
@@ -128,6 +131,6 @@ class TestStudentRecord:
             StudentRecord("s", Demographics(), sequence=np.zeros((0, 11)), label=0)
 
     def test_length(self):
-        enc = encode_event(forum(ActivityKind.FORUM_VIEW), None, 4)
-        rec = StudentRecord("s", Demographics(), sequence=np.stack([enc.bits, enc.bits]), label=1)
+        row = encode(ActivityKind.FORUM_VIEW, None, None, 4)
+        rec = StudentRecord("s", Demographics(), sequence=np.stack([row, row]), label=1)
         assert rec.length == 2

@@ -79,6 +79,12 @@ class TestGenerate:
         assert main(["generate", "--spec", str(missing), "--seed", "0", "--out", str(tmp_path)]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_directory_spec_exits_2_and_names_path(self, tmp_path, capsys):
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        assert main(["generate", "--spec", str(spec_dir), "--seed", "0", "--out", str(tmp_path)]) == 2
+        assert str(spec_dir) in capsys.readouterr().err
+
     def test_rerun_same_seed_identical_files(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)

@@ -159,7 +159,7 @@ def test_fedirt_loss_is_last_local_epoch(data):
 def test_only_ingest_and_generation_name_event_encodings():
     """Past the modules that encode or decode events, a sequence is only its matrix."""
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
-    pattern = re.compile(r"\b(EncodedActivity|encode_event)\b")
+    pattern = re.compile(r"\bevent_columns\b")
     for path in package.rglob("*.py"):
         if path.stem not in ("activity", "dataio", "synthgen"):
             assert not pattern.search(path.read_text(encoding="utf-8")), path

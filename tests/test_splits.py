@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fedstudent.activity import ActivityKind, Demographics, StudentRecord, encode_event, ActivityEvent
+from fedstudent.activity import ActivityKind, Demographics, StudentRecord, event_columns
 from fedstudent.splits import (
     SplitError,
     SubgroupKey,
@@ -10,13 +11,12 @@ from fedstudent.splits import (
 
 
 def make_record(sid, gender=None, continent=None, birth_year=None):
-    enc = encode_event(
-        ActivityEvent(student_id=sid, timestamp=0, kind=ActivityKind.FORUM_VIEW), None, 4
-    )
+    sequence = np.zeros((1, 4 + 7))
+    sequence[0, list(event_columns(ActivityKind.FORUM_VIEW, None, None, 4))] = 1.0
     return StudentRecord(
         sid,
         Demographics(gender=gender, continent=continent, birth_year=birth_year),
-        sequence=enc.bits[None, :],
+        sequence=sequence,
         label=0,
     )
 

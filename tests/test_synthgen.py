@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fedstudent.activity import ActivityKind, KIND_SLOT, demographic_group
+from fedstudent.activity import ActivityKind, KIND_SLOT, N_KINDS, demographic_group
 from fedstudent.splits import rng_for
 from fedstudent.synthgen import (
     CohortSpec,
     CohortSpecError,
     SubgroupProfile,
-    activity_heatmap,
     generate_cohort,
     kind_biased_transition,
     profile_divergence,
@@ -43,6 +42,22 @@ def make_spec(profiles, **overrides):
     )
     fields.update(overrides)
     return CohortSpec(**fields)
+
+
+def activity_heatmap(records, n_steps):
+    """(7, n_steps) fraction of still-active students doing each kind at each step.
+
+    The denominator at step t counts students whose sequence is longer than t.
+    """
+    counts = np.zeros((N_KINDS, n_steps))
+    active = np.zeros(n_steps)
+    for record in records:
+        n_videos = record.sequence.shape[1] - N_KINDS
+        slots = record.sequence[:n_steps, n_videos:].argmax(axis=1)
+        counts[slots, np.arange(len(slots))] += 1.0
+        active[:len(slots)] += 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(active > 0, counts / active, 0.0)
 
 
 def cohort_fingerprint(records):
@@ -116,6 +131,25 @@ class TestGenerateCohort:
     def test_profile_name_must_match_variable(self):
         with pytest.raises(CohortSpecError, match="group tag"):
             generate_cohort(make_spec([make_profile("AS")]), seed=0)
+
+    def test_violations_name_their_dotted_key(self):
+        spec = make_spec([make_profile("M"), make_profile("M", population=0, length_mean=0.5)])
+        problems = spec.validate()
+        assert "profiles[1].population must be >= 1" in problems
+        assert "profiles[1].length_mean must be >= 1" in problems
+        assert "profiles[1].name 'M' repeats profiles[0].name" in problems
+        assert not any(p.startswith("profiles[0].") for p in problems)
+
+    @pytest.mark.parametrize("array", ["transition", "video_access"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, array, bad):
+        profile = make_profile("F")
+        values = getattr(profile, array).copy()
+        values.flat[-1] = bad
+        spec = make_spec([make_profile("M"), make_profile("F", **{array: values})])
+        assert spec.validate() == [f"profiles[1].{array} has non-finite entries"]
+        with pytest.raises(CohortSpecError, match=rf"profiles\[1\]\.{array} has non-finite"):
+            generate_cohort(spec, seed=0)
 
     def test_pass_rate_matches_independent_oracle(self):
         # Direct re-derivation of the generative story with independent code:
