@@ -169,8 +169,8 @@ def cmd_dump_embeddings(
 
 
 def cmd_report(report_path: str) -> int:
-    if not os.path.exists(report_path):
-        print(f"error: report not found: {report_path}", file=sys.stderr)
+    if not os.path.isfile(report_path):
+        print(f"error: report: no such file: {report_path}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         with open(report_path, "r", newline="", encoding="utf-8") as fh:

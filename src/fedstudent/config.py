@@ -71,10 +71,11 @@ class Key:
 
     `type` is a JSON type for `json_value`, "file" (a path relative to the
     config's directory that must name a file) or "dir" (a path relative to it).
-    A value must be > `low` when `strict`, else >= `low`, and < `high`, and lie
-    in `choices`; an array must be non-empty and distinct, and these hold for
-    each of its items. A key whose default is None may also be given as null.
-    A key with `dataset` applies only when dataset.kind is that kind.
+    A value must be > `low` when `strict`, else >= `low`, and < `high`, or
+    <= `high` when `closed`, and lie in `choices`; these hold for each item of
+    an array, and a config array must be non-empty and distinct. A config key
+    whose default is None may also be given as null. A key with `dataset`
+    applies only when dataset.kind is that kind.
     """
 
     name: str
@@ -83,6 +84,7 @@ class Key:
     low: float | None = None
     strict: bool = False
     high: float | None = None
+    closed: bool = False
     choices: tuple | None = None
     dataset: str | None = None
 
@@ -124,6 +126,19 @@ KEYS = (
 )
 
 
+def violation(key: Key, value, name: str) -> str | None:
+    """How `value`, already of `key`'s JSON type, breaks `key`'s bounds or choices,
+    naming it `name`; checked for each item of an array. None if it keeps them."""
+    for item in value if isinstance(value, list) else [value]:
+        if key.choices is not None and item not in key.choices:
+            return f"{name} must be one of {list(key.choices)}, got {item!r}"
+        if key.low is not None and (item < key.low or (key.strict and item == key.low)):
+            return f"{name} must be {'>' if key.strict else '>='} {key.low}, got {item!r}"
+        if key.high is not None and (item > key.high or (not key.closed and item == key.high)):
+            return f"{name} must be {'<=' if key.closed else '<'} {key.high}, got {item!r}"
+    return None
+
+
 @dataclass
 class DatasetSource:
     kind: str                     # "generated" or "csv"
@@ -148,16 +163,11 @@ def _check(key: Key, raw, base_dir: str):
     if raw is None and key.default is None:
         return None
     value = json_value(raw, "string" if key.type in ("file", "dir") else key.type, key.name)
-    items = value if isinstance(value, list) else [value]
     if isinstance(value, list) and (not value or len(set(value)) != len(value)):
         raise ConfigError(f"{key.name} must be a non-empty array of distinct values, got {raw!r}")
-    for item in items:
-        if key.choices is not None and item not in key.choices:
-            raise ConfigError(f"{key.name} must be one of {list(key.choices)}, got {item!r}")
-        if key.low is not None and (item < key.low or (key.strict and item == key.low)):
-            raise ConfigError(f"{key.name} must be {'>' if key.strict else '>='} {key.low}, got {item!r}")
-        if key.high is not None and item >= key.high:
-            raise ConfigError(f"{key.name} must be < {key.high}, got {item!r}")
+    problem = violation(key, value, key.name)
+    if problem:
+        raise ConfigError(problem)
     if key.type in ("file", "dir"):
         value = os.path.join(base_dir, value)
         if key.type == "file" and not os.path.isfile(value):
@@ -216,8 +226,8 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file does not exist: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"config: no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -268,13 +268,6 @@ class EvalReport:
     rows: list[ReportRow]
     outcomes: list[RunOutcome]
     warnings: list[str]
-    metadata: dict
-
-    def row_for(self, strategy: str, subgroup: str) -> ReportRow | None:
-        for row in self.rows:
-            if row.strategy == strategy and row.subgroup == subgroup:
-                return row
-        return None
 
 
 _WORKER_STATE: dict = {}
@@ -361,16 +354,7 @@ def cross_validate(records: list[StudentRecord], plan: ExperimentPlan, jobs: int
                 std_auc=float(np.std(values)),
                 n_runs=len(values),
             ))
-    metadata = {
-        "variable": plan.variable,
-        "folds": plan.folds,
-        "seeds": list(plan.seeds),
-        "strategies": list(plan.strategies),
-        "rounds": plan.rounds,
-        "local_iters": plan.local_iters,
-        "pretrain": plan.pretrain_enabled,
-    }
-    return EvalReport(rows=rows, outcomes=outcomes, warnings=warnings, metadata=metadata)
+    return EvalReport(rows=rows, outcomes=outcomes, warnings=warnings)
 
 
 def report_to_csv(report: EvalReport, path: str) -> None:

@@ -32,7 +32,7 @@ from .activity import (
     WATCH_KINDS,
     event_columns,
 )
-from .config import json_value
+from .config import REQUIRED, Key, json_value, violation
 from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
@@ -66,37 +66,6 @@ class SubgroupProfile:
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.video_access = np.asarray(self.video_access, dtype=np.float64)
 
-    def validate(self, n_videos: int, where: str = "profile") -> list[str]:
-        """Every violated invariant, each naming its key under `where` (e.g. "profiles[0]").
-
-        Probabilities are checked once here: the generator draws from them by hand.
-        """
-        problems = []
-        if self.population < 1:
-            problems.append(f"{where}.population must be >= 1")
-        if self.transition.shape != (N_KINDS, N_KINDS):
-            problems.append(f"{where}.transition must be 7x7")
-        elif not np.all(np.isfinite(self.transition)):
-            problems.append(f"{where}.transition has non-finite entries")
-        else:
-            if np.any(self.transition < 0):
-                problems.append(f"{where}.transition has negative entries")
-            if np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9):
-                problems.append(f"{where}.transition rows must sum to 1")
-        if self.video_access.shape != (n_videos,):
-            problems.append(f"{where}.video_access must have length {n_videos}")
-        elif not np.all(np.isfinite(self.video_access)):
-            problems.append(f"{where}.video_access has non-finite entries")
-        elif np.any(self.video_access < 0) or abs(self.video_access.sum() - 1.0) > 1e-9:
-            problems.append(f"{where}.video_access must be a distribution")
-        if not 0.0 <= self.quiz_correct_prob <= 1.0:
-            problems.append(f"{where}.quiz_correct_prob must lie in [0, 1]")
-        if not self.length_mean >= 1.0:
-            problems.append(f"{where}.length_mean must be >= 1")
-        if not self.length_dispersion > 0.0:
-            problems.append(f"{where}.length_dispersion must be > 0")
-        return problems
-
 
 @dataclass
 class CohortSpec:
@@ -110,22 +79,39 @@ class CohortSpec:
     max_sequence: int = DEFAULT_MAX_SEQUENCE
 
     def validate(self) -> list[str]:
-        problems = []
-        if self.n_videos < 1:
-            problems.append("n_videos must be >= 1")
+        """Every problem with the spec, each naming its dotted key (e.g. "profiles[0].population").
+
+        The spec's plain form is checked against `SPEC_KEYS` and `PROFILE_KEYS`,
+        types included, as a JSON spec is; then the shapes, sums and names the
+        generator relies on. Probabilities are checked once here: the generator
+        draws from them by hand.
+        """
+        plain = spec_to_dict(self)
+        try:
+            problems = _read(plain, SPEC_KEYS, "")[1]
+            for i, profile in enumerate(plain["profiles"]):
+                problems += _read(profile, PROFILE_KEYS, f"profiles[{i}]")[1]
+        except CohortSpecError as exc:
+            return [str(exc)]  # the checks below need finite values of the right types
         if not set(self.quiz_videos) <= set(range(self.n_videos)):
             problems.append("quiz_videos must be a subset of [0, n_videos)")
-        if self.max_sequence < 1:
-            problems.append("max_sequence must be >= 1")
         valid_tags = None
         if self.demographic_variable in VARIABLES:
             valid_tags = set(canonical_groups(self.demographic_variable))
-        else:
-            problems.append(f"demographic_variable must be one of {VARIABLES}")
         first_with_name: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             where = f"profiles[{i}]"
-            problems.extend(p.validate(self.n_videos, where))
+            if p.transition.shape != (N_KINDS, N_KINDS):
+                problems.append(f"{where}.transition must be 7x7")
+            else:
+                if np.any(p.transition < 0):
+                    problems.append(f"{where}.transition has negative entries")
+                if np.any(np.abs(p.transition.sum(axis=1) - 1.0) > 1e-9):
+                    problems.append(f"{where}.transition rows must sum to 1")
+            if p.video_access.shape != (self.n_videos,):
+                problems.append(f"{where}.video_access must have length {self.n_videos}")
+            elif np.any(p.video_access < 0) or abs(p.video_access.sum() - 1.0) > 1e-9:
+                problems.append(f"{where}.video_access must be a distribution")
             if p.name in first_with_name:
                 problems.append(f"{where}.name {p.name!r} repeats "
                                 f"profiles[{first_with_name[p.name]}].name")
@@ -136,11 +122,63 @@ class CohortSpec:
                     f"{where}.name {p.name!r} must be a {self.demographic_variable} group tag "
                     f"({sorted(valid_tags)})"
                 )
-        if not 0.0 <= self.unspecified_fraction < 1.0:
-            problems.append("unspecified_fraction must lie in [0, 1)")
         if not self.profiles:
             problems.append("at least one profile is required")
         return problems
+
+
+SPEC_VERSION = 1
+
+# One row per cohort spec key and per profile key: its JSON type, its default
+# when a JSON spec leaves it out (the dataclass's own where it has one), and
+# its bounds.
+SPEC_KEYS = (
+    Key("version", "integer", choices=(SPEC_VERSION,)),
+    Key("n_videos", "integer", low=1),
+    Key("quiz_videos", "integer array", []),
+    Key("demographic_variable", "string", CohortSpec.demographic_variable, choices=VARIABLES),
+    Key("unspecified_fraction", "number", CohortSpec.unspecified_fraction, low=0, high=1),
+    Key("max_sequence", "integer", CohortSpec.max_sequence, low=1),
+    Key("profiles", "object array", []),
+)
+PROFILE_KEYS = (
+    Key("name", "string"),
+    Key("population", "integer", low=1),
+    Key("transition", "number array array"),
+    Key("video_access", "number array"),
+    Key("quiz_correct_prob", "number", low=0, high=1, closed=True),
+    Key("length_mean", "number", SubgroupProfile.length_mean, low=1),
+    Key("length_dispersion", "number", SubgroupProfile.length_dispersion, low=0, strict=True),
+    Key("pass_intercept", "number", SubgroupProfile.pass_intercept),
+    Key("pass_weight_correct", "number", SubgroupProfile.pass_weight_correct),
+    Key("pass_weight_forum", "number", SubgroupProfile.pass_weight_forum),
+)
+
+
+def _read(entry, keys: tuple[Key, ...], where: str) -> tuple[dict, list[str]]:
+    """`entry`'s value for each of `keys`, a missing one at its default, and each value
+    outside its row's bounds; `where` names the entry ("" for the spec itself) and
+    prefixes its keys' names. An unknown key, a missing required key or a value of
+    another JSON type raises `CohortSpecError`.
+    """
+    prefix = f"{where}." if where else ""
+    json_value(entry, "object", where or "cohort spec", CohortSpecError)
+    unknown = sorted(prefix + name for name in set(entry) - {key.name for key in keys})
+    if unknown:
+        raise CohortSpecError(f"unknown keys: {unknown}")
+    values = {}
+    for key in keys:
+        raw = entry.get(key.name, key.default)
+        if raw is REQUIRED:
+            raise CohortSpecError(f"{prefix}{key.name} is required")
+        values[key.name] = json_value(raw, key.type, prefix + key.name, CohortSpecError)
+    return values, [problem for key in keys
+                    if (problem := violation(key, values[key.name], prefix + key.name))]
+
+
+def _raise_if(problems: list[str]) -> None:
+    if problems:
+        raise CohortSpecError("invalid cohort spec: " + "; ".join(problems))
 
 
 def _demographics_for(variable: str, group: str, rng: np.random.Generator) -> Demographics:
@@ -256,9 +294,7 @@ def generate_cohort(spec: CohortSpec, seed: int) -> list[StudentRecord]:
     any parallel evaluation order produces the same cohort. Student ids embed
     the generating profile for diagnostics.
     """
-    problems = spec.validate()
-    if problems:
-        raise CohortSpecError("invalid cohort spec: " + "; ".join(problems))
+    _raise_if(spec.validate())
     records = []
     for p_idx, profile in enumerate(spec.profiles):
         tables = _ProfileTables.of(profile)
@@ -296,85 +332,37 @@ def kind_biased_transition(watch_share: float, stay: float = 0.2) -> np.ndarray:
     return rows
 
 
-def profile_to_dict(profile: SubgroupProfile) -> dict:
-    return {
-        "name": profile.name,
-        "population": profile.population,
-        "transition": profile.transition.tolist(),
-        "video_access": profile.video_access.tolist(),
-        "quiz_correct_prob": profile.quiz_correct_prob,
-        "length_mean": profile.length_mean,
-        "length_dispersion": profile.length_dispersion,
-        "pass_intercept": profile.pass_intercept,
-        "pass_weight_correct": profile.pass_weight_correct,
-        "pass_weight_forum": profile.pass_weight_forum,
-    }
+def _plain(value):
+    """`value` as a cohort spec's JSON holds it: a profile as an object, a set as a
+    sorted array, numpy arrays and scalars as lists and Python scalars."""
+    if isinstance(value, SubgroupProfile):
+        return {key.name: _plain(getattr(value, key.name)) for key in PROFILE_KEYS}
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def spec_to_dict(spec: CohortSpec) -> dict:
-    return {
-        "version": 1,
-        "n_videos": spec.n_videos,
-        "quiz_videos": sorted(spec.quiz_videos),
-        "demographic_variable": spec.demographic_variable,
-        "unspecified_fraction": spec.unspecified_fraction,
-        "max_sequence": spec.max_sequence,
-        "profiles": [profile_to_dict(p) for p in spec.profiles],
-    }
-
-
-# The JSON type of every cohort spec and profile key, read as the experiment config is.
-_SPEC_TYPES = {
-    "version": "integer", "n_videos": "integer", "quiz_videos": "integer array",
-    "demographic_variable": "string", "unspecified_fraction": "number",
-    "max_sequence": "integer", "profiles": "object array",
-}
-_PROFILE_TYPES = {
-    "name": "string", "population": "integer", "transition": "number array array",
-    "video_access": "number array", "quiz_correct_prob": "number", "length_mean": "number",
-    "length_dispersion": "number", "pass_intercept": "number", "pass_weight_correct": "number",
-    "pass_weight_forum": "number",
-}
-
-
-def _typed(entry, types: dict, where: str, required: tuple) -> dict:
-    """`entry`'s values, each checked against its JSON type in `types`; `where` names
-    the entry in errors and prefixes its keys' names ("" for the spec itself)."""
-    prefix = f"{where}." if where else ""
-    where = where or "cohort spec"
-    json_value(entry, "object", where, CohortSpecError)
-    unknown = set(entry) - set(types)
-    if unknown:
-        raise CohortSpecError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = [key for key in required if key not in entry]
-    if missing:
-        raise CohortSpecError(f"{where} is missing keys: {missing}")
-    return {key: json_value(value, types[key], prefix + key, CohortSpecError)
-            for key, value in entry.items()}
+    """The spec's plain form: one value for every row of `SPEC_KEYS`."""
+    return {"version": SPEC_VERSION,
+            **{key.name: _plain(getattr(spec, key.name)) for key in SPEC_KEYS[1:]}}
 
 
 def spec_from_dict(data: dict) -> CohortSpec:
-    fields = _typed(data, _SPEC_TYPES, "", ("version", "n_videos"))
-    if fields["version"] != 1:
-        raise CohortSpecError(f"unsupported cohort spec version: {fields['version']!r}")
+    fields, problems = _read(data, SPEC_KEYS, "")
+    _raise_if(problems)
     profiles = []
-    for i, entry in enumerate(fields.get("profiles", [])):
-        profile = _typed(entry, _PROFILE_TYPES, f"profiles[{i}]",
-                         ("name", "population", "transition", "video_access", "quiz_correct_prob"))
+    for i, entry in enumerate(fields.pop("profiles")):
+        profile, problems = _read(entry, PROFILE_KEYS, f"profiles[{i}]")
+        _raise_if(problems)
         if len({len(row) for row in profile["transition"]}) > 1:
             raise CohortSpecError(f"profiles[{i}].transition rows must have equal lengths")
         profiles.append(SubgroupProfile(**profile))
-    spec = CohortSpec(
-        n_videos=fields["n_videos"],
-        quiz_videos=set(fields.get("quiz_videos", [])),
-        profiles=profiles,
-        demographic_variable=fields.get("demographic_variable", "G"),
-        unspecified_fraction=fields.get("unspecified_fraction", 0.0),
-        max_sequence=fields.get("max_sequence", DEFAULT_MAX_SEQUENCE),
-    )
-    problems = spec.validate()
-    if problems:
-        raise CohortSpecError("invalid cohort spec: " + "; ".join(problems))
+    del fields["version"]
+    spec = CohortSpec(quiz_videos=set(fields.pop("quiz_videos")), profiles=profiles, **fields)
+    _raise_if(spec.validate())
     return spec
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,8 @@ from fedstudent.config import KEYS, REQUIRED, parse_config
 from fedstudent.dataio import load_records
 from fedstudent.params import ModelParams, save_params
 from fedstudent.synthgen import (
+    PROFILE_KEYS,
+    SPEC_KEYS,
     CohortSpec,
     SubgroupProfile,
     kind_biased_transition,
@@ -121,7 +124,9 @@ class TestRun:
         assert any(p.suffix == ".params" for p in (out / "models").iterdir())
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+        for path in (tmp_path / "nope.json", tmp_path):
+            assert main(["run", "--config", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -210,34 +215,45 @@ class TestRun:
             assert p1.read_bytes() == p2.read_bytes()
 
 
-# Wrongly typed values for each type a config row can have; a boolean is never a number.
-WRONG_TYPE = {"integer": [2.7, True, "3"], "number": [True, "0.1"], "boolean": [0, "false"],
-              "string": [5], "file": [5], "dir": [5]}
+# Wrongly typed values for each type a config or cohort spec row can have; a boolean is
+# never a number, and a number is finite.
+WRONG_TYPE = {"integer": [2.7, True, "3"], "number": [True, "0.1", float("nan"), float("inf")],
+              "boolean": [0, "false"], "string": [5], "file": [5], "dir": [5], "object": [5]}
+
+
+def bad_values(key):
+    """Values `key`'s row rejects: wrongly typed ones, ones out of its bound or set (in
+    an array, as its one item), and its absence (`REQUIRED`) where it is required."""
+    if key.type.endswith(" array"):
+        item = dataclasses.replace(key, type=key.type.removesuffix(" array"), default=None)
+        bad = ["x"] + [[value] for value in bad_values(item)]
+    else:
+        bad = list(WRONG_TYPE[key.type])
+        if key.choices is not None:
+            bad.append("x" if key.type == "string" else max(key.choices) + 1)
+        if key.low is not None:
+            bad.append(key.low if key.strict else key.low - 1)
+        if key.high is not None:
+            bad.append(key.high + 1 if key.closed else key.high)
+        if key.type == "file":
+            bad.append("missing.json")
+    return bad + ([REQUIRED] if key.default is REQUIRED else [])
+
+
+def case_id(name, value):
+    return f"{name}=" + ("<missing>" if value is REQUIRED else repr(value))
 
 
 def table_cases():
     """(dotted name, the dataset kind it needs, a value to reject) for every row of the
-    config table: wrongly typed values, its absence where it is required, and values
-    out of its bound or set where it has one; and a non-object for every section."""
+    config table: `bad_values`, and for an array also an empty one and one that repeats
+    a value; and a non-object for every section."""
     cases = []
     for key in KEYS:
-        item_type = key.type.removesuffix(" array")
-        outside = []
-        if key.choices is not None:
-            outside.append("x" if item_type == "string" else max(key.choices) + 1)
-        if key.low is not None:
-            outside.append(key.low if key.strict else key.low - 1)
-        if key.high is not None:
-            outside.append(key.high)
-        if key.type == "file":
-            outside.append("missing.json")
-        bad = WRONG_TYPE[item_type] + outside
+        bad = bad_values(key)
         if key.type.endswith(" array"):
-            bad = ["x", [], key.default[:1] * 2] + [[value] for value in bad]
-        if key.default is REQUIRED:
-            bad.append(REQUIRED)
-        cases += [pytest.param(key.name, key.dataset, value,
-                               id=f"{key.name}=" + ("<missing>" if value is REQUIRED else repr(value)))
+            bad += [[], key.default[:1] * 2]
+        cases += [pytest.param(key.name, key.dataset, value, id=case_id(key.name, value))
                   for value in bad]
     sections = sorted({key.name.partition(".")[0] for key in KEYS if "." in key.name})
     return cases + [pytest.param(name, None, 5, id=f"{name}=5") for name in sections]
@@ -265,9 +281,46 @@ def test_config_table_rejects_naming_key(tmp_path, capsys, name, dataset_kind, v
     assert err.startswith("error: ") and name in err
 
 
+def write_changed_spec(tmp_path, path, value):
+    """A valid spec with the value at `path` in its plain form set to `value`, or
+    deleted for `REQUIRED`; returns the spec file's path."""
+    data = spec_to_dict(write_spec(tmp_path / "good.json"))
+    holder = data
+    for part in path[:-1]:
+        holder = holder[part]
+    if value is REQUIRED:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    return spec_path
+
+
+def spec_table_cases():
+    """(path to the key in a spec's plain form, the name errors give it, a value to
+    reject) for every row of the cohort spec's tables; profile rows in profiles[0]."""
+    cases = []
+    for keys, path, prefix in ((SPEC_KEYS, (), ""), (PROFILE_KEYS, ("profiles", 0), "profiles[0].")):
+        for key in keys:
+            name = prefix + key.name
+            cases += [pytest.param(path + (key.name,), name, value, id=case_id(name, value))
+                      for value in bad_values(key)]
+    return cases
+
+
+@pytest.mark.parametrize("path, name, value", spec_table_cases())
+def test_cohort_spec_table_rejects_naming_key(tmp_path, capsys, path, name, value):
+    spec_path = write_changed_spec(tmp_path, path, value)
+    assert main(["generate", "--spec", str(spec_path), "--seed", "0", "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 # Cohort spec values that were truncated (n_videos, quiz_videos), read as 1 (a boolean),
 # accepted (a fractional population), or ended in a traceback (a string, a non-array,
-# ragged transition rows, an unknown variable, a sequence cap below 1).
+# ragged transition rows, an unknown variable, a sequence cap below 1); and the open
+# ends of two bounds, which the table-generated cases take from the table itself.
 @pytest.mark.parametrize("path, value, name", [
     (("n_videos",), 12.9, "n_videos"),
     (("max_sequence",), True, "max_sequence"),
@@ -278,15 +331,11 @@ def test_config_table_rejects_naming_key(tmp_path, capsys, name, dataset_kind, v
     (("profiles", 0, "transition"), [[1.0], [0.5, 0.5]], "profiles[0].transition"),
     (("demographic_variable",), "Q", "demographic_variable"),
     (("max_sequence",), 0, "max_sequence"),
+    (("unspecified_fraction",), 1.0, "unspecified_fraction"),
+    (("profiles", 0, "length_dispersion"), 0.0, "profiles[0].length_dispersion"),
 ])
 def test_cohort_spec_types_exit_2_naming_key(tmp_path, capsys, path, value, name):
-    data = spec_to_dict(write_spec(tmp_path / "good.json"))
-    holder = data
-    for part in path[:-1]:
-        holder = holder[part]
-    holder[path[-1]] = value
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(data))
+    spec_path = write_changed_spec(tmp_path, path, value)
     assert main(["generate", "--spec", str(spec_path), "--seed", "0", "--out", str(tmp_path / "data")]) == 2
     assert name in capsys.readouterr().err
     write_config(tmp_path / "config.json", spec_path, tmp_path / "out")
@@ -394,5 +443,7 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "FedAvg" in out and "G:M" in out
 
-    def test_missing_report_exits_2(self, tmp_path):
-        assert main(["report", "--report", str(tmp_path / "nope.csv")]) == 2
+    def test_missing_report_exits_2(self, tmp_path, capsys):
+        for path in (tmp_path / "nope.csv", tmp_path):
+            assert main(["report", "--report", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,8 @@ class TestGenerateCohort:
     def test_violations_name_their_dotted_key(self):
         spec = make_spec([make_profile("M"), make_profile("M", population=0, length_mean=0.5)])
         problems = spec.validate()
-        assert "profiles[1].population must be >= 1" in problems
-        assert "profiles[1].length_mean must be >= 1" in problems
+        assert "profiles[1].population must be >= 1, got 0" in problems
+        assert "profiles[1].length_mean must be >= 1, got 0.5" in problems
         assert "profiles[1].name 'M' repeats profiles[0].name" in problems
         assert not any(p.startswith("profiles[0].") for p in problems)
 
@@ -147,8 +149,21 @@ class TestGenerateCohort:
         values = getattr(profile, array).copy()
         values.flat[-1] = bad
         spec = make_spec([make_profile("M"), make_profile("F", **{array: values})])
-        assert spec.validate() == [f"profiles[1].{array} has non-finite entries"]
-        with pytest.raises(CohortSpecError, match=rf"profiles\[1\]\.{array} has non-finite"):
+        last = "[6][6]" if array == "transition" else f"[{N_VIDEOS - 1}]"
+        message = f"profiles[1].{array}{last} must be a finite number, got {bad}"
+        assert spec.validate() == [message]
+        with pytest.raises(CohortSpecError, match=re.escape(message)):
+            generate_cohort(spec, seed=0)
+
+    # A profile built in code faces the checks a JSON spec does, types included: each
+    # of these used to pass `validate()` and label every student 0, stop in numpy, or
+    # generate one student.
+    @pytest.mark.parametrize("key, value", [
+        ("pass_intercept", np.nan), ("length_mean", np.inf), ("population", True),
+    ])
+    def test_code_built_profile_is_type_checked(self, key, value):
+        spec = make_spec([make_profile("M", **{key: value})])
+        with pytest.raises(CohortSpecError, match=rf"profiles\[0\]\.{key} must be "):
             generate_cohort(spec, seed=0)
 
     def test_pass_rate_matches_independent_oracle(self):
