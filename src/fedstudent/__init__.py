@@ -22,7 +22,7 @@ from .federation import (
 )
 from .irt import fit_rasch, irt_confidence
 from .metrics import ScoredStudent, auc
-from .network import attention_pool, backward, gru_forward
+from .network import attention_pool, gru_forward, loss_and_gradient
 from .optim import OptState, optimizer_step
 from .params import ModelParams, load_params, params_axpy, params_cosine, params_norm, save_params
 from .pretrain import make_cbow_instances, run_pretraining, transfer_weights

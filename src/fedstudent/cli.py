@@ -43,11 +43,18 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _not_a_file(what: str, path: str) -> bool:
+    """True, after naming `path` on stderr, when it is missing or not a regular file."""
+    if os.path.isfile(path):
+        return False
+    print(f"error: {what}: no such file: {path}", file=sys.stderr)
+    return True
+
+
 def cmd_generate(spec_path: str, seed: int, out_dir: str) -> int:
+    if _not_a_file("cohort spec", spec_path):
+        return EXIT_CONFIG
     try:
-        if not os.path.isfile(spec_path):
-            print(f"error: cohort spec: no such file: {spec_path}", file=sys.stderr)
-            return EXIT_CONFIG
         spec = load_cohort_spec(spec_path)
     except CohortSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,11 +155,15 @@ def cmd_dump_embeddings(
     variable: str,
     include_unspecified: bool,
 ) -> int:
+    if _not_a_file("model", model_path):
+        return EXIT_CONFIG
     try:
         params = load_params(model_path)
     except (ParamFormatError, OSError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    if _not_a_file("events", events_path) or _not_a_file("students", students_path):
+        return EXIT_CONFIG
     try:
         n_videos = params.input_dim - 7
         records = load_records(events_path, students_path, n_videos=n_videos)
@@ -169,8 +180,7 @@ def cmd_dump_embeddings(
 
 
 def cmd_report(report_path: str) -> int:
-    if not os.path.isfile(report_path):
-        print(f"error: report: no such file: {report_path}", file=sys.stderr)
+    if _not_a_file("report", report_path):
         return EXIT_CONFIG
     try:
         with open(report_path, "r", newline="", encoding="utf-8") as fh:

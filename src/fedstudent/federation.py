@@ -26,7 +26,7 @@ import numpy as np
 
 from .irt import build_response_matrix, fit_rasch, irt_confidence
 from .metrics import ScoredStudent, UndefinedAUCError, auc
-from .network import backward, forward_outcome, make_dropout_mask, outcome_loss, score
+from .network import loss_and_gradient, make_dropout_mask, score
 from .optim import OptState, run_epoch
 from .params import Gradients, ModelParams, params_axpy, params_cosine
 from .pretrain import transfer_weights
@@ -171,11 +171,7 @@ class BatchObjective:
 
     def loss_and_gradient(self, params: ModelParams) -> tuple[float, Gradients]:
         """The batch's summed loss, and the gradient of its mean loss."""
-        trace = forward_outcome(params, self.matrices, self.masks)
-        total = 0.0
-        for probs, label in zip(trace.probs, self.labels):
-            total += outcome_loss(probs, label)
-        return total, backward(trace, self.labels, params) * (1.0 / len(self.labels))
+        return loss_and_gradient(params, "outcome", self.matrices, self.labels, self.masks)
 
 
 def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> tuple[float, Gradients]:
@@ -217,14 +213,14 @@ def train_epoch(
     parameters, so meta objectives carry no dropout.
     """
     if meta_cfg is None:
-        def loss_and_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
+        def batch_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
             return BatchObjective(client, batch, rng).loss_and_gradient(p)
         batch_size = client.settings.batch_size
     else:
-        def loss_and_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
+        def batch_gradient(p: ModelParams, batch: list[str]) -> tuple[float, Gradients]:
             return meta_gradient(p, BatchObjective(client, batch, None), meta_cfg)
         batch_size = meta_cfg.meta_batch or client.settings.batch_size
-    return run_epoch(params, client.train_ids, batch_size, loss_and_gradient, opt, rng)
+    return run_epoch(params, client.train_ids, batch_size, batch_gradient, opt, rng)
 
 
 def local_update(

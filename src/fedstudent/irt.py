@@ -49,25 +49,18 @@ class ResponseMatrix:
             raise ResponseMatrixError(f"items with no observed responses: {empty_items[:5]}")
 
 
-def build_response_matrix(records, quiz_videos=None) -> ResponseMatrix:
-    """Assemble a response table from student quiz maps, dropping empty rows/columns."""
+def build_response_matrix(records) -> ResponseMatrix:
+    """Assemble a response table from student quiz maps: the students with any
+    response, and the quiz items any of them answered."""
     kept = [r for r in records if r.quiz_responses]
     if not kept:
         raise ResponseMatrixError("no student has any quiz responses")
-    if quiz_videos is None:
-        items = sorted({v for r in kept for v in r.quiz_responses})
-    else:
-        items = sorted(quiz_videos)
-    answered = {v for r in kept for v in r.quiz_responses}
-    items = [v for v in items if v in answered]
-    if not items:
-        raise ResponseMatrixError("no quiz item has any responses")
+    items = sorted({v for r in kept for v in r.quiz_responses})
     col = {v: j for j, v in enumerate(items)}
     table = np.full((len(kept), len(items)), np.nan)
     for i, record in enumerate(kept):
         for video, score in record.quiz_responses.items():
-            if video in col:
-                table[i, col[video]] = float(score)
+            table[i, col[video]] = float(score)
     return ResponseMatrix(
         student_ids=[r.student_id for r in kept],
         item_ids=items,

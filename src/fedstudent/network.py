@@ -12,18 +12,20 @@ Conventions fixed here so hand-written oracles can reproduce every number:
       e_t = p . tanh(W_alpha h_t),  alpha = softmax(e),  pooled = sum_t alpha_t h_t
 * Outcome head: probs = softmax(pooled @ W_l + b_l), slot 0 = pass.
 * Outcome loss per student (two-term form over the 2-way softmax):
-      -(y . log probs + (1 - y) . log(1 - probs)),  y one-hot with pass in slot 0.
+      -(log probs[slot] + log(1 - probs[other])),  slot 0 for a pass, 1 otherwise.
 * Masked-activity head: softmax(pooled @ W_p + b_p) scored by mean squared error
   against the original activity vector.
 
-Dropout (inverted scaling) is applied to the pooled vector before the outcome
-head only, and only when a mask is supplied.
+Dropout (inverted scaling) is applied to the pooled vector before the head,
+only when a mask is supplied; only outcome training supplies masks.
 
-Every pass takes a list of (L, d) sequences of any lengths and runs them as one
-padded, time-major batch, recorded in one `BatchTrace`. A sequence's numbers
-agree with a batch holding it alone to rounding (about 1e-15), not bit for bit,
-because a matrix product adds its terms in an order that depends on its row
-count. A backward pass returns the batch's summed gradient.
+`loss_and_gradient` takes a list of (L, d) sequences of any lengths and runs
+them as one padded, time-major batch under the named head: a forward pass
+recorded in one `BatchTrace`, every row's loss, and a backward pass over that
+trace. It returns the summed loss, added row by row in input order, and the
+gradient of the mean loss. A sequence's numbers agree with a batch holding it
+alone to rounding (about 1e-15), not bit for bit, because a matrix product adds
+its terms in an order that depends on its row count.
 
 Products over the whole (T, B, .) batch are stacked matmuls, which numpy runs
 as one (B, .) BLAS product per step. One (T*B)-row product is a little faster
@@ -49,8 +51,6 @@ PROB_CLAMP = 1e-12
 # thread, 16 rows peaked at 4.5 MB and took 0.08 s, 64 rows 9.8 MB and 0.05 s,
 # one student at a time 0.42-0.47 s.
 SCORE_CHUNK = 16
-# The (weights, bias) layers of each head.
-HEAD_LAYERS = {"outcome": ("head.W_l", "head.b_l"), "pretrain": ("pretrain.W_p", "pretrain.b_p")}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -82,7 +82,6 @@ class BatchTrace:
     input order.
     """
 
-    head: str                        # a key of HEAD_LAYERS
     X: np.ndarray                    # (T, B, d) padded inputs
     order: list[int]                 # input index of each column
     active: list[int]                # per step, how many leading columns are still running
@@ -175,9 +174,42 @@ def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) ->
     return (rng.random(hidden_dim) >= rate).astype(np.float64) / keep
 
 
+def _outcome_losses(probs: np.ndarray, labels: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's two-term cross entropy against its binary label, and the gradient at `probs`."""
+    rows = np.arange(len(labels))
+    slot = np.where(np.asarray(labels) == 1, 0, 1)   # slot 0 carries the pass class
+    pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    losses = -(np.log(pc[rows, slot]) + np.log(1.0 - pc[rows, 1 - slot]))
+    Y = np.zeros_like(probs)
+    Y[rows, slot] = 1.0
+    grad_probs = -Y / pc + (1.0 - Y) / (1.0 - pc)
+    return losses, np.where(probs == pc, grad_probs, 0.0)  # clamp region is flat
+
+
+def _pretrain_losses(probs: np.ndarray, targets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean squared error against its original activity vector, and the gradient at `probs`."""
+    D = probs - np.array(targets)
+    d = D.shape[1]
+    # One dot product per row, rounded as `diff @ diff` rounds it; (D * D).sum(1)
+    # and einsum add in another order and change the last bit of many rows.
+    return (D[:, None, :] @ D[:, :, None])[:, 0, 0] / d, 2.0 * D / d
+
+
+# Per head: its (weights, bias) layers, and the function that maps the
+# (B, outputs) probabilities and the targets to every row's loss and the
+# gradient at those probabilities.
+HEADS = {
+    "outcome": ("head.W_l", "head.b_l", _outcome_losses),
+    "pretrain": ("pretrain.W_p", "pretrain.b_p", _pretrain_losses),
+}
+
+
 def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
-             masks: list[np.ndarray | None]) -> BatchTrace:
-    """A batch through the GRU, attention pooling and the named head."""
+             masks: list[np.ndarray | None] | None = None) -> BatchTrace:
+    """A batch through the GRU, attention pooling and the named head, each
+    sequence with its optional dropout mask."""
+    if masks is None:
+        masks = [None] * len(sequences)
     if len(masks) != len(sequences):
         raise ValueError(f"{len(masks)} dropout masks for {len(sequences)} sequences")
     order, active, X, ZR, C, H = _run_gru(params, sequences)
@@ -189,75 +221,34 @@ def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
         if m is not None:
             mask[i] = m
     head_input = pooled * mask
-    W, b = (params[name] for name in HEAD_LAYERS[head])
-    logits = head_input @ W + b
+    W_name, b_name, _ = HEADS[head]
+    logits = head_input @ params[W_name] + params[b_name]
     ex = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)
-    return BatchTrace(head, X, order, active, ZR, C, H, A, alpha, pooled, mask, head_input, probs)
-
-
-def forward_outcome(
-    params: ModelParams,
-    sequences: list[np.ndarray],
-    dropout_masks: list[np.ndarray | None] | None = None,
-) -> BatchTrace:
-    """Forward pass of a batch to outcome probabilities, each sequence with its
-    optional dropout mask, keeping what `backward` needs."""
-    masks = dropout_masks if dropout_masks is not None else [None] * len(sequences)
-    return _forward(params, sequences, "outcome", masks)
+    return BatchTrace(X, order, active, ZR, C, H, A, alpha, pooled, mask, head_input, probs)
 
 
 def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Pass probability (B,) and pooled vector (B, k) of each sequence, without dropout.
 
     Sequences run in chunks of SCORE_CHUNK of similar length; results come back
-    in input order, bit-identical to `forward_outcome` over each chunk.
+    in input order, bit-identical to `_forward` over each chunk.
     """
     p_pass = np.empty(len(sequences))
     pooled = np.empty((len(sequences), params.hidden_dim))
     order = sorted(range(len(sequences)), key=lambda i: sequences[i].shape[0])
     for start in range(0, len(order), SCORE_CHUNK):
         chunk = order[start:start + SCORE_CHUNK]
-        trace = forward_outcome(params, [sequences[i] for i in chunk])
+        trace = _forward(params, [sequences[i] for i in chunk], "outcome")
         p_pass[chunk] = trace.probs[:, 0]
         pooled[chunk] = trace.pooled
     return p_pass, pooled
 
 
-def forward_pretrain(params: ModelParams, masked_sequences: list[np.ndarray]) -> BatchTrace:
-    """Forward pass of a batch through the masked-activity prediction path (no dropout)."""
-    return _forward(params, masked_sequences, "pretrain", [None] * len(masked_sequences))
-
-
-def _label_onehot(label: int) -> np.ndarray:
-    # Slot 0 carries the pass class.
-    return np.array([1.0, 0.0]) if label == 1 else np.array([0.0, 1.0])
-
-
-def outcome_loss(probs: np.ndarray, label: int) -> float:
-    """Two-term cross entropy of one probability pair against a binary label."""
-    y = _label_onehot(label)
-    pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc)))
-
-
-def pretrain_loss(pre_probs: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error between the predicted and original activity vector."""
-    diff = pre_probs - target
-    return float(diff @ diff) / diff.shape[0]
-
-
-def _check_trace(trace: BatchTrace, params: ModelParams, head: str, n: int) -> None:
-    if (trace.head != head or trace.H.shape[2] != params.hidden_dim
-            or trace.X.shape[2] != params.input_dim or trace.X.shape[1] != n):
-        raise ValueError(f"trace is not a {head} forward pass over {n} sequences "
-                         "with the supplied parameters")
-
-
-def _backward(params: ModelParams, trace: BatchTrace, grad_probs: np.ndarray) -> Gradients:
+def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.ndarray) -> Gradients:
     """The batch's summed gradient, given the gradient at each sequence's (B, outputs) head probabilities."""
     k = params.hidden_dim
-    W_name, b_name = HEAD_LAYERS[trace.head]
+    W_name, b_name, _ = HEADS[head]
     W_alpha = params["attn.W_alpha"]
     g = params.zeros_like()
 
@@ -311,20 +302,19 @@ def _backward(params: ModelParams, trace: BatchTrace, grad_probs: np.ndarray) ->
     return g
 
 
-def backward(trace: BatchTrace, labels: list[int], params: ModelParams) -> Gradients:
-    """Exact gradient of the batch's summed outcome loss with respect to every layer."""
-    _check_trace(trace, params, "outcome", len(labels))
-    Y = np.array([_label_onehot(label) for label in labels])
-    probs = trace.probs
-    pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    grad_probs = -Y / pc + (1.0 - Y) / (1.0 - pc)
-    grad_probs = np.where(probs == pc, grad_probs, 0.0)  # clamp region is flat
-    return _backward(params, trace, grad_probs)
+def loss_and_gradient(params: ModelParams, head: str, sequences: list[np.ndarray], targets: list,
+                      masks: list[np.ndarray | None] | None = None) -> tuple[float, Gradients]:
+    """A batch's summed loss under the named head, and the gradient of its mean loss.
 
-
-def backward_pretrain(trace: BatchTrace, targets: list[np.ndarray], params: ModelParams) -> Gradients:
-    """Exact gradient of the batch's summed masked-activity MSE with respect to every layer."""
-    _check_trace(trace, params, "pretrain", len(targets))
-    targets = np.array(targets)
-    grad_probs = 2.0 * (trace.probs - targets) / targets.shape[1]
-    return _backward(params, trace, grad_probs)
+    `targets` holds each sequence's label (outcome head) or original activity
+    vector (pretrain head); `masks` its dropout mask or None. The losses are
+    added left to right in input order.
+    """
+    if len(targets) != len(sequences):
+        raise ValueError(f"{len(targets)} targets for {len(sequences)} sequences")
+    trace = _forward(params, sequences, head, masks)
+    losses, grad_probs = HEADS[head][2](trace.probs, targets)
+    total = 0.0
+    for loss in losses:   # one row at a time, as np.sum's pairwise adds would not
+        total += float(loss)
+    return total, _backward(params, trace, head, grad_probs) * (1.0 / len(sequences))

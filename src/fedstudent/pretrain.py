@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import backward_pretrain, forward_pretrain, pretrain_loss
+from .network import loss_and_gradient
 from .optim import OptState, run_epoch
 from .params import Gradients, ModelParams
 from .splits import rng_for
@@ -45,12 +45,8 @@ def make_cbow_instances(X: np.ndarray) -> list[CbowInstance]:
 
 def _loss_and_gradient(model: ModelParams, batch: list[CbowInstance]) -> tuple[float, Gradients]:
     """The batch's summed masked-activity loss, and the gradient of its mean."""
-    trace = forward_pretrain(model, [instance.masked_matrix() for instance in batch])
-    targets = [instance.target for instance in batch]
-    total = 0.0
-    for probs, target in zip(trace.probs, targets):
-        total += pretrain_loss(probs, target)
-    return total, backward_pretrain(trace, targets, model) * (1.0 / len(batch))
+    return loss_and_gradient(model, "pretrain", [instance.masked_matrix() for instance in batch],
+                             [instance.target for instance in batch])
 
 
 def run_pretraining(

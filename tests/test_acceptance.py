@@ -28,7 +28,7 @@ from fedstudent.federation import (
 )
 from fedstudent.irt import ResponseMatrix, fit_rasch
 from fedstudent.metrics import ScoredStudent, auc
-from fedstudent.network import backward, forward_outcome, outcome_loss
+from fedstudent.network import loss_and_gradient
 from fedstudent.params import ModelParams, layer_shapes, params_norm
 from fedstudent.splits import build_subgroups, split_train_test
 from fedstudent.synthgen import (
@@ -77,7 +77,7 @@ class TestCriterion1GradientCorrectness:
             params = random_params(k, d, seed)
             X = random_sequence(L, d, rng)
             label = seed % 2
-            analytic = backward(forward_outcome(params, [X]), [label], params)
+            analytic = loss_and_gradient(params, "outcome", [X], [label])[1]
 
             for name in params.names():
                 arr = params[name]
@@ -86,9 +86,9 @@ class TestCriterion1GradientCorrectness:
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up = outcome_loss(forward_outcome(params, [X]).probs[0], label)
+                    up = loss_and_gradient(params, "outcome", [X], [label])[0]
                     flat[i] = orig - step
-                    down = outcome_loss(forward_outcome(params, [X]).probs[0], label)
+                    down = loss_and_gradient(params, "outcome", [X], [label])[0]
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     denom = max(abs(g[i]) + abs(fd), 1e-4)

@@ -383,6 +383,28 @@ class TestDumpEmbeddings:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--model", "--events", "--students"])
+    @pytest.mark.parametrize("problem", ["missing", "directory"])
+    def test_bad_input_path_exits_2_and_names_path(self, tmp_path, capsys, flag, problem):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path, pop=4)
+        data = tmp_path / "data"
+        main(["generate", "--spec", str(spec_path), "--seed", "5", "--out", str(data)])
+        model_path = tmp_path / "model.params"
+        save_params(ModelParams.zeros(4, N_VIDEOS + 7), str(model_path))
+        paths = {"--model": model_path, "--events": data / "events.csv",
+                 "--students": data / "students.csv"}
+        paths[flag] = tmp_path / "bad"
+        if problem == "directory":
+            paths[flag].mkdir()
+        argv = ["dump-embeddings", "--out", str(tmp_path / "emb.csv")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(paths[flag]) in capsys.readouterr().err
+        assert not (tmp_path / "emb.csv").exists()
+
     def test_empty_student_list_header_only(self, tmp_path):
         events = tmp_path / "events.csv"
         students = tmp_path / "students.csv"

@@ -17,7 +17,7 @@ from fedstudent.federation import (
     meta_gradient,
     run_federation,
 )
-from fedstudent.network import forward_outcome, outcome_loss
+from fedstudent.network import loss_and_gradient
 from fedstudent.optim import optimizer_step
 from fedstudent.params import ModelParams, layer_shapes, params_axpy, params_cosine, params_norm
 from fedstudent.splits import (
@@ -253,7 +253,7 @@ class TestLocalAdaptation:
 
     def test_first_order_meta_batch_runs_two_passes(self, monkeypatch):
         """The loss recorded for a meta batch comes from the first gradient pass, not a third forward."""
-        calls = {"forward_outcome": 0, "backward": 0}
+        calls = {"loss_and_gradient": 0}
 
         def counted(name):
             original = getattr(federation, name)
@@ -269,7 +269,7 @@ class TestLocalAdaptation:
         base = random_params(6, N_VIDEOS + 7, 0, scale=0.2)
         meta_update(base, client, 2, MetaConfig(inner_lr=0.05, outer_lr=0.01), round_idx=0)
         batches = 2 * -(-client.count // client.settings.batch_size)
-        assert calls == {"forward_outcome": 2 * batches, "backward": 2 * batches}
+        assert calls == {"loss_and_gradient": 2 * batches}
 
     def test_identical_clients_produce_identical_outputs(self):
         records = tiny_cohort()
@@ -297,9 +297,9 @@ class TestLocalAdaptation:
         init = ModelParams.initialized(6, N_VIDEOS + 7, rng_for(seed, "init"))
         for row in result.rounds:
             train = split.assignments[SubgroupKey("G", row.subgroup.split(":")[1])].train
-            trace = forward_outcome(init, [by_id[sid].sequence for sid in train])
-            losses = [outcome_loss(p, by_id[sid].label) for p, sid in zip(trace.probs, train)]
-            assert abs(row.train_loss - np.mean(losses)) <= 1e-12
+            total, _ = loss_and_gradient(init, "outcome", [by_id[sid].sequence for sid in train],
+                                         [by_id[sid].label for sid in train])
+            assert abs(row.train_loss - total / len(train)) <= 1e-12
 
     def test_outer_step_is_sgd_at_outer_lr(self):
         """The meta outer step goes through the optimizer and lands where theta - outer_lr * g does."""

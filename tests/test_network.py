@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import pathlib
@@ -9,16 +10,13 @@ import pytest
 
 from fedstudent.params import ModelParams, layer_shapes
 from fedstudent.network import (
+    HEADS,
     SCORE_CHUNK,
+    _forward,
     attention_pool,
-    backward,
-    backward_pretrain,
-    forward_outcome,
-    forward_pretrain,
     gru_forward,
+    loss_and_gradient,
     make_dropout_mask,
-    outcome_loss,
-    pretrain_loss,
     score,
 )
 
@@ -137,7 +135,7 @@ class TestPredictOutcome:
 
     def probs(self, params):
         X = random_sequence(3, params.input_dim, 0)
-        return forward_outcome(params, [X]).probs[0]
+        return _forward(params, [X], "outcome").probs[0]
 
     def test_zero_head_gives_uniform(self):
         params = ModelParams.zeros(3, 10)
@@ -160,6 +158,12 @@ class TestPredictOutcome:
         shifted = params.copy()
         shifted["head.b_l"] = params["head.b_l"] + 123.456
         np.testing.assert_allclose(self.probs(shifted), base, atol=1e-12)
+
+
+def outcome_loss(probs, label):
+    """The outcome head's loss of one probability pair against a binary label."""
+    losses, _ = HEADS["outcome"][2](np.array([probs]), [label])
+    return losses[0]
 
 
 class TestBceLoss:
@@ -210,9 +214,9 @@ class TestBackward:
             label = seed % 2
 
             def loss_fn(p):
-                return outcome_loss(forward_outcome(p, [X]).probs[0], label)
+                return loss_and_gradient(p, "outcome", [X], [label])[0]
 
-            analytic = backward(forward_outcome(params, [X]), [label], params)
+            analytic = loss_and_gradient(params, "outcome", [X], [label])[1]
             numeric = finite_difference_grads(params, loss_fn)
             assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -222,37 +226,33 @@ class TestBackward:
         mask = make_dropout_mask(np.random.default_rng(0), 4, 0.5)
 
         def loss_fn(p):
-            return outcome_loss(forward_outcome(p, [X], [mask]).probs[0], 1)
+            return loss_and_gradient(p, "outcome", [X], [1], [mask])[0]
 
-        analytic = backward(forward_outcome(params, [X], [mask]), [1], params)
+        analytic = loss_and_gradient(params, "outcome", [X], [1], [mask])[1]
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_pretrain_head_gradient_exactly_zero(self):
         params = random_params(4, 10, 4)
-        grads = backward(forward_outcome(params, [random_sequence(5, 10, 5)]), [0], params)
+        _, grads = loss_and_gradient(params, "outcome", [random_sequence(5, 10, 5)], [0])
         assert np.all(grads["pretrain.W_p"] == 0.0)
         assert np.all(grads["pretrain.b_p"] == 0.0)
 
     def test_balanced_batch_zero_bias_gradient_on_zero_model(self):
         params = ModelParams.zeros(4, 10)
         X = random_sequence(5, 10, 6)
-        total = backward(forward_outcome(params, [X, X]), [0, 1], params)
-        np.testing.assert_allclose(total["head.b_l"], [0.0, 0.0], atol=1e-12)
+        _, mean = loss_and_gradient(params, "outcome", [X, X], [0, 1])
+        np.testing.assert_allclose(mean["head.b_l"], [0.0, 0.0], atol=1e-12)
 
-    def test_stale_trace_rejected(self):
+    def test_target_or_mask_count_mismatch_rejected(self):
         params = random_params(4, 10, 7)
-        other = random_params(5, 10, 8)
         X = random_sequence(4, 10, 9)
-        trace = forward_outcome(params, [X])
         with pytest.raises(ValueError):
-            backward(trace, [1], other)
+            loss_and_gradient(params, "outcome", [X], [1, 0])
         with pytest.raises(ValueError):
-            backward(trace, [1, 0], params)
+            loss_and_gradient(params, "pretrain", [X, X], [X[0]])
         with pytest.raises(ValueError):
-            backward_pretrain(trace, [X[0]], params)
-        with pytest.raises(ValueError):
-            backward(forward_pretrain(params, [X]), [1], params)
+            loss_and_gradient(params, "outcome", [X], [1], [None, None])
 
 
 class TestPretrainPath:
@@ -264,16 +264,16 @@ class TestPretrainPath:
         masked[2] = 0.0
 
         def loss_fn(p):
-            return pretrain_loss(forward_pretrain(p, [masked]).probs[0], target)
+            return loss_and_gradient(p, "pretrain", [masked], [target])[0]
 
-        analytic = backward_pretrain(forward_pretrain(params, [masked]), [target], params)
+        analytic = loss_and_gradient(params, "pretrain", [masked], [target])[1]
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_outcome_head_untouched_by_pretrain_loss(self):
         params = random_params(4, 10, 13)
         X = random_sequence(4, 10, 14)
-        grads = backward_pretrain(forward_pretrain(params, [X]), [X[0]], params)
+        _, grads = loss_and_gradient(params, "pretrain", [X], [X[0]])
         assert np.all(grads["head.W_l"] == 0.0)
         assert np.all(grads["head.b_l"] == 0.0)
 
@@ -283,15 +283,15 @@ class TestForwardDeterminism:
         params = random_params(4, 10, 20)
         X = random_sequence(8, 10, 21)
         mask = make_dropout_mask(np.random.default_rng(5), 4, 0.5)
-        t1 = forward_outcome(params, [X], [mask])
-        t2 = forward_outcome(params, [X], [mask])
+        t1 = _forward(params, [X], "outcome", [mask])
+        t2 = _forward(params, [X], "outcome", [mask])
         assert np.array_equal(t1.probs, t2.probs)
         assert np.array_equal(t1.H, t2.H)
 
     def test_probability_outputs_are_distributions(self):
         for seed in range(10):
             params = random_params(4, 10, seed, scale=1.0)
-            trace = forward_outcome(params, [random_sequence(6, 10, seed)])
+            trace = _forward(params, [random_sequence(6, 10, seed)], "outcome")
             assert np.all(trace.probs >= 0)
             assert abs(trace.probs[0].sum() - 1.0) < 1e-9
             assert abs(trace.alpha[:, 0].sum() - 1.0) < 1e-9
@@ -312,7 +312,7 @@ def same_trace(t1, t2):
 
 
 class TestBatchedPasses:
-    """A batch's rows are its sequences run alone, and its gradient is theirs added up.
+    """A batch's rows are its sequences run alone, and its mean gradient is theirs added up over the batch size.
 
     Within 1e-12, not bit for bit: a batch runs each step as one matrix
     product over its rows, and a product adds its terms in an order that
@@ -345,49 +345,49 @@ class TestBatchedPasses:
     def test_outcome_batch_matches_single_sequences(self):
         params, Xs, masks, labels = self.batch()
         for order in (list(range(len(Xs))), list(range(len(Xs)))[::-1]):
-            trace = forward_outcome(params, [Xs[i] for i in order], [masks[i] for i in order])
+            batch = ([Xs[i] for i in order], [labels[i] for i in order], [masks[i] for i in order])
+            trace = _forward(params, batch[0], "outcome", batch[2])
             lone = []
             for row, i in enumerate(order):
-                alone = forward_outcome(params, [Xs[i]], [masks[i]])
+                alone = _forward(params, [Xs[i]], "outcome", [masks[i]])
                 self.assert_rows_alone(trace, alone, row)
-                lone.append(backward(alone, [labels[i]], params))
-            assert_close_to_sum(backward(trace, [labels[i] for i in order], params), lone)
+                _, grad = loss_and_gradient(params, "outcome", [Xs[i]], [labels[i]], [masks[i]])
+                lone.append(grad * (1.0 / len(order)))
+            assert_close_to_sum(loss_and_gradient(params, "outcome", *batch)[1], lone)
 
     def test_pretrain_batch_matches_single_sequences(self):
         params, Xs, _, _ = self.batch()
         for batch in (Xs, Xs[::-1]):
-            trace = forward_pretrain(params, batch)
+            trace = _forward(params, batch, "pretrain")
             lone = []
             for i, X in enumerate(batch):
-                alone = forward_pretrain(params, [X])
+                alone = _forward(params, [X], "pretrain")
                 self.assert_rows_alone(trace, alone, i)
-                lone.append(backward_pretrain(alone, [X[0]], params))
-            assert_close_to_sum(backward_pretrain(trace, [X[0] for X in batch], params), lone)
+                lone.append(loss_and_gradient(params, "pretrain", [X], [X[0]])[1] * (1.0 / len(batch)))
+            assert_close_to_sum(loss_and_gradient(params, "pretrain", batch, [X[0] for X in batch])[1], lone)
 
     def test_batch_order_does_not_matter(self):
         params, Xs, masks, labels = self.batch()
-        trace = forward_outcome(params, Xs, masks)
-        rev = forward_outcome(params, Xs[::-1], masks[::-1])
+        trace = _forward(params, Xs, "outcome", masks)
+        rev = _forward(params, Xs[::-1], "outcome", masks[::-1])
         n = len(Xs)
         for i in range(n):
             self.assert_rows_alone(trace, rev, i, n - 1 - i)
 
     def test_same_batch_twice_gives_identical_bytes(self):
         params, Xs, masks, labels = self.batch()
-        t1 = forward_outcome(params, Xs, masks)
-        t2 = forward_outcome(params, Xs, masks)
-        assert same_trace(t1, t2)
-        g1, g2 = backward(t1, labels, params), backward(t2, labels, params)
+        assert same_trace(_forward(params, Xs, "outcome", masks), _forward(params, Xs, "outcome", masks))
+        (l1, g1), (l2, g2) = (loss_and_gradient(params, "outcome", Xs, labels, masks) for _ in range(2))
+        assert l1 == l2
         assert all(g1[name].tobytes() == g2[name].tobytes() for name in g1.names())
-        p1, p2 = forward_pretrain(params, Xs), forward_pretrain(params, Xs)
-        assert same_trace(p1, p2)
+        assert same_trace(_forward(params, Xs, "pretrain"), _forward(params, Xs, "pretrain"))
 
     def test_empty_sequence_in_batch_rejected(self):
         params = random_params(4, 11, 1)
         with pytest.raises(ValueError):
-            forward_outcome(params, [random_sequence(3, 11, 0), np.zeros((0, 11))])
+            _forward(params, [random_sequence(3, 11, 0), np.zeros((0, 11))], "outcome")
         with pytest.raises(ValueError):
-            forward_outcome(params, [])
+            _forward(params, [], "outcome")
 
 
 class TestScore:
@@ -403,35 +403,36 @@ class TestScore:
             assert p_pass.shape == (len(Xs),)
             assert pooled.shape == (len(Xs), params.hidden_dim)
             for X, p, vector in zip(Xs, p_pass, pooled):
-                alone = forward_outcome(params, [X])
+                alone = _forward(params, [X], "outcome")
                 assert abs(p - alone.probs[0, 0]) <= 1e-12
                 np.testing.assert_allclose(vector, alone.pooled[0], rtol=0, atol=1e-12)
             by_length = sorted(range(len(Xs)), key=lambda i: Xs[i].shape[0])
             for start in range(0, len(Xs), SCORE_CHUNK):
                 chunk = by_length[start:start + SCORE_CHUNK]
-                trace = forward_outcome(params, [Xs[i] for i in chunk])
+                trace = _forward(params, [Xs[i] for i in chunk], "outcome")
                 assert p_pass[chunk].tobytes() == trace.probs[:, 0].tobytes()
                 assert pooled[chunk].tobytes() == trace.pooled.tobytes()
 
 
-# Runs a forward, a backward and `score`, and prints a digest of every output's
+# Runs a forward, a loss and gradient, and `score`, and prints a digest of every output's
 # bytes. Each step's products over 256 sequences (256 x 12 x 144) are large
 # enough for OpenBLAS to run them on two threads when it may.
 THREADED_RUN = """
 import hashlib
 import numpy as np
-from fedstudent.network import backward, forward_outcome, make_dropout_mask, score
+from fedstudent.network import _forward, loss_and_gradient, make_dropout_mask, score
 from fedstudent.params import ModelParams
 
 rng = np.random.default_rng(0)
 params = ModelParams.initialized(48, 12, rng)
 Xs = [rng.integers(0, 2, size=(L, 12)).astype(float) for L in rng.integers(1, 41, size=256)]
 masks = [make_dropout_mask(rng, 48, 0.5) for _ in Xs]
-trace = forward_outcome(params, Xs, masks)
-grad = backward(trace, [i % 2 for i in range(256)], params)
+trace = _forward(params, Xs, "outcome", masks)
+loss, grad = loss_and_gradient(params, "outcome", Xs, [i % 2 for i in range(256)], masks)
 p_pass, pooled = score(params, Xs)
 digest = hashlib.sha256()
-for array in (trace.H, trace.probs, *(grad[name] for name in grad.names()), p_pass, pooled):
+for array in (trace.H, trace.probs, np.float64(loss), *(grad[name] for name in grad.names()),
+              p_pass, pooled):
     digest.update(array.tobytes())
 print(digest.hexdigest())
 """
@@ -447,3 +448,18 @@ def test_blas_thread_count_does_not_change_results():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def test_only_loss_and_gradient_runs_backward():
+    """A trace reaches the backward pass only from the forward pass that made it."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    for path in package.rglob("*.py"):
+        if path.stem != "network":
+            assert "_backward" not in path.read_text(encoding="utf-8"), path
+    tree = ast.parse((package / "network.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_backward"]
+    caller = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "loss_and_gradient")
+    assert len(calls) == 1 and caller.lineno <= calls[0] <= caller.end_lineno
