@@ -51,6 +51,14 @@ def _not_a_file(what: str, path: str) -> bool:
     return True
 
 
+def _file_in_the_way(path: str) -> str | None:
+    """The existing non-directory at or above `path` that keeps it from being made, if any."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return None if os.path.isdir(path) else path
+
+
 def cmd_generate(spec_path: str, seed: int, out_dir: str) -> int:
     if _not_a_file("cohort spec", spec_path):
         return EXIT_CONFIG
@@ -106,6 +114,9 @@ def _print_report(report: EvalReport) -> None:
 
 
 def cmd_run(config_path: str, seed_override: int | None, jobs: int, out_override: str | None) -> int:
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = load_config(config_path)
         if seed_override is not None:
@@ -114,11 +125,14 @@ def cmd_run(config_path: str, seed_override: int | None, jobs: int, out_override
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = out_override or config.output_dir
+    models_dir = os.path.join(out_dir, "models")
+    blocker = _file_in_the_way(models_dir)
+    if blocker is not None:
+        print(f"error: output directory {out_dir}: not a directory: {blocker}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         records = _load_dataset(config)
         report = cross_validate(records, config.plan, jobs=jobs)
-        os.makedirs(out_dir, exist_ok=True)
-        models_dir = os.path.join(out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
         artifacts = []
         report_path = os.path.join(out_dir, "report.csv")
@@ -215,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config JSON path")
     p_run.add_argument("--seed", type=int, default=None, help="override the config's seed list")
     p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel runs (default: hardware threads)")
+                       help="parallel runs, at least 1 (default: hardware threads)")
     p_run.add_argument("--out", default=None, help="override the config's output directory")
 
     p_dump = sub.add_parser("dump-embeddings", help="export pooled representations to CSV")

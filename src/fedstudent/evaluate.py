@@ -20,6 +20,7 @@ from .federation import (
     FederationError,
     FederationSchedule,
     MetaConfig,
+    RoundRow,
     TrainSettings,
     run_federation,
 )
@@ -30,6 +31,7 @@ from .pretrain import run_pretraining
 from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, rng_for
 from .tracking import AccessMonitor, track_records
 
+VAL_FRACTION = 0.2  # share of each fold's training pool, per subgroup and label, kept for validation
 REPORT_HEADER = ["strategy", "variable", "subgroup", "mean_auc", "std_auc", "n_runs"]
 ROUNDS_HEADER = ["strategy", "fold", "seed", "round", "subgroup", "val_auc", "train_loss"]
 
@@ -51,7 +53,6 @@ class ExperimentPlan:
     folds: int = 1
     seeds: tuple = (0, 1, 2, 3, 4)
     fold_seed: int = 1234
-    val_fraction: float = 0.2
 
 
 def _stratified_chunks(ids: list[str], n_chunks: int, rng: np.random.Generator) -> list[list[str]]:
@@ -106,7 +107,7 @@ def build_fold_split(
                 continue
             rng = rng_for(plan.fold_seed, "val", str(key), label, fold_idx)
             shuffled = [members[i] for i in rng.permutation(len(members))]
-            n_val = int(len(shuffled) * plan.val_fraction)
+            n_val = int(len(shuffled) * VAL_FRACTION)
             if n_val == 0 and len(shuffled) >= 2:
                 n_val = 1
             val.extend(shuffled[:n_val])
@@ -125,7 +126,7 @@ class RunOutcome:
     fold: int
     seed: int
     subgroup_auc: dict[str, float | None]
-    rounds: list[tuple]
+    rounds: list[RoundRow]
     final_params: ModelParams
     eval_models: dict[str, ModelParams]
     test_ids: dict[str, list[str]]
@@ -143,6 +144,14 @@ def _failure_named(task: str):
         raise FederationError(f"{task}: {exc}") from exc
 
 
+def _fold_setup(records: list[StudentRecord], plan: ExperimentPlan, fold_idx: int):
+    """A fresh access monitor, the records tracked by it, and the fold's split."""
+    monitor = AccessMonitor()
+    tracked = track_records(records, monitor)
+    split = build_fold_split({r.student_id: r for r in records}, plan, fold_idx)
+    return monitor, tracked, split
+
+
 def pretrain_for_fold(
     records: list[StudentRecord],
     plan: ExperimentPlan,
@@ -155,10 +164,7 @@ def pretrain_for_fold(
     result serves every strategy of the same run. Returns the trained weights,
     per-epoch losses, and the instrumented access counts.
     """
-    monitor = AccessMonitor()
-    record_index = {r.student_id: r for r in records}
-    tracked = track_records(records, monitor)
-    split = build_fold_split(record_index, plan, fold_idx)
+    monitor, tracked, split = _fold_setup(records, plan, fold_idx)
     with monitor.phase("pretrain"), _failure_named(f"pretraining fold {fold_idx} seed {seed}"):
         train_ids = sorted(split.all_train_ids())
         sequences = [tracked[sid].sequence for sid in train_ids]
@@ -181,21 +187,16 @@ def execute_run(
     seed: int,
     pretrain_result: tuple | None = None,
 ) -> RunOutcome:
-    """One federated run plus test evaluation, fully instrumented."""
-    monitor = AccessMonitor()
-    record_index = {r.student_id: r for r in records}
-    tracked = track_records(records, monitor)
-    split = build_fold_split(record_index, plan, fold_idx)
-    warnings: list[str] = []
-
+    """One federated run plus test evaluation, fully instrumented. With pretraining
+    enabled, `pretrain_result` is `pretrain_for_fold`'s result for this fold and seed."""
+    monitor, tracked, split = _fold_setup(records, plan, fold_idx)
     pretrained = None
     pretrain_losses: list[float] = []
     if plan.pretrain_enabled:
         if pretrain_result is None:
             pretrain_result = pretrain_for_fold(records, plan, fold_idx, seed)
         pretrained, pretrain_losses, pretrain_counts = pretrain_result
-        for key, count in pretrain_counts.items():
-            monitor.counts[key] += count
+        monitor.counts.update(pretrain_counts)
 
     schedule = FederationSchedule(strategy, rounds=plan.rounds, local_iters=plan.local_iters)
     task = f"{strategy} fold {fold_idx} seed {seed}"
@@ -205,7 +206,7 @@ def execute_run(
             settings=plan.settings, meta_cfg=plan.meta, attn_cfg=plan.attn,
             pretrained=pretrained, monitor=monitor,
         )
-    warnings.extend(result.warnings)
+    warnings = list(result.warnings)
 
     subgroup_auc: dict[str, float | None] = {}
     test_ids: dict[str, list[str]] = {}
@@ -224,16 +225,12 @@ def execute_run(
             subgroup_auc[str(key)] = None
             warnings.append(f"{task} subgroup {key}: {exc}")
 
-    round_tuples = [
-        (strategy, fold_idx, seed, row.round, row.subgroup, row.val_auc, row.train_loss)
-        for row in result.rounds
-    ]
     return RunOutcome(
         strategy=strategy,
         fold=fold_idx,
         seed=seed,
         subgroup_auc=subgroup_auc,
-        rounds=round_tuples,
+        rounds=result.rounds,
         final_params=result.final_params,
         eval_models=eval_models,
         test_ids=test_ids,
@@ -270,90 +267,75 @@ class EvalReport:
     warnings: list[str]
 
 
-_WORKER_STATE: dict = {}
+_inputs: tuple = ()  # the (records, plan) that `_call` runs its tasks on
 
 
-def _init_worker(records, plan, pretrain_results=None):
-    _WORKER_STATE["records"] = records
-    _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["pretrain"] = pretrain_results or {}
+def _set_inputs(*inputs) -> None:
+    global _inputs
+    _inputs = inputs
 
 
-def _worker_pretrain(task):
-    fold_idx, seed = task
-    return pretrain_for_fold(_WORKER_STATE["records"], _WORKER_STATE["plan"], fold_idx, seed)
+def _call(task: tuple):
+    """Run `task`, a tuple `(function, *args)`, as `function(records, plan, *args)`."""
+    function, *args = task
+    return function(*_inputs, *args)
 
 
-def _worker_run(task):
-    strategy, fold_idx, seed = task
-    return execute_run(
-        _WORKER_STATE["records"], _WORKER_STATE["plan"], strategy, fold_idx, seed,
-        pretrain_result=_WORKER_STATE["pretrain"].get((fold_idx, seed)),
-    )
+@contextmanager
+def _task_mapper(records: list[StudentRecord], plan: ExperimentPlan, workers: int):
+    """A `map` for `_call` over task tuples: the builtin one in this process, or, for
+    more than one worker, `pool.map` of one pool whose workers get (records, plan) once."""
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_inputs, initargs=(records, plan)
+        ) as pool:
+            yield pool.map
+        return
+    _set_inputs(records, plan)
+    try:
+        yield map
+    finally:
+        _set_inputs()
 
 
 def cross_validate(records: list[StudentRecord], plan: ExperimentPlan, jobs: int = 1) -> EvalReport:
     """Run every (strategy, fold, seed) combination and aggregate per-subgroup AUC.
 
-    Pretraining is computed once per (fold, seed) and shared by every strategy.
-    Runs are independent and may execute in parallel; assembly is in canonical
-    task order so the report does not depend on the level of parallelism.
+    Pretraining is computed once per (fold, seed) and travels with each run task
+    of that fold and seed. Both stages go through one mapper, which runs at most
+    `jobs` tasks at once, in a pool of at most one worker per run. Results come
+    back in canonical task order, so the report does not depend on `jobs`.
     """
-    pretrain_results: dict = {}
-    pre_tasks = [
-        (fold_idx, seed) for fold_idx in range(plan.folds) for seed in plan.seeds
-    ] if plan.pretrain_enabled else []
-    tasks = [
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    runs = [
         (strategy, fold_idx, seed)
         for strategy in plan.strategies
         for fold_idx in range(plan.folds)
         for seed in plan.seeds
     ]
-    if jobs > 1 and (len(tasks) > 1 or len(pre_tasks) > 1):
-        if pre_tasks:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=(records, plan)
-            ) as pool:
-                pretrain_results = dict(zip(pre_tasks, pool.map(_worker_pretrain, pre_tasks)))
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(records, plan, pretrain_results),
-        ) as pool:
-            outcomes = list(pool.map(_worker_run, tasks))
-    else:
-        pretrain_results = {t: pretrain_for_fold(records, plan, *t) for t in pre_tasks}
-        outcomes = [
-            execute_run(records, plan, *task,
-                        pretrain_result=pretrain_results.get((task[1], task[2])))
-            for task in tasks
-        ]
+    pre_tasks = [
+        (pretrain_for_fold, fold_idx, seed) for fold_idx in range(plan.folds) for seed in plan.seeds
+    ] if plan.pretrain_enabled else []
+    with _task_mapper(records, plan, min(jobs, len(runs))) as mapper:
+        pretrained = dict(zip([task[1:] for task in pre_tasks], mapper(_call, pre_tasks)))
+        outcomes = list(mapper(_call, [
+            (execute_run, strategy, fold_idx, seed, pretrained.get((fold_idx, seed)))
+            for strategy, fold_idx, seed in runs
+        ]))
 
-    by_key: dict[tuple[str, str], list[float]] = {}
-    subgroups_seen: list[str] = []
-    warnings: list[str] = []
-    for outcome in outcomes:
-        warnings.extend(outcome.warnings)
-        for subgroup, value in outcome.subgroup_auc.items():
-            if subgroup not in subgroups_seen:
-                subgroups_seen.append(subgroup)
-            if value is not None:
-                by_key.setdefault((outcome.strategy, subgroup), []).append(value)
-
+    warnings = [warning for outcome in outcomes for warning in outcome.warnings]
+    subgroups = sorted({subgroup for outcome in outcomes for subgroup in outcome.subgroup_auc})
     rows = []
     for strategy in plan.strategies:
-        for subgroup in sorted(subgroups_seen):
-            values = by_key.get((strategy, subgroup), [])
+        for subgroup in subgroups:
+            values = [outcome.subgroup_auc[subgroup] for outcome in outcomes
+                      if outcome.strategy == strategy and outcome.subgroup_auc.get(subgroup) is not None]
             if not values:
                 warnings.append(f"{strategy} subgroup {subgroup}: no defined AUC in any run")
                 continue
-            rows.append(ReportRow(
-                strategy=strategy,
-                variable=plan.variable,
-                subgroup=subgroup,
-                mean_auc=float(np.mean(values)),
-                std_auc=float(np.std(values)),
-                n_runs=len(values),
-            ))
+            rows.append(ReportRow(strategy, plan.variable, subgroup, float(np.mean(values)),
+                                  float(np.std(values)), len(values)))
     return EvalReport(rows=rows, outcomes=outcomes, warnings=warnings)
 
 
@@ -372,11 +354,10 @@ def rounds_to_csv(report: EvalReport, path: str) -> None:
         writer.writerow(ROUNDS_HEADER)
         for outcome in report.outcomes:
             for row in outcome.rounds:
-                strategy, fold, seed, round_idx, subgroup, val_auc, loss = row
                 writer.writerow([
-                    strategy, fold, seed, round_idx, subgroup,
-                    "" if val_auc is None else repr(val_auc),
-                    "" if loss is None else repr(loss),
+                    outcome.strategy, outcome.fold, outcome.seed, row.round, row.subgroup,
+                    "" if row.val_auc is None else repr(row.val_auc),
+                    "" if row.train_loss is None else repr(row.train_loss),
                 ])
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from fedstudent import cli
 from fedstudent.cli import main
 from fedstudent.config import KEYS, REQUIRED, parse_config
 from fedstudent.dataio import load_records
@@ -199,6 +200,44 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--seed", "7", "--jobs", "1"]) == 0
         report = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert all(line.endswith(",1") for line in report[1:])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_naming_flag(self, tmp_path, capsys, jobs):
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / "out")
+        assert main(["run", "--config", str(config_path), "--jobs", jobs]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # (the config's output_dir, the --out flag or None, the file in the way, which the error names)
+    @pytest.mark.parametrize("output_dir, out_flag, blocker", [
+        ("taken", None, "taken"),
+        ("out", "taken", "taken"),
+        ("out", "taken/sub", "taken"),
+        ("out", None, "out/models"),
+    ])
+    def test_output_path_not_a_directory_exits_2_before_loading(
+        self, tmp_path, capsys, monkeypatch, output_dir, out_flag, blocker
+    ):
+        def no_loading(config):
+            raise AssertionError("the cohort was loaded")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_loading)
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / output_dir)
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("a file\n")
+        argv = ["run", "--config", str(config_path), "--jobs", "1"]
+        if out_flag is not None:
+            argv += ["--out", str(tmp_path / out_flag)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and str(tmp_path / blocker) in err
+        assert (tmp_path / blocker).read_text() == "a file\n"
 
     def test_byte_identical_reports_across_jobs(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -130,6 +134,18 @@ class TestExecuteRun:
         assert len(outcome.pretrain_losses) == 1
         assert count_test_reads(outcome) == 0
 
+    def test_one_label_test_split_leaves_auc_undefined(self):
+        records = [dataclasses.replace(r, label=0) if r.demographics.gender == "F" else r
+                   for r in small_cohort()]
+        outcome = execute_run(records, small_plan(), "FedAvg", 0, 3)
+        assert outcome.subgroup_auc["G:F"] is None
+        assert outcome.subgroup_auc["G:M"] is not None
+        [warning] = [w for w in outcome.warnings if "G:F" in w]
+        assert warning.startswith("FedAvg fold 0 seed 3 subgroup G:F: AUC undefined")
+        report = cross_validate(records, small_plan(seeds=(3,)))
+        assert [row.subgroup for row in report.rows] == ["G:M"]
+        assert report.warnings[-1] == "FedAvg subgroup G:F: no defined AUC in any run"
+
     def test_pretraining_never_reads_labels(self):
         from fedstudent.evaluate import pretrain_for_fold
 
@@ -169,14 +185,92 @@ class TestCrossValidate:
 
     def test_parallel_equals_sequential(self):
         records = small_cohort()
-        plan = small_plan(strategies=("FedAvg",), seeds=(0, 1), folds=2)
-        seq = cross_validate(records, plan, jobs=1)
-        par = cross_validate(records, plan, jobs=2)
-        assert [(x.strategy, x.subgroup, x.mean_auc) for x in seq.rows] == \
-               [(x.strategy, x.subgroup, x.mean_auc) for x in par.rows]
-        for o1, o2 in zip(seq.outcomes, par.outcomes):
-            for name in o1.final_params.names():
-                assert np.array_equal(o1.final_params[name], o2.final_params[name])
+        plain = small_plan(strategies=("FedAvg",), seeds=(0, 1), folds=2)
+        pretrained = small_plan(strategies=("FedAvg", "PerFedAttn"), seeds=(0, 1), folds=2,
+                                pretrain_enabled=True, pretrain_epochs=1)
+        for plan in (plain, pretrained):
+            seq = cross_validate(records, plan, jobs=1)
+            par = cross_validate(records, plan, jobs=2)
+            assert [(x.strategy, x.subgroup, x.mean_auc) for x in seq.rows] == \
+                   [(x.strategy, x.subgroup, x.mean_auc) for x in par.rows]
+            assert len(seq.outcomes) == len(par.outcomes) == len(plan.strategies) * 4
+            for o1, o2 in zip(seq.outcomes, par.outcomes):
+                assert (o1.strategy, o1.fold, o1.seed) == (o2.strategy, o2.fold, o2.seed)
+                assert o1.rounds == o2.rounds
+                assert o1.pretrain_losses == o2.pretrain_losses
+                assert o1.access_counts == o2.access_counts
+                assert o1.eval_models.keys() == o2.eval_models.keys()
+                models = [(o1.final_params, o2.final_params)] + [
+                    (o1.eval_models[key], o2.eval_models[key]) for key in o1.eval_models]
+                for m1, m2 in models:
+                    for name in m1.names():
+                        assert np.array_equal(m1[name], m2[name])
+        assert all(len(o.pretrain_losses) == 1 for o in par.outcomes)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            cross_validate(small_cohort(), small_plan(), jobs=0)
+
+
+class TestTaskRunner:
+    @staticmethod
+    def fake_pools(monkeypatch) -> list[int]:
+        """Replace the process pool with one that records its size and runs tasks here."""
+        sizes: list[int] = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks):
+                return map(function, tasks)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, pools", [(1, []), (3, [3]), (8, [8]), (64, [8])])
+    def test_one_pool_of_at_most_one_worker_per_run(self, monkeypatch, jobs, pools):
+        sizes = self.fake_pools(monkeypatch)
+        pretrainings = []
+        run_pretraining = evaluate.run_pretraining
+
+        def counted_pretraining(*args, **kwargs):
+            pretrainings.append(args[4])  # the seed
+            return run_pretraining(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "run_pretraining", counted_pretraining)
+        plan = small_plan(strategies=("FedAvg", "Local"), seeds=(0, 1), folds=2,
+                          pretrain_enabled=True, pretrain_epochs=1)
+        report = cross_validate(small_cohort(), plan, jobs=jobs)
+        assert sizes == pools
+        assert pretrainings == [0, 1, 0, 1]  # once per (fold, seed), shared by both strategies
+        assert [(o.strategy, o.fold, o.seed) for o in report.outcomes] == [
+            (strategy, fold, seed) for strategy in plan.strategies for fold in (0, 1) for seed in (0, 1)]
+        assert all(len(o.pretrain_losses) == 1 for o in report.outcomes)
+
+    def test_single_run_opens_no_pool(self, monkeypatch):
+        sizes = self.fake_pools(monkeypatch)
+        report = cross_validate(small_cohort(), small_plan(seeds=(0,), folds=1), jobs=8)
+        assert sizes == [] and len(report.outcomes) == 1
+
+    def test_one_place_opens_a_process_pool(self):
+        """`cross_validate`'s one mapper opens the only pool, so no second path comes back."""
+        package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+        sites = [(path.name, lineno) for path in sorted(package.rglob("*.py"))
+                 for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "ProcessPoolExecutor(" in line]
+        tree = ast.parse((package / "evaluate.py").read_text(encoding="utf-8"))
+        mapper = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_task_mapper")
+        assert len(sites) == 1 and sites[0][0] == "evaluate.py"
+        assert mapper.lineno <= sites[0][1] <= mapper.end_lineno
 
 
 class TestFailedRunIsNamed:
