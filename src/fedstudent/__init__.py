@@ -1,10 +1,8 @@
 """Federated personalization simulator for clickstream-based student outcome prediction."""
 
 from .activity import (
-    ActivityEvent,
     ActivityKind,
     Demographics,
-    QuizOutcome,
     StudentRecord,
     score_first_attempt,
 )

@@ -28,14 +28,6 @@ class ActivityKind(str, Enum):
     FORUM_REPLY = "forum_reply"
     FORUM_VIEW = "forum_view"
 
-    @property
-    def is_watch(self) -> bool:
-        return self in WATCH_KINDS
-
-    @property
-    def is_forum(self) -> bool:
-        return self in FORUM_KINDS
-
 
 WATCH_KINDS = (
     ActivityKind.WATCH_NOQUIZ,
@@ -50,6 +42,9 @@ FORUM_KINDS = (
 )
 # Position of each kind inside the 7 activity-type slots (4 watch then 3 forum).
 KIND_SLOT = {kind: i for i, kind in enumerate(WATCH_KINDS + FORUM_KINDS)}
+KIND_NAMES = tuple(kind.value for kind in KIND_SLOT)
+SLOT_NOQUIZ, SLOT_CORRECT, SLOT_INCORRECT, SLOT_NOANSWER = (KIND_SLOT[kind] for kind in WATCH_KINDS)
+N_WATCH = len(WATCH_KINDS)
 N_KINDS = 7
 
 
@@ -62,57 +57,27 @@ def score_first_attempt(points: float, max_points: float) -> int:
     return 1 if points == max_points else 0
 
 
-@dataclass(frozen=True)
-class QuizOutcome:
-    """Recorded end-of-video quiz result for one student/video pair."""
-
-    points: float
-    max_points: float
-
-    def __post_init__(self):
-        score_first_attempt(self.points, self.max_points)  # validates ranges
-
-    @property
-    def first_attempt_score(self) -> int:
-        return score_first_attempt(self.points, self.max_points)
-
-
-@dataclass(frozen=True)
-class ActivityEvent:
-    """One raw clickstream event: who, when, what, and (for watches) which video."""
-
-    student_id: str
-    timestamp: int
-    kind: ActivityKind
-    video_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind.is_watch and self.video_index is None:
-            raise ValueError(f"{self.kind.value} event requires a video_index")
-        if self.kind.is_forum and self.video_index is not None:
-            raise ValueError(f"{self.kind.value} event must not carry a video_index")
-
-
-def event_columns(kind: ActivityKind, video_index: int | None, first_attempt_score: int | None,
+def event_columns(slot: int, video_index: int | None, first_attempt_score: int | None,
                   n_videos: int) -> tuple[int, ...]:
     """The hot columns of one event's row in (video one-hot; watch bits; forum bits).
 
-    A forum event sets its forum column only. A watch sets its video's column
-    and one watch column: with a first-attempt score it resolves to
-    watch_correct or watch_incorrect; without one, watch_noanswer stays and
-    anything else means the video had no quiz and becomes watch_noquiz.
+    `slot` is the event kind's `KIND_SLOT`. A forum event sets its forum
+    column only. A watch sets its video's column and one watch column: with a
+    first-attempt score it resolves to watch_correct or watch_incorrect;
+    without one, watch_noanswer stays and anything else means the video had no
+    quiz and becomes watch_noquiz.
     """
-    if kind.is_forum:
+    if slot >= N_WATCH:
         if first_attempt_score is not None:
-            raise EncodingError(f"quiz outcome supplied for a {kind.value} event")
-        return (n_videos + KIND_SLOT[kind],)
+            raise EncodingError(f"quiz outcome supplied for a {KIND_NAMES[slot]} event")
+        return (n_videos + slot,)
     if video_index is None or not 0 <= video_index < n_videos:
         raise EncodingError(f"video_index {video_index} out of range [0, {n_videos})")
     if first_attempt_score is not None:
-        kind = ActivityKind.WATCH_CORRECT if first_attempt_score else ActivityKind.WATCH_INCORRECT
-    elif kind is not ActivityKind.WATCH_NOANSWER:
-        kind = ActivityKind.WATCH_NOQUIZ
-    return (video_index, n_videos + KIND_SLOT[kind])
+        slot = SLOT_CORRECT if first_attempt_score else SLOT_INCORRECT
+    elif slot != SLOT_NOANSWER:
+        slot = SLOT_NOQUIZ
+    return (video_index, n_videos + slot)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dataio import IngestError, load_records, write_events_csv, write_students_csv
 from .evaluate import (
+    REPORT_HEADER,
     EvalReport,
     cross_validate,
     embeddings_to_csv,
@@ -193,6 +195,21 @@ def cmd_dump_embeddings(
     return EXIT_OK
 
 
+def _check_report_row(row: list[str]) -> None:
+    """Raise ValueError unless `row` holds finite AUC figures and a positive run count."""
+    if len(row) != len(REPORT_HEADER):
+        raise ValueError(f"expected {len(REPORT_HEADER)} fields")
+    for name, cell in zip(REPORT_HEADER[3:5], row[3:5]):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite number, got {cell!r}")
+    if not (row[5].isdecimal() and int(row[5]) >= 1):
+        raise ValueError(f"n_runs must be a positive integer, got {row[5]!r}")
+
+
 def cmd_report(report_path: str) -> int:
     if _not_a_file("report", report_path):
         return EXIT_CONFIG
@@ -203,12 +220,22 @@ def cmd_report(report_path: str) -> int:
             if header is None:
                 print("error: report is empty", file=sys.stderr)
                 return EXIT_RUNTIME
-            print(" | ".join(f"{h:<14}" for h in header))
+            if header != REPORT_HEADER:
+                raise ValueError(f"expected header {REPORT_HEADER}, got {header}")
+            rows = []
             for row in reader:
-                print(" | ".join(f"{cell:<14}" for cell in row))
+                if row:
+                    _check_report_row(row)
+                    rows.append(row)
     except csv.Error as exc:
         print(f"error: cannot parse report: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        print(f"error: {report_path}:{reader.line_num}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    print(" | ".join(f"{h:<14}" for h in header))
+    for row in rows:
+        print(" | ".join(f"{cell:<14}" for cell in row))
     return EXIT_OK
 
 

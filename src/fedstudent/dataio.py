@@ -1,28 +1,50 @@
 """CSV ingest and emission for events and student tables.
 
-events.csv columns: student_id, timestamp, kind, video_index, points, max_points
-  (video_index only for watch kinds; points/max_points only when a quiz answer
-   was recorded; kind may be the generic "watch", resolved from the outcome).
+events.csv columns: student_id, timestamp, kind, video_index, points, max_points.
 students.csv columns: student_id, gender, continent, birth_year, label
   (empty demographic cells mean unspecified).
+
+students.csv is read first, so its errors win over any in events.csv. Every
+error names `path:line`. Each events.csv row is checked as it is read, in file
+order, and its first failing rule wins (blank rows are skipped):
+  1. the row has six fields;
+  2. kind is one of the seven kinds, or the generic "watch": watch_correct if
+     the row has an outcome, else watch_noquiz;
+  3. the row has an outcome when points and max_points are both non-empty;
+     then both parse as numbers, max_points > 0 and 0 <= points <= max_points,
+     and the first-attempt score is 1 for full marks only. A NaN points
+     passes these checks and scores 0;
+  4. video_index, when given, is an integer;
+  5. timestamp is an integer;
+  6. a watch kind has a video_index and a forum kind has none;
+  7. student_id is in students.csv.
+Each student's events are then ordered by timestamp, ties in file order, and
+cut to the `max_sequence` most recent. Only the events kept are encoded and
+checked, students in students.csv order and events in time order, so a row
+that the cap drops breaks neither rule:
+  8. a watch's video_index lies in [0, n_videos);
+  9. a forum event has no outcome.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from operator import itemgetter
 
 import numpy as np
 
 from .activity import (
+    KIND_NAMES,
     N_KINDS,
-    ActivityEvent,
-    ActivityKind,
+    N_WATCH,
+    SLOT_CORRECT,
+    SLOT_INCORRECT,
     Demographics,
     EncodingError,
-    QuizOutcome,
     StudentRecord,
     event_columns,
+    score_first_attempt,
 )
 from .synthgen import DEFAULT_MAX_SEQUENCE
 
@@ -30,6 +52,10 @@ logger = logging.getLogger(__name__)
 
 EVENT_HEADER = ["student_id", "timestamp", "kind", "video_index", "points", "max_points"]
 STUDENT_HEADER = ["student_id", "gender", "continent", "birth_year", "label"]
+# Raw kind string -> its slot; the generic "watch" is resolved before the lookup.
+_SLOT_OF = {name: slot for slot, name in enumerate(KIND_NAMES)}
+# The points and max_points written for a watch slot; other watches have none.
+_WATCH_POINTS = {SLOT_CORRECT: ("1.0", "1.0"), SLOT_INCORRECT: ("0.0", "1.0")}
 
 
 class IngestError(ValueError):
@@ -47,26 +73,19 @@ def write_events_csv(records: list[StudentRecord], path: str) -> None:
     Kinds and video indices are recovered from the one-hot encoding, which is
     always possible for generated cohorts.
     """
-    kinds = list(ActivityKind)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_HEADER)
         for record in records:
             n_videos = record.sequence.shape[1] - N_KINDS
-            slots = record.sequence[:, n_videos:].argmax(axis=1)
-            videos = record.sequence[:, :n_videos].argmax(axis=1)
+            slots = record.sequence[:, n_videos:].argmax(axis=1).tolist()
+            videos = record.sequence[:, :n_videos].argmax(axis=1).tolist()
             for timestamp, (slot, video) in enumerate(zip(slots, videos)):
-                kind = kinds[slot]
-                if kind.is_watch:
-                    if kind is ActivityKind.WATCH_CORRECT:
-                        points, max_points = "1.0", "1.0"
-                    elif kind is ActivityKind.WATCH_INCORRECT:
-                        points, max_points = "0.0", "1.0"
-                    else:
-                        points, max_points = "", ""
-                    writer.writerow([record.student_id, timestamp, kind.value, int(video), points, max_points])
+                if slot < N_WATCH:
+                    writer.writerow([record.student_id, timestamp, KIND_NAMES[slot], video,
+                                     *_WATCH_POINTS.get(slot, ("", ""))])
                 else:
-                    writer.writerow([record.student_id, timestamp, kind.value, "", "", ""])
+                    writer.writerow([record.student_id, timestamp, KIND_NAMES[slot], "", "", ""])
 
 
 def write_students_csv(records: list[StudentRecord], path: str) -> None:
@@ -82,44 +101,6 @@ def write_students_csv(records: list[StudentRecord], path: str) -> None:
                 demo.birth_year if demo.birth_year is not None else "",
                 record.label,
             ])
-
-
-def _parse_kind(raw: str, has_outcome: bool) -> ActivityKind:
-    if raw == "watch":
-        # Generic watch rows resolve from the recorded outcome; without one the
-        # video is treated as quizless.
-        return ActivityKind.WATCH_CORRECT if has_outcome else ActivityKind.WATCH_NOQUIZ
-    try:
-        return ActivityKind(raw)
-    except ValueError as exc:
-        raise ValueError(f"unknown activity kind {raw!r}") from exc
-
-
-def _parse_event(row: list[str]) -> tuple[ActivityEvent, QuizOutcome | None]:
-    if len(row) != len(EVENT_HEADER):
-        raise ValueError(f"expected {len(EVENT_HEADER)} fields")
-    sid, ts, kind_raw, video_raw, points_raw, max_raw = row
-    has_outcome = points_raw != "" and max_raw != ""
-    kind = _parse_kind(kind_raw, has_outcome)
-    outcome = QuizOutcome(float(points_raw), float(max_raw)) if has_outcome else None
-    video = int(video_raw) if video_raw != "" else None
-    return ActivityEvent(sid, int(ts), kind, video_index=video), outcome
-
-
-def _event_rows(path: str):
-    """Yield (line number, ActivityEvent, QuizOutcome | None) in file order."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _require_header(header, EVENT_HEADER, path)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                event, outcome = _parse_event(row)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            yield line_no, event, outcome
 
 
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
@@ -148,45 +129,76 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     return table
 
 
+def _read_events(path: str, table: dict[str, tuple[Demographics, int]]) -> dict[str, list]:
+    """Check each events.csv row (rules 1-7) and file it under its student
+    as (timestamp, line, video, slot, score), with a generic watch's slot resolved."""
+    per_student: dict[str, list] = {sid: [] for sid in table}
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        _require_header(next(reader, None), EVENT_HEADER, path)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != len(EVENT_HEADER):
+                    raise ValueError(f"expected {len(EVENT_HEADER)} fields")
+                sid, ts, kind, video, points, max_points = row
+                has_outcome = points != "" and max_points != ""
+                if kind == "watch":
+                    kind = "watch_correct" if has_outcome else "watch_noquiz"
+                slot = _SLOT_OF.get(kind)
+                if slot is None:
+                    raise ValueError(f"unknown activity kind {kind!r}")
+                score = score_first_attempt(float(points), float(max_points)) if has_outcome else None
+                video = int(video) if video != "" else None
+                ts = int(ts)
+                if slot < N_WATCH:
+                    if video is None:
+                        raise ValueError(f"{kind} event requires a video_index")
+                elif video is not None:
+                    raise ValueError(f"{kind} event must not carry a video_index")
+            except ValueError as exc:
+                raise IngestError(f"{path}:{line_no}: {exc}") from exc
+            events = per_student.get(sid)
+            if events is None:
+                raise IngestError(f"{path}:{line_no}: event for unknown student {sid!r}")
+            events.append((ts, line_no, video, slot, score))
+    return per_student
+
+
 def load_records(
     events_path: str,
     students_path: str,
     n_videos: int,
     max_sequence: int = DEFAULT_MAX_SEQUENCE,
 ) -> list[StudentRecord]:
-    """Assemble student records from the two ingest tables.
+    """Assemble student records from the two ingest tables by the rules above.
 
-    Events are ordered by timestamp with file position breaking ties; sequences
-    longer than the cap keep their most recent events. Students with no events
-    are dropped with a warning.
+    Students with no events are dropped with a warning.
     """
     table = read_students_csv(students_path)
-    per_student: dict[str, list] = {sid: [] for sid in table}
-    for line_no, event, outcome in _event_rows(events_path):
-        if event.student_id not in per_student:
-            raise IngestError(f"{events_path}:{line_no}: event for unknown student {event.student_id!r}")
-        per_student[event.student_id].append((event.timestamp, line_no, event, outcome))
+    per_student = _read_events(events_path, table)
 
     records = []
     for sid, (demo, label) in table.items():
-        rows = sorted(per_student[sid], key=lambda item: (item[0], item[1]))
+        rows = per_student[sid]
         if not rows:
             logger.warning("student %s has no events; dropped", sid)
             continue
+        rows.sort(key=itemgetter(0))  # stable: tied timestamps keep file order
         rows = rows[-max_sequence:]
         hot_rows: list[int] = []
         hot_cols: list[int] = []
         quiz_responses: dict[int, int] = {}
-        for t, (_, line_no, event, outcome) in enumerate(rows):
-            score = None if outcome is None else outcome.first_attempt_score
+        for t, (_, line_no, video, slot, score) in enumerate(rows):
             try:
-                columns = event_columns(event.kind, event.video_index, score, n_videos)
+                columns = event_columns(slot, video, score, n_videos)
             except EncodingError as exc:
                 raise IngestError(f"{events_path}:{line_no}: {exc}") from exc
-            hot_rows.extend([t] * len(columns))
-            hot_cols.extend(columns)
+            hot_rows += (t,) * len(columns)
+            hot_cols += columns
             if score is not None:
-                quiz_responses.setdefault(event.video_index, score)
+                quiz_responses.setdefault(video, score)
         sequence = np.zeros((len(rows), n_videos + N_KINDS))
         sequence[hot_rows, hot_cols] = 1.0
         records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))

@@ -76,10 +76,6 @@ class RaschFit:
     converged: bool
     objective_history: list[float] = field(default_factory=list)
 
-    def predict(self, student_id: str, item_id: int) -> float:
-        x = self.abilities[student_id] - self.difficulties[item_id]
-        return float(1.0 / (1.0 + np.exp(-x)))
-
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))

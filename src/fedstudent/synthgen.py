@@ -24,12 +24,12 @@ import numpy as np
 
 from .activity import (
     N_KINDS,
+    N_WATCH,
+    SLOT_NOANSWER,
+    SLOT_NOQUIZ,
     VARIABLES,
-    ActivityKind,
     Demographics,
-    FORUM_KINDS,
     StudentRecord,
-    WATCH_KINDS,
     event_columns,
 )
 from .config import REQUIRED, Key, json_value, violation
@@ -37,7 +37,6 @@ from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
 
-KIND_ORDER = WATCH_KINDS + FORUM_KINDS
 DEFAULT_MAX_SEQUENCE = 256
 # Year sampled uniformly within the band for the Y variable.
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
@@ -240,21 +239,21 @@ def _simulate_student(
     n_correct = 0
     n_forum = 0
     for t in range(length):
-        kind = KIND_ORDER[kind_idx]
+        slot = kind_idx
         video = score = None
-        if kind.is_watch:
+        if slot < N_WATCH:
             n_watch += 1
             video = bisect_right(tables.video, rng.random())
             if video not in spec.quiz_videos:
-                kind = ActivityKind.WATCH_NOQUIZ
-            elif kind is not ActivityKind.WATCH_NOANSWER:
+                slot = SLOT_NOQUIZ
+            elif slot != SLOT_NOANSWER:
                 correct = rng.random() < profile.quiz_correct_prob
                 score = int(correct)
                 quiz_responses.setdefault(video, score)
                 n_correct += score
         else:
             n_forum += 1
-        columns = event_columns(kind, video, score, spec.n_videos)
+        columns = event_columns(slot, video, score, spec.n_videos)
         hot_rows.extend([t] * len(columns))
         hot_cols.extend(columns)
         rng.integers(1, 3600)

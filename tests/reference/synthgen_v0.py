@@ -4,7 +4,8 @@ Kept as a test oracle. Every categorical choice here is an `rng.choice(n, p=p)`
 call, and every event becomes an `ActivityEvent`, an optional `QuizOutcome` and
 a one-hot vector, stacked into the record's sequence matrix. The package's
 generator must produce the same records, byte for byte. `encode_event`, which
-the package no longer has, is frozen here with the generator.
+the package no longer has, is frozen here with the generator; the two event
+dataclasses, also gone from the package, are frozen in `ingest_v0`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from fedstudent.activity import (
     KIND_SLOT,
     N_KINDS,
     WATCH_KINDS,
-    ActivityEvent,
     ActivityKind,
     Demographics,
-    QuizOutcome,
     StudentRecord,
 )
 from fedstudent.splits import rng_for
 from fedstudent.synthgen import CohortSpec, CohortSpecError, SubgroupProfile
+
+from .ingest_v0 import ActivityEvent, QuizOutcome
 
 KIND_ORDER = WATCH_KINDS + FORUM_KINDS
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
@@ -32,7 +33,7 @@ YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (19
 def encode_event(event: ActivityEvent, outcome: QuizOutcome | None, n_videos: int) -> np.ndarray:
     """Encode one event as (video one-hot; watch bits; forum bits)."""
     bits = np.zeros(n_videos + N_KINDS)
-    if event.kind.is_forum:
+    if event.kind in FORUM_KINDS:
         if outcome is not None:
             raise ValueError(f"outcome supplied for forum event of {event.student_id}")
         bits[n_videos + KIND_SLOT[event.kind]] = 1.0
@@ -89,7 +90,7 @@ def _simulate_student(
     n_forum = 0
     for _ in range(length):
         kind = KIND_ORDER[kind_idx]
-        if kind.is_watch:
+        if kind in WATCH_KINDS:
             n_watch += 1
             video = int(rng.choice(spec.n_videos, p=profile.video_access))
             outcome = None

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fedstudent.activity import (
-    ActivityEvent,
+    KIND_SLOT,
     ActivityKind,
     Demographics,
     EncodingError,
-    QuizOutcome,
     StudentRecord,
     demographic_group,
     event_columns,
@@ -34,46 +33,51 @@ class TestScoreFirstAttempt:
             score_first_attempt(0, 0)
 
 
+def columns(kind, video, score, n_videos):
+    """`event_columns` for an `ActivityKind`."""
+    return event_columns(KIND_SLOT[kind], video, score, n_videos)
+
+
 def encode(kind, video, score, n_videos):
     """The one-hot row `event_columns` describes."""
     row = np.zeros(n_videos + 7)
-    row[list(event_columns(kind, video, score, n_videos))] = 1.0
+    row[list(columns(kind, video, score, n_videos))] = 1.0
     return row
 
 
 class TestEncodeEvent:
     def test_watch_correct_layout(self):
-        score = QuizOutcome(1, 1).first_attempt_score
-        assert event_columns(ActivityKind.WATCH_CORRECT, 2, score, n_videos=5) == (2, 6)
+        score = score_first_attempt(1, 1)
+        assert columns(ActivityKind.WATCH_CORRECT, 2, score, n_videos=5) == (2, 6)
         assert encode(ActivityKind.WATCH_CORRECT, 2, score, 5).tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_forum_view_zeroes_video_halves(self):
-        assert event_columns(ActivityKind.FORUM_VIEW, None, None, n_videos=5) == (11,)
+        assert columns(ActivityKind.FORUM_VIEW, None, None, n_videos=5) == (11,)
         assert encode(ActivityKind.FORUM_VIEW, None, None, 5).tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_width_is_n_plus_seven(self):
         # The first video and the last activity slot bound the n + 7 columns.
-        assert event_columns(ActivityKind.WATCH_NOQUIZ, 0, None, n_videos=43) == (0, 43)
-        assert event_columns(ActivityKind.FORUM_VIEW, None, None, n_videos=43) == (49,)
+        assert columns(ActivityKind.WATCH_NOQUIZ, 0, None, n_videos=43) == (0, 43)
+        assert columns(ActivityKind.FORUM_VIEW, None, None, n_videos=43) == (49,)
 
     def test_outcome_resolves_watch_kind(self):
-        score = QuizOutcome(0, 2).first_attempt_score
+        score = score_first_attempt(0, 2)
         # incorrect slot is the third activity-type position
-        assert event_columns(ActivityKind.WATCH_NOQUIZ, 1, score, n_videos=3) == (1, 3 + 2)
+        assert columns(ActivityKind.WATCH_NOQUIZ, 1, score, n_videos=3) == (1, 3 + 2)
 
     def test_noanswer_kept_without_outcome(self):
-        assert event_columns(ActivityKind.WATCH_NOANSWER, 1, None, n_videos=3) == (1, 3 + 3)
+        assert columns(ActivityKind.WATCH_NOANSWER, 1, None, n_videos=3) == (1, 3 + 3)
 
     def test_video_index_out_of_range(self):
         with pytest.raises(EncodingError, match="video_index 7"):
-            event_columns(ActivityKind.WATCH_NOQUIZ, 7, None, n_videos=5)
+            columns(ActivityKind.WATCH_NOQUIZ, 7, None, n_videos=5)
         with pytest.raises(EncodingError):
-            event_columns(ActivityKind.WATCH_NOQUIZ, -1, None, n_videos=5)
+            columns(ActivityKind.WATCH_NOQUIZ, -1, None, n_videos=5)
 
     def test_outcome_for_forum_event_rejected(self):
-        score = QuizOutcome(1, 1).first_attempt_score
+        score = score_first_attempt(1, 1)
         with pytest.raises(EncodingError, match="forum_post"):
-            event_columns(ActivityKind.FORUM_POST, None, score, n_videos=5)
+            columns(ActivityKind.FORUM_POST, None, score, n_videos=5)
 
     def test_set_bit_counts(self):
         rng = np.random.default_rng(0)
@@ -82,7 +86,7 @@ class TestEncodeEvent:
             if rng.random() < 0.5:
                 kind = ActivityKind(list(ActivityKind)[rng.integers(0, 4)])
                 has_outcome = kind not in (ActivityKind.WATCH_NOQUIZ, ActivityKind.WATCH_NOANSWER)
-                score = QuizOutcome(float(rng.integers(0, 2)), 1).first_attempt_score if has_outcome else None
+                score = score_first_attempt(float(rng.integers(0, 2)), 1) if has_outcome else None
                 row = encode(kind, int(rng.integers(0, n)), score, n)
                 assert row[:n].sum() == 1
                 assert row[n:].sum() == 1
@@ -92,16 +96,6 @@ class TestEncodeEvent:
                 row = encode(kind, None, None, n)
                 assert row[:n].sum() == 0
                 assert row.sum() == 1
-
-
-class TestEventValidation:
-    def test_watch_requires_video(self):
-        with pytest.raises(ValueError):
-            ActivityEvent("s", 0, ActivityKind.WATCH_CORRECT)
-
-    def test_forum_forbids_video(self):
-        with pytest.raises(ValueError):
-            ActivityEvent("s", 0, ActivityKind.FORUM_POST, video_index=1)
 
 
 class TestDemographics:

@@ -10,6 +10,7 @@ from fedstudent import cli
 from fedstudent.cli import main
 from fedstudent.config import KEYS, REQUIRED, parse_config
 from fedstudent.dataio import load_records
+from fedstudent.evaluate import EvalReport, ReportRow, report_to_csv
 from fedstudent.params import ModelParams, save_params
 from fedstudent.synthgen import (
     PROFILE_KEYS,
@@ -503,6 +504,35 @@ class TestReportCommand:
         assert main(["report", "--report", str(report)]) == 0
         out = capsys.readouterr().out
         assert "FedAvg" in out and "G:M" in out
+
+    def test_written_report_prints(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        rows = [ReportRow("PerFedAttn", "G", "G:F", 0.7857142857142857, 0.025, 5),
+                ReportRow("Local", "G", "G:M", 0.5, 0.0, 1)]
+        report_to_csv(EvalReport(rows=rows, outcomes=[], warnings=[]), str(report))
+        assert main(["report", "--report", str(report)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3
+        assert out[1].split(" | ")[3].strip() == "0.7857142857142857"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("strategy,variable\nx\n", 1, "expected header"),
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,notanumber,0.01,5\n", 2,
+         "mean_auc must be a finite number, got 'notanumber'"),
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01,5\nFedAtt,G,G:M,0.7,inf,5\n",
+         3, "std_auc must be a finite number, got 'inf'"),
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01,0\n", 2,
+         "n_runs must be a positive integer, got '0'"),
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01\n", 2, "expected 6 fields"),
+    ], ids=["header", "mean_auc", "std_auc_inf", "n_runs", "field_count"])
+    def test_malformed_report_exits_1_naming_line(self, tmp_path, capsys, text, line, message):
+        report = tmp_path / "report.csv"
+        report.write_text(text)
+        assert main(["report", "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {report}:{line}: {message}")
+        assert "Traceback" not in captured.err
 
     def test_missing_report_exits_2(self, tmp_path, capsys):
         for path in (tmp_path / "nope.csv", tmp_path):

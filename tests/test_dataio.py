@@ -133,21 +133,30 @@ STUDENTS_HEAD = "student_id,gender,continent,birth_year,label\ns1,,,,1\n"
 
 
 # One row per class of malformed field: (events.csv line 3, students.csv line 3,
-# the file that is at fault).
-@pytest.mark.parametrize("event_row, student_row, bad_file", [
-    ("s2,0,watch_correct,1,x,1", "s2,,,,0", "events"),      # non-numeric points
-    ("s2,0,watch_correct,1,2,1", "s2,,,,0", "events"),      # points above max
-    ("s2,0,watch_noquiz,1.5,,", "s2,,,,0", "events"),       # non-integer video_index
-    ("s2,0,watch_noquiz,9,,", "s2,,,,0", "events"),         # video_index out of range
-    ("s2,0,forum_view,,,", "s2,,,,2", "students"),          # label outside {0, 1}
-    ("ghost,0,forum_view,,,", "s2,,,,0", "events"),         # event for an unknown student
-], ids=["points", "points_above_max", "video_not_int", "video_out_of_range", "label",
-        "unknown_student"])
-def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad_file):
+# the file that is at fault, the message after `path:line: `).
+@pytest.mark.parametrize("event_row, student_row, bad_file, message", [
+    ("s2,0,watch_correct,1,x,1", "s2,,,,0", "events", "could not convert string to float: 'x'"),
+    ("s2,0,watch_correct,1,2,1", "s2,,,,0", "events", "points must lie in [0, 1.0], got 2.0"),
+    ("s2,0,watch_correct,1,0,0", "s2,,,,0", "events", "max_points must be positive, got 0.0"),
+    ("s2,0,watch_noquiz,1.5,,", "s2,,,,0", "events", "invalid literal for int() with base 10: '1.5'"),
+    ("s2,0,watch_noquiz,9,,", "s2,,,,0", "events", "video_index 9 out of range [0, 4)"),
+    ("s2,0,watch_correct,,1,1", "s2,,,,0", "events", "watch_correct event requires a video_index"),
+    ("s2,0,forum_post,1,,", "s2,,,,0", "events", "forum_post event must not carry a video_index"),
+    ("s2,0,forum_post,,1,1", "s2,,,,0", "events", "quiz outcome supplied for a forum_post event"),
+    ("s2,0,forum_view,,", "s2,,,,0", "events", "expected 6 fields"),
+    ("s2,0,video_binge,,,", "s2,,,,0", "events", "unknown activity kind 'video_binge'"),
+    ("s2,1.5,forum_view,,,", "s2,,,,0", "events", "invalid literal for int() with base 10: '1.5'"),
+    ("s2,0,forum_view,,,", "s2,,,,2", "students", "label must be 0 or 1, got 2"),
+    ("ghost,0,forum_view,,,", "s2,,,,0", "events", "event for unknown student 'ghost'"),
+], ids=["points", "points_above_max", "max_points_zero", "video_not_int", "video_out_of_range",
+        "watch_no_video", "forum_with_video", "forum_with_outcome", "field_count", "unknown_kind",
+        "timestamp_not_int", "label", "unknown_student"])
+def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad_file, message):
     events = tmp_path / "events.csv"
     students = tmp_path / "students.csv"
     events.write_text(EVENTS_HEAD + event_row + "\n")
     students.write_text(STUDENTS_HEAD + student_row + "\n")
     bad = events if bad_file == "events" else students
-    with pytest.raises(IngestError, match=re.escape(f"{bad}:3: ")):
+    with pytest.raises(IngestError) as info:
         load_records(str(events), str(students), N_VIDEOS)
+    assert str(info.value) == f"{bad}:3: {message}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedstudent.activity import ActivityKind, Demographics, StudentRecord, event_columns
+from fedstudent.activity import KIND_SLOT, ActivityKind, Demographics, StudentRecord, event_columns
 from fedstudent.splits import (
     SplitError,
     SubgroupKey,
@@ -12,7 +12,7 @@ from fedstudent.splits import (
 
 def make_record(sid, gender=None, continent=None, birth_year=None):
     sequence = np.zeros((1, 4 + 7))
-    sequence[0, list(event_columns(ActivityKind.FORUM_VIEW, None, None, 4))] = 1.0
+    sequence[0, list(event_columns(KIND_SLOT[ActivityKind.FORUM_VIEW], None, None, 4))] = 1.0
     return StudentRecord(
         sid,
         Demographics(gender=gender, continent=continent, birth_year=birth_year),
