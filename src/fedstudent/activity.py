@@ -9,6 +9,7 @@ builders (the generator and CSV ingest) write them into a zeroed matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,6 +51,8 @@ N_KINDS = 7
 
 def score_first_attempt(points: float, max_points: float) -> int:
     """Binary first-attempt credit: 1 only for full marks."""
+    if not (math.isfinite(points) and math.isfinite(max_points)):
+        raise ValueError(f"points and max_points must be finite, got {points} and {max_points}")
     if max_points <= 0:
         raise ValueError(f"max_points must be positive, got {max_points}")
     if points < 0 or points > max_points:

@@ -1,9 +1,11 @@
 """Versioned JSON experiment configuration, read through one table of keys.
 
-`KEYS` has one row per dotted key: its JSON type, its default, and the values
-it may take. `parse_config` walks the table; a key the table does not name, a
-value of another JSON type or outside its bounds is a `ConfigError` that names
-the dotted key.
+`KEYS` has one row per dotted key: its JSON type, its default, the values it
+may take and, for a key of the experiment plan, the plan attribute it sets.
+`parse_config` walks the table to read a JSON config, and `check_plan` walks it
+to check a plan built in code; a key the table does not name, a value of
+another JSON type or outside its bounds is a `ConfigError` that names the
+dotted key.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .activity import VARIABLES
-from .evaluate import ExperimentPlan
 from .federation import AGG_MODES, META_MODES, STRATEGIES, AttnAggConfig, MetaConfig, TrainSettings
 from .optim import OPTIMIZER_KINDS
 
@@ -75,7 +77,8 @@ class Key:
     <= `high` when `closed`, and lie in `choices`; these hold for each item of
     an array, and a config array must be non-empty and distinct. A config key
     whose default is None may also be given as null. A key with `dataset`
-    applies only when dataset.kind is that kind.
+    applies only when dataset.kind is that kind. A key with `attr` sets the
+    `ExperimentPlan` attribute at that dotted path.
     """
 
     name: str
@@ -87,6 +90,7 @@ class Key:
     closed: bool = False
     choices: tuple | None = None
     dataset: str | None = None
+    attr: str | None = None
 
 
 KEYS = (
@@ -99,31 +103,33 @@ KEYS = (
     Key("dataset.n_videos", "integer", low=1, dataset="csv"),
     # A cap below 1 would not cap: load_records keeps rows[-max_sequence:].
     Key("dataset.max_sequence", "integer", 256, low=1, dataset="csv"),
-    Key("variable", "string", "G", choices=VARIABLES),
-    Key("include_unspecified", "boolean", False),
-    Key("strategies", "string array", ["PerFedAttn"], choices=STRATEGIES),
-    Key("rounds", "integer", 10, low=0),
-    Key("local_iters", "integer", 5, low=1),
-    Key("model.hidden_dim", "integer", 48, low=1),
-    Key("model.dropout", "number", 0.5, low=0, high=1),
-    Key("model.batch_size", "integer", 8, low=1),
-    Key("optimizer.kind", "string", "adam", choices=OPTIMIZER_KINDS),
-    Key("optimizer.lr", "number", 1e-3, low=0, strict=True),
-    Key("optimizer.decay", "number", 1e-3, low=0),
-    Key("meta.inner_lr", "number", 0.01, low=0),
-    Key("meta.outer_lr", "number", Ref("optimizer.lr"), low=0),
-    Key("meta.mode", "string", "first_order", choices=META_MODES),
-    Key("meta.hessian_step", "number", 1e-4, low=0, strict=True),
-    Key("meta.meta_batch", "integer", None, low=1),  # None: the training batch size
-    Key("aggregation.step", "number", 1.0, low=0, strict=True),
-    Key("aggregation.mode", "string", "per_layer", choices=AGG_MODES),
-    Key("pretrain.enabled", "boolean", False),
-    Key("pretrain.epochs", "integer", 10, low=0),
-    Key("folds", "integer", 5, low=1),
-    Key("seeds", "integer array", [0, 1, 2, 3, 4]),
-    Key("fold_seed", "integer", 1234),
+    Key("variable", "string", "G", choices=VARIABLES, attr="variable"),
+    Key("include_unspecified", "boolean", False, attr="include_unspecified"),
+    Key("strategies", "string array", ["PerFedAttn"], choices=STRATEGIES, attr="strategies"),
+    Key("rounds", "integer", 10, low=0, attr="rounds"),
+    Key("local_iters", "integer", 5, low=1, attr="local_iters"),
+    Key("model.hidden_dim", "integer", 48, low=1, attr="settings.hidden_dim"),
+    Key("model.dropout", "number", 0.5, low=0, high=1, attr="settings.dropout"),
+    Key("model.batch_size", "integer", 8, low=1, attr="settings.batch_size"),
+    Key("optimizer.kind", "string", "adam", choices=OPTIMIZER_KINDS, attr="settings.opt_kind"),
+    Key("optimizer.lr", "number", 1e-3, low=0, strict=True, attr="settings.lr"),
+    Key("optimizer.decay", "number", 1e-3, low=0, attr="settings.decay"),
+    Key("meta.inner_lr", "number", 0.01, low=0, attr="meta.inner_lr"),
+    Key("meta.outer_lr", "number", Ref("optimizer.lr"), low=0, attr="meta.outer_lr"),
+    Key("meta.mode", "string", "first_order", choices=META_MODES, attr="meta.mode"),
+    Key("meta.hessian_step", "number", 1e-4, low=0, strict=True, attr="meta.hessian_step"),
+    # None: the training batch size.
+    Key("meta.meta_batch", "integer", None, low=1, attr="meta.meta_batch"),
+    Key("aggregation.step", "number", 1.0, low=0, strict=True, attr="attn.step"),
+    Key("aggregation.mode", "string", "per_layer", choices=AGG_MODES, attr="attn.mode"),
+    Key("pretrain.enabled", "boolean", False, attr="pretrain_enabled"),
+    Key("pretrain.epochs", "integer", 10, low=0, attr="pretrain_epochs"),
+    Key("folds", "integer", 5, low=1, attr="folds"),
+    Key("seeds", "integer array", [0, 1, 2, 3, 4], attr="seeds"),
+    Key("fold_seed", "integer", 1234, attr="fold_seed"),
     Key("output_dir", "dir", "out"),
 )
+PLAN_KEYS = tuple(key for key in KEYS if key.attr)
 
 
 def violation(key: Key, value, name: str) -> str | None:
@@ -137,6 +143,26 @@ def violation(key: Key, value, name: str) -> str | None:
         if key.high is not None and (item > key.high or (not key.closed and item == key.high)):
             return f"{name} must be {'<=' if key.closed else '<'} {key.high}, got {item!r}"
     return None
+
+
+@dataclass
+class ExperimentPlan:
+    """Everything a cross-validated experiment needs besides the records; `check_plan`
+    holds it to the bounds of the `KEYS` rows that set it."""
+
+    variable: str = "G"
+    include_unspecified: bool = False
+    strategies: tuple = ("PerFedAttn",)
+    rounds: int = 10
+    local_iters: int = 5
+    settings: TrainSettings = field(default_factory=TrainSettings)
+    meta: MetaConfig = field(default_factory=MetaConfig)
+    attn: AttnAggConfig = field(default_factory=AttnAggConfig)
+    pretrain_enabled: bool = False
+    pretrain_epochs: int = 10
+    folds: int = 1
+    seeds: tuple = (0, 1, 2, 3, 4)
+    fold_seed: int = 1234
 
 
 @dataclass
@@ -182,47 +208,43 @@ def _read(data, base_dir: str) -> dict:
     for key in KEYS:
         if key.dataset not in (None, values.get("dataset.kind")):
             continue
-        section, _, field = key.name.rpartition(".")
+        section, _, leaf = key.name.rpartition(".")
         holder = json_value(data.get(section, {}), "object", section) if section else data
-        raw = holder.get(field, key.default)
+        raw = holder.get(leaf, key.default)
         if raw is REQUIRED:
             raise ConfigError(f"{key.name} is required")
         values[key.name] = _check(key, values[raw.key] if isinstance(raw, Ref) else raw, base_dir)
     sections = {name.partition(".")[0] for name in values if "." in name}
     given = set()
     for top, value in data.items():
-        given |= {f"{top}.{field}" for field in value} if top in sections else {top}
+        given |= {f"{top}.{leaf}" for leaf in value} if top in sections else {top}
     unknown = given - set(values)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     return values
 
 
+def check_plan(plan: ExperimentPlan) -> None:
+    """Hold a plan built in code to its `KEYS` rows, as a JSON config is held: a tuple
+    reads as an array. Raises `ConfigError` naming the dotted key of the first value
+    that a config could not give."""
+    for key in PLAN_KEYS:
+        value = attrgetter(key.attr)(plan)
+        _check(key, list(value) if isinstance(value, tuple) else value, "")
+
+
 def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     values = _read(data, base_dir)
-
-    def section(name: str) -> dict:
-        return {key.partition(".")[2]: value for key, value in values.items()
-                if key.startswith(name + ".")}
-
-    opt = section("optimizer")
-    plan = ExperimentPlan(
-        variable=values["variable"],
-        include_unspecified=values["include_unspecified"],
-        strategies=values["strategies"],
-        rounds=values["rounds"],
-        local_iters=values["local_iters"],
-        settings=TrainSettings(**section("model"), opt_kind=opt["kind"], lr=opt["lr"], decay=opt["decay"]),
-        meta=MetaConfig(**section("meta")),
-        attn=AttnAggConfig(**section("aggregation")),
-        pretrain_enabled=values["pretrain.enabled"],
-        pretrain_epochs=values["pretrain.epochs"],
-        folds=values["folds"],
-        seeds=values["seeds"],
-        fold_seed=values["fold_seed"],
-    )
-    return ExperimentConfig(dataset=DatasetSource(**section("dataset")), plan=plan,
-                            output_dir=values["output_dir"], raw=data)
+    parts: dict = {"": {}}
+    for key in PLAN_KEYS:
+        part, _, name = key.attr.rpartition(".")
+        parts.setdefault(part, {})[name] = values[key.name]
+    default = ExperimentPlan()
+    plan = ExperimentPlan(**parts.pop(""), **{part: replace(getattr(default, part), **fields)
+                                              for part, fields in parts.items()})
+    dataset = DatasetSource(**{name.partition(".")[2]: value for name, value in values.items()
+                               if name.startswith("dataset.")})
+    return ExperimentConfig(dataset=dataset, plan=plan, output_dir=values["output_dir"], raw=data)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -4,16 +4,17 @@ events.csv columns: student_id, timestamp, kind, video_index, points, max_points
 students.csv columns: student_id, gender, continent, birth_year, label
   (empty demographic cells mean unspecified).
 
-students.csv is read first, so its errors win over any in events.csv. Every
-error names `path:line`. Each events.csv row is checked as it is read, in file
-order, and its first failing rule wins (blank rows are skipped):
+students.csv is read first, so its errors win over any in events.csv; a
+student_id may appear in it once. Every error names `path:line`. Each
+events.csv row is checked as it is read, in file order, and its first failing
+rule wins (blank rows are skipped):
   1. the row has six fields;
   2. kind is one of the seven kinds, or the generic "watch": watch_correct if
      the row has an outcome, else watch_noquiz;
   3. the row has an outcome when points and max_points are both non-empty;
-     then both parse as numbers, max_points > 0 and 0 <= points <= max_points,
-     and the first-attempt score is 1 for full marks only. A NaN points
-     passes these checks and scores 0;
+     then both parse as finite numbers, max_points > 0 and
+     0 <= points <= max_points, and the first-attempt score is 1 for full
+     marks only;
   4. video_index, when given, is an integer;
   5. timestamp is an integer;
   6. a watch kind has a video_index and a forum kind has none;
@@ -105,6 +106,7 @@ def write_students_csv(records: list[StudentRecord], path: str) -> None:
 
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     table: dict[str, tuple[Demographics, int]] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -123,6 +125,9 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
                 )
                 if int(label) not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {label}")
+                if sid in first_line:
+                    raise ValueError(f"student_id {sid!r} repeats line {first_line[sid]}")
+                first_line[sid] = line_no
                 table[sid] = (demo, int(label))
             except ValueError as exc:
                 raise IngestError(f"{path}:{line_no}: {exc}") from exc

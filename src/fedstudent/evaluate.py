@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activity import StudentRecord, demographic_group
-from .federation import (
-    AttnAggConfig,
-    FederationError,
-    FederationSchedule,
-    MetaConfig,
-    RoundRow,
-    TrainSettings,
-    run_federation,
-)
+from .config import ExperimentPlan, check_plan
+from .federation import FederationError, FederationSchedule, RoundRow, run_federation
 from .metrics import ScoredStudent, UndefinedAUCError, auc
 from .network import score
 from .params import ModelParams
@@ -34,25 +27,6 @@ from .tracking import AccessMonitor, track_records
 VAL_FRACTION = 0.2  # share of each fold's training pool, per subgroup and label, kept for validation
 REPORT_HEADER = ["strategy", "variable", "subgroup", "mean_auc", "std_auc", "n_runs"]
 ROUNDS_HEADER = ["strategy", "fold", "seed", "round", "subgroup", "val_auc", "train_loss"]
-
-
-@dataclass
-class ExperimentPlan:
-    """Everything a cross-validated experiment needs besides the records."""
-
-    variable: str = "G"
-    include_unspecified: bool = False
-    strategies: tuple = ("PerFedAttn",)
-    rounds: int = 10
-    local_iters: int = 5
-    settings: TrainSettings = field(default_factory=TrainSettings)
-    meta: MetaConfig = field(default_factory=MetaConfig)
-    attn: AttnAggConfig = field(default_factory=AttnAggConfig)
-    pretrain_enabled: bool = False
-    pretrain_epochs: int = 10
-    folds: int = 1
-    seeds: tuple = (0, 1, 2, 3, 4)
-    fold_seed: int = 1234
 
 
 def _stratified_chunks(ids: list[str], n_chunks: int, rng: np.random.Generator) -> list[list[str]]:
@@ -305,7 +279,9 @@ def cross_validate(records: list[StudentRecord], plan: ExperimentPlan, jobs: int
     of that fold and seed. Both stages go through one mapper, which runs at most
     `jobs` tasks at once, in a pool of at most one worker per run. Results come
     back in canonical task order, so the report does not depend on `jobs`.
+    A plan that a JSON config could not give raises `ConfigError` before any task.
     """
+    check_plan(plan)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     runs = [
@@ -392,6 +368,5 @@ def embeddings_to_csv(dump: EmbeddingDump, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "subgroup"] + [f"h_{i + 1}" for i in range(dump.hidden_dim)])
-        for sid, subgroup, vector in dump.rows:
-            writer.writerow([sid, subgroup] + [repr(float(v)) for v in vector])
+        writer.writerows([sid, subgroup, *vector.tolist()] for sid, subgroup, vector in dump.rows)
 

@@ -56,14 +56,6 @@ class MetaConfig:
     hessian_step: float = 1e-4
     meta_batch: int | None = None  # None: use the training batch size
 
-    def __post_init__(self):
-        if self.mode not in META_MODES:
-            raise ValueError(f"unknown meta mode {self.mode!r}")
-        if self.inner_lr < 0 or self.outer_lr < 0 or self.hessian_step <= 0:
-            raise ValueError("meta step sizes must be non-negative (hessian_step positive)")
-        if self.meta_batch is not None and self.meta_batch < 1:
-            raise ValueError("meta_batch must be >= 1 when given")
-
     def make_opt(self) -> OptState:
         """The outer step: plain SGD at outer_lr, never decayed."""
         return OptState(kind="sgd", lr=self.outer_lr, decay=0.0)
@@ -74,24 +66,12 @@ class AttnAggConfig:
     step: float = 1.0
     mode: str = "per_layer"  # one of AGG_MODES
 
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("aggregation step size must be positive")
-        if self.mode not in AGG_MODES:
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
-
 
 @dataclass
 class FederationSchedule:
     strategy: str
     rounds: int = 10
     local_iters: int = 5
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.rounds < 0 or self.local_iters < 1:
-            raise ValueError("need rounds >= 0 and local_iters >= 1")
 
 
 @dataclass

@@ -88,23 +88,24 @@ def _penalized_ll(theta, b, responses, obs) -> float:
     return float(ll - 0.5 * PRIOR_WEIGHT * (theta @ theta + b @ b))
 
 
-def _newton_block(values, grad_fn, objective_fn):
-    """Damped Newton step on each coordinate of one parameter block.
+def _newton_block(values, before, grad_fn, objective_fn):
+    """Damped Newton step on each coordinate of one parameter block; returns the new
+    values and the objective there.
 
-    grad_fn(values) must return (gradient, curvature) of the penalized
-    log-likelihood; the block step is halved until the objective does not
-    decrease, preserving monotone ascent.
+    `before` is the objective at `values`. grad_fn(values) must return
+    (gradient, curvature) of the penalized log-likelihood; the block step is
+    halved until the objective does not decrease, preserving monotone ascent.
     """
     grad, curv = grad_fn(values)
     step = grad / curv
-    before = objective_fn(values)
     scale = 1.0
     for _ in range(30):
         candidate = values + scale * step
-        if objective_fn(candidate) >= before:
-            return candidate
+        after = objective_fn(candidate)
+        if after >= before:
+            return candidate, after
         scale *= 0.5
-    return values
+    return values, before
 
 
 def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -> RaschFit:
@@ -116,7 +117,8 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
     n_students, n_items = responses.shape
     theta = np.zeros(n_students)
     b = np.zeros(n_items)
-    history = [_penalized_ll(theta, b, filled, obs)]
+    objective = _penalized_ll(theta, b, filled, obs)
+    history = [objective]
     converged = False
 
     for _ in range(max_iters):
@@ -129,7 +131,8 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
             curv = np.where(obs, p * (1.0 - p), 0.0).sum(axis=1) + PRIOR_WEIGHT
             return grad, curv
 
-        theta = _newton_block(theta, theta_grad, lambda v: _penalized_ll(v, b, filled, obs))
+        theta, objective = _newton_block(theta, objective, theta_grad,
+                                         lambda v: _penalized_ll(v, b, filled, obs))
 
         def b_grad(values):
             p = _sigmoid(theta[:, None] - values[None, :])
@@ -137,9 +140,9 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
             curv = np.where(obs, p * (1.0 - p), 0.0).sum(axis=0) + PRIOR_WEIGHT
             return grad, curv
 
-        b = _newton_block(b, b_grad, lambda v: _penalized_ll(theta, v, filled, obs))
-
-        history.append(_penalized_ll(theta, b, filled, obs))
+        b, objective = _newton_block(b, objective, b_grad,
+                                     lambda v: _penalized_ll(theta, v, filled, obs))
+        history.append(objective)
         change = max(np.abs(theta - theta_old).max(), np.abs(b - b_old).max())
         if change < tol:
             converged = True

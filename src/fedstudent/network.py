@@ -53,10 +53,6 @@ PROB_CLAMP = 1e-12
 SCORE_CHUNK = 16
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
 def _longest_first(lengths: list[int]) -> tuple[list[int], list[int]]:
     """Batch columns ordered by decreasing length, and per step how many are still running.
 
@@ -118,21 +114,30 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
     X = np.zeros((T, B, params.input_dim))
     for j, i in enumerate(order):
         X[: Xs[i].shape[0], j] = Xs[i]
-    # Every step's input projection before the recurrence, biases folded in.
+    # Every step's input projection before the recurrence, biases folded in. The
+    # gates' sigmoid is 0.5 * tanh(0.5 * x) + 0.5; its inner halving is folded into
+    # their input projection and recurrent weights, which is exact in binary.
     XW = X @ W_in.T
     XW += params["gru.biases"]
-    U_zr_T = U[: 2 * k].T
+    XW[:, :, : 2 * k] *= 0.5
+    U_zr_T = 0.5 * U[: 2 * k].T
     U_c_T = U[2 * k:].T
     ZR = np.zeros((T, B, 2 * k))
     C = np.zeros((T, B, k))
     H = np.zeros((T + 1, B, k))
     for t, n in enumerate(active):
-        h = H[t, :n]
-        zr = _sigmoid(XW[t, :n, : 2 * k] + h @ U_zr_T)
-        c = np.tanh(XW[t, :n, 2 * k:] + (zr[:, k:] * h) @ U_c_T)
-        ZR[t, :n] = zr
-        C[t, :n] = c
-        H[t + 1, :n] = h + zr[:, :k] * (c - h)
+        h, zr, c, h_next = H[t, :n], ZR[t, :n], C[t, :n], H[t + 1, :n]
+        np.matmul(h, U_zr_T, out=zr)
+        zr += XW[t, :n, : 2 * k]
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        np.matmul(zr[:, k:] * h, U_c_T, out=c)
+        c += XW[t, :n, 2 * k:]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=h_next)
+        h_next *= zr[:, :k]
+        h_next += h
     return order, active, X, ZR, C, H
 
 

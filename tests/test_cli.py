@@ -6,11 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from fedstudent import cli
+from fedstudent import cli, evaluate
 from fedstudent.cli import main
-from fedstudent.config import KEYS, REQUIRED, parse_config
+from fedstudent.config import KEYS, PLAN_KEYS, REQUIRED, ConfigError, parse_config
 from fedstudent.dataio import load_records
-from fedstudent.evaluate import EvalReport, ReportRow, report_to_csv
+from fedstudent.evaluate import EvalReport, ExperimentPlan, ReportRow, cross_validate, report_to_csv
 from fedstudent.params import ModelParams, save_params
 from fedstudent.synthgen import (
     PROFILE_KEYS,
@@ -284,17 +284,17 @@ def case_id(name, value):
     return f"{name}=" + ("<missing>" if value is REQUIRED else repr(value))
 
 
+def config_bad_values(key):
+    """Values a config row rejects: `bad_values`, and for an array also an empty one and
+    one that repeats a value."""
+    return bad_values(key) + ([[], key.default[:1] * 2] if key.type.endswith(" array") else [])
+
+
 def table_cases():
     """(dotted name, the dataset kind it needs, a value to reject) for every row of the
-    config table: `bad_values`, and for an array also an empty one and one that repeats
-    a value; and a non-object for every section."""
-    cases = []
-    for key in KEYS:
-        bad = bad_values(key)
-        if key.type.endswith(" array"):
-            bad += [[], key.default[:1] * 2]
-        cases += [pytest.param(key.name, key.dataset, value, id=case_id(key.name, value))
-                  for value in bad]
+    config table: `config_bad_values`, and a non-object for every section."""
+    cases = [pytest.param(key.name, key.dataset, value, id=case_id(key.name, value))
+             for key in KEYS for value in config_bad_values(key)]
     sections = sorted({key.name.partition(".")[0] for key in KEYS if "." in key.name})
     return cases + [pytest.param(name, None, 5, id=f"{name}=5") for name in sections]
 
@@ -319,6 +319,41 @@ def test_config_table_rejects_naming_key(tmp_path, capsys, name, dataset_kind, v
     assert main(["run", "--config", str(tmp_path / "config.json"), "--jobs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+def with_value(plan, attr, value):
+    """`plan` with the attribute at the dotted path `attr` set to `value`."""
+    part, _, name = attr.rpartition(".")
+    if part:
+        value = dataclasses.replace(getattr(plan, part), **{name: value})
+        name = part
+    return dataclasses.replace(plan, **{name: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=case_id(key.name, value))
+    for key in PLAN_KEYS for value in config_bad_values(key)
+])
+def test_code_built_plan_rejects_naming_key(monkeypatch, key, value):
+    """A plan built in code whose value a config row rejects (an array given as a tuple)
+    fails in cross_validate before any task, with the error a JSON config gets."""
+    example_dir = os.path.join(os.path.dirname(__file__), "..", "examples_config")
+    with open(os.path.join(example_dir, "experiment.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    section, _, field = key.name.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[field] = value
+    with pytest.raises(ConfigError) as from_json:
+        parse_config(config, base_dir=example_dir)
+
+    def no_tasks(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(evaluate, "_task_mapper", no_tasks)
+    plan = with_value(ExperimentPlan(), key.attr, tuple(value) if isinstance(value, list) else value)
+    with pytest.raises(ConfigError) as from_code:
+        cross_validate([], plan)
+    assert str(from_code.value) == str(from_json.value)
+    assert key.name in str(from_code.value)
 
 
 def write_changed_spec(tmp_path, path, value):

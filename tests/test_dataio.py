@@ -138,6 +138,12 @@ STUDENTS_HEAD = "student_id,gender,continent,birth_year,label\ns1,,,,1\n"
     ("s2,0,watch_correct,1,x,1", "s2,,,,0", "events", "could not convert string to float: 'x'"),
     ("s2,0,watch_correct,1,2,1", "s2,,,,0", "events", "points must lie in [0, 1.0], got 2.0"),
     ("s2,0,watch_correct,1,0,0", "s2,,,,0", "events", "max_points must be positive, got 0.0"),
+    ("s2,0,watch_correct,1,nan,1", "s2,,,,0", "events",
+     "points and max_points must be finite, got nan and 1.0"),
+    ("s2,0,watch_correct,1,1,inf", "s2,,,,0", "events",
+     "points and max_points must be finite, got 1.0 and inf"),
+    ("s2,0,watch_correct,1,inf,inf", "s2,,,,0", "events",
+     "points and max_points must be finite, got inf and inf"),
     ("s2,0,watch_noquiz,1.5,,", "s2,,,,0", "events", "invalid literal for int() with base 10: '1.5'"),
     ("s2,0,watch_noquiz,9,,", "s2,,,,0", "events", "video_index 9 out of range [0, 4)"),
     ("s2,0,watch_correct,,1,1", "s2,,,,0", "events", "watch_correct event requires a video_index"),
@@ -147,10 +153,12 @@ STUDENTS_HEAD = "student_id,gender,continent,birth_year,label\ns1,,,,1\n"
     ("s2,0,video_binge,,,", "s2,,,,0", "events", "unknown activity kind 'video_binge'"),
     ("s2,1.5,forum_view,,,", "s2,,,,0", "events", "invalid literal for int() with base 10: '1.5'"),
     ("s2,0,forum_view,,,", "s2,,,,2", "students", "label must be 0 or 1, got 2"),
+    ("s2,0,forum_view,,,", "s1,F,,,0", "students", "student_id 's1' repeats line 2"),
     ("ghost,0,forum_view,,,", "s2,,,,0", "events", "event for unknown student 'ghost'"),
-], ids=["points", "points_above_max", "max_points_zero", "video_not_int", "video_out_of_range",
-        "watch_no_video", "forum_with_video", "forum_with_outcome", "field_count", "unknown_kind",
-        "timestamp_not_int", "label", "unknown_student"])
+], ids=["points", "points_above_max", "max_points_zero", "points_nan", "max_points_inf",
+        "points_and_max_inf", "video_not_int", "video_out_of_range", "watch_no_video",
+        "forum_with_video", "forum_with_outcome", "field_count", "unknown_kind",
+        "timestamp_not_int", "label", "duplicate_student", "unknown_student"])
 def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad_file, message):
     events = tmp_path / "events.csv"
     students = tmp_path / "students.csv"

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import inspect
 import pathlib
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from fedstudent.evaluate import (
     export_embeddings,
 )
 from fedstudent import evaluate, federation
-from fedstudent.federation import FederationError, MetaConfig, TrainSettings
+from fedstudent.config import PLAN_KEYS, ConfigError
+from fedstudent.federation import FederationError, FederationSchedule, MetaConfig, TrainSettings
+from fedstudent.optim import OptState
 from fedstudent.params import ModelParams
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 
@@ -210,6 +215,36 @@ class TestCrossValidate:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
             cross_validate(small_cohort(), small_plan(), jobs=0)
+
+
+class TestPlanCheck:
+    @pytest.mark.parametrize("overrides, name", [
+        ({"folds": 0}, "folds"),
+        ({"seeds": ()}, "seeds"),
+        ({"settings": TrainSettings(dropout=1.5)}, "model.dropout"),
+        ({"settings": TrainSettings(lr=-1.0)}, "optimizer.lr"),
+        ({"settings": TrainSettings(batch_size=0)}, "model.batch_size"),
+    ])
+    def test_bad_code_built_plan_names_its_key(self, overrides, name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be"):
+            cross_validate(small_cohort(), ExperimentPlan(**overrides))
+
+    def test_plan_dataclasses_leave_bounds_to_the_key_table(self):
+        """No plan dataclass checks its values in `__post_init__`; the `KEYS` rows bound
+        them all. OptState keeps its kind check, which guards optimizer_step's dispatch."""
+        plan = ExperimentPlan()
+        classes = {ExperimentPlan, FederationSchedule, OptState} | {
+            type(getattr(plan, key.attr.partition(".")[0])) for key in PLAN_KEYS if "." in key.attr}
+        checks = {}
+        for cls in classes:
+            if "__post_init__" in vars(cls):
+                tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+                checks[cls.__name__] = (
+                    [ast.unparse(node.test) for node in ast.walk(tree) if isinstance(node, ast.If)],
+                    sum(isinstance(node, ast.Raise) for node in ast.walk(tree)),
+                )
+        assert len(classes) == 6
+        assert checks == {"OptState": (["self.kind not in OPTIMIZER_KINDS"], 1)}
 
 
 class TestTaskRunner:

@@ -121,8 +121,10 @@ def _set(**fields):
     return apply
 
 
-# Row faults, each a function of the row it corrupts. The last five are caught
-# only when an event is encoded (after the cap) or not at all.
+# Row faults, each a function of the row it corrupts. video_out_of_range,
+# video_negative and forum_with_outcome are caught only when an event is encoded
+# (after the cap); points_without_max is not caught at all (a row without
+# max_points has no outcome).
 FAULTS = {
     "short_row": lambda row: row[:-1],
     "long_row": lambda row: row + [""],
