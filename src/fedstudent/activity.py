@@ -16,6 +16,11 @@ from enum import Enum
 import numpy as np
 
 
+class InputError(ValueError):
+    """Raised for input the user wrote or named that cannot be used: a flag, a path, the
+    config, the cohort spec, events.csv or students.csv. The command line exits 2 on it."""
+
+
 class EncodingError(ValueError):
     """Raised when an event cannot be encoded under the declared layout."""
 

@@ -1,40 +1,41 @@
 """Command-line entry point: generate cohorts, run experiments, export artifacts.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration failure.
+Exit codes: 0 success, 2 for an `InputError` (a flag, path, config, cohort spec,
+events.csv or students.csv that cannot be used), 1 for any other failure. Each
+`cmd_*` raises; `main` alone maps the exception to its code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .dataio import IngestError, load_records, write_events_csv, write_students_csv
+from .activity import InputError
+from .config import ExperimentConfig, load_config
+from .dataio import load_records, write_events_csv, write_students_csv
 from .evaluate import (
     REPORT_HEADER,
     EvalReport,
     cross_validate,
     embeddings_to_csv,
     export_embeddings,
+    read_report,
     report_to_csv,
     rounds_to_csv,
 )
-from .params import ParamFormatError, load_params, save_params
-from .splits import SplitError
-from .synthgen import CohortSpecError, generate_cohort, load_cohort_spec
+from .params import load_params, save_params
+from .synthgen import generate_cohort, load_cohort_spec
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
-EXIT_CONFIG = 2
+EXIT_INPUT = 2
 
 
 def _sha256_file(path: str) -> str:
@@ -45,12 +46,10 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _not_a_file(what: str, path: str) -> bool:
-    """True, after naming `path` on stderr, when it is missing or not a regular file."""
-    if os.path.isfile(path):
-        return False
-    print(f"error: {what}: no such file: {path}", file=sys.stderr)
-    return True
+def _require_file(what: str, path: str) -> None:
+    """Raise `InputError` naming `path` when it is missing or not a regular file."""
+    if not os.path.isfile(path):
+        raise InputError(f"{what}: no such file: {path}")
 
 
 def _file_in_the_way(path: str) -> str | None:
@@ -62,23 +61,13 @@ def _file_in_the_way(path: str) -> str | None:
 
 
 def cmd_generate(spec_path: str, seed: int, out_dir: str) -> int:
-    if _not_a_file("cohort spec", spec_path):
-        return EXIT_CONFIG
-    try:
-        spec = load_cohort_spec(spec_path)
-    except CohortSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = generate_cohort(spec, seed)
-        os.makedirs(out_dir, exist_ok=True)
-        events_path = os.path.join(out_dir, "events.csv")
-        students_path = os.path.join(out_dir, "students.csv")
-        write_events_csv(records, events_path)
-        write_students_csv(records, students_path)
-    except Exception as exc:
-        print(f"error: generation failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    _require_file("cohort spec", spec_path)
+    records = generate_cohort(load_cohort_spec(spec_path), seed)
+    os.makedirs(out_dir, exist_ok=True)
+    events_path = os.path.join(out_dir, "events.csv")
+    students_path = os.path.join(out_dir, "students.csv")
+    write_events_csv(records, events_path)
+    write_students_csv(records, students_path)
     print(f"wrote {events_path} and {students_path} ({len(records)} students, seed {seed})")
     return EXIT_OK
 
@@ -117,47 +106,34 @@ def _print_report(report: EvalReport) -> None:
 
 def cmd_run(config_path: str, seed_override: int | None, jobs: int, out_override: str | None) -> int:
     if jobs < 1:
-        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = load_config(config_path)
-        if seed_override is not None:
-            config.plan = dataclasses.replace(config.plan, seeds=(seed_override,))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
+    config = load_config(config_path)
+    if seed_override is not None:
+        config.plan = dataclasses.replace(config.plan, seeds=(seed_override,))
     out_dir = out_override or config.output_dir
     models_dir = os.path.join(out_dir, "models")
     blocker = _file_in_the_way(models_dir)
     if blocker is not None:
-        print(f"error: output directory {out_dir}: not a directory: {blocker}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = _load_dataset(config)
-        report = cross_validate(records, config.plan, jobs=jobs)
-        os.makedirs(models_dir, exist_ok=True)
-        artifacts = []
-        report_path = os.path.join(out_dir, "report.csv")
-        rounds_path = os.path.join(out_dir, "rounds.csv")
-        report_to_csv(report, report_path)
-        rounds_to_csv(report, rounds_path)
-        artifacts.extend([report_path, rounds_path])
-        for outcome in report.outcomes:
-            for subgroup, model in sorted(outcome.eval_models.items()):
-                tag = subgroup.replace(":", "_")
-                path = os.path.join(
-                    models_dir,
-                    f"{outcome.strategy}_f{outcome.fold}_s{outcome.seed}_{tag}.params",
-                )
-                save_params(model, path)
-                artifacts.append(path)
-        _write_manifest(config, out_dir, artifacts)
-    except (CohortSpecError, IngestError, SplitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise InputError(f"output directory {out_dir}: not a directory: {blocker}")
+    records = _load_dataset(config)
+    report = cross_validate(records, config.plan, jobs=jobs)
+    os.makedirs(models_dir, exist_ok=True)
+    artifacts = []
+    report_path = os.path.join(out_dir, "report.csv")
+    rounds_path = os.path.join(out_dir, "rounds.csv")
+    report_to_csv(report, report_path)
+    rounds_to_csv(report, rounds_path)
+    artifacts.extend([report_path, rounds_path])
+    for outcome in report.outcomes:
+        for subgroup, model in sorted(outcome.eval_models.items()):
+            tag = subgroup.replace(":", "_")
+            path = os.path.join(
+                models_dir,
+                f"{outcome.strategy}_f{outcome.fold}_s{outcome.seed}_{tag}.params",
+            )
+            save_params(model, path)
+            artifacts.append(path)
+    _write_manifest(config, out_dir, artifacts)
     _print_report(report)
     print(f"report written to {report_path}")
     return EXIT_OK
@@ -171,69 +147,21 @@ def cmd_dump_embeddings(
     variable: str,
     include_unspecified: bool,
 ) -> int:
-    if _not_a_file("model", model_path):
-        return EXIT_CONFIG
-    try:
-        params = load_params(model_path)
-    except (ParamFormatError, OSError) as exc:
-        print(f"error: cannot load model: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    if _not_a_file("events", events_path) or _not_a_file("students", students_path):
-        return EXIT_CONFIG
-    try:
-        n_videos = params.input_dim - 7
-        records = load_records(events_path, students_path, n_videos=n_videos)
-        dump = export_embeddings(params, records, variable, include_unspecified)
-        embeddings_to_csv(dump, out_path)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:
-        print(f"error: embedding export failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    _require_file("model", model_path)
+    params = load_params(model_path)
+    _require_file("events", events_path)
+    _require_file("students", students_path)
+    records = load_records(events_path, students_path, n_videos=params.input_dim - 7)
+    dump = export_embeddings(params, records, variable, include_unspecified)
+    embeddings_to_csv(dump, out_path)
     print(f"wrote {len(dump.rows)} embeddings to {out_path}")
     return EXIT_OK
 
 
-def _check_report_row(row: list[str]) -> None:
-    """Raise ValueError unless `row` holds finite AUC figures and a positive run count."""
-    if len(row) != len(REPORT_HEADER):
-        raise ValueError(f"expected {len(REPORT_HEADER)} fields")
-    for name, cell in zip(REPORT_HEADER[3:5], row[3:5]):
-        try:
-            finite = math.isfinite(float(cell))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be a finite number, got {cell!r}")
-    if not (row[5].isdecimal() and int(row[5]) >= 1):
-        raise ValueError(f"n_runs must be a positive integer, got {row[5]!r}")
-
-
 def cmd_report(report_path: str) -> int:
-    if _not_a_file("report", report_path):
-        return EXIT_CONFIG
-    try:
-        with open(report_path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                print("error: report is empty", file=sys.stderr)
-                return EXIT_RUNTIME
-            if header != REPORT_HEADER:
-                raise ValueError(f"expected header {REPORT_HEADER}, got {header}")
-            rows = []
-            for row in reader:
-                if row:
-                    _check_report_row(row)
-                    rows.append(row)
-    except csv.Error as exc:
-        print(f"error: cannot parse report: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        print(f"error: {report_path}:{reader.line_num}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print(" | ".join(f"{h:<14}" for h in header))
+    _require_file("report", report_path)
+    rows = read_report(report_path)
+    print(" | ".join(f"{h:<14}" for h in REPORT_HEADER))
     for row in rows:
         print(" | ".join(f"{cell:<14}" for cell in row))
     return EXIT_OK
@@ -276,16 +204,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.command == "generate":
-        return cmd_generate(args.spec, args.seed, args.out)
-    if args.command == "run":
-        return cmd_run(args.config, args.seed, args.jobs, args.out)
-    if args.command == "dump-embeddings":
-        return cmd_dump_embeddings(args.model, args.events, args.students, args.out,
-                                   args.variable, args.include_unspecified)
-    if args.command == "report":
+    try:
+        if args.command == "generate":
+            return cmd_generate(args.spec, args.seed, args.out)
+        if args.command == "run":
+            return cmd_run(args.config, args.seed, args.jobs, args.out)
+        if args.command == "dump-embeddings":
+            return cmd_dump_embeddings(args.model, args.events, args.students, args.out,
+                                       args.variable, args.include_unspecified)
         return cmd_report(args.report)
-    return EXIT_CONFIG
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:
+        logger.info("the failure below, with its traceback", exc_info=True)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .activity import VARIABLES
+from .activity import VARIABLES, InputError
 from .federation import AGG_MODES, META_MODES, STRATEGIES, AttnAggConfig, MetaConfig, TrainSettings
 from .optim import OPTIMIZER_KINDS
 
@@ -24,7 +24,7 @@ CONFIG_VERSION = 1
 DATASET_KINDS = ("generated", "csv")
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Raised for any malformed or inconsistent experiment configuration."""
 
 
@@ -247,12 +247,22 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(dataset=dataset, plan=plan, output_dir=values["output_dir"], raw=data)
 
 
+def load_json(path: str, parse, error: type[Exception]):
+    """`parse` of the JSON value in the file at `path`. A file that is not UTF-8 JSON,
+    or an `error` from `parse`, raises `error` naming `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config: no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return load_json(path, lambda data: parse_config(data, base_dir), ConfigError)

@@ -4,10 +4,16 @@ events.csv columns: student_id, timestamp, kind, video_index, points, max_points
 students.csv columns: student_id, gender, continent, birth_year, label
   (empty demographic cells mean unspecified).
 
+Both files are read by `csv_rows`, which counts the header as line 1 and each
+CSV record after it as the next line. A header other than the one above (or an
+empty file) fails at `path:1`, and a record the csv module cannot parse (a field
+over its 128 KiB limit, say) at `path:line`. Bytes that are not UTF-8 fail with
+the path alone: text is decoded in 8 KiB chunks, so the line being read when
+decoding fails is not the bad one. Every other error names `path:line`.
+
 students.csv is read first, so its errors win over any in events.csv; a
-student_id may appear in it once. Every error names `path:line`. Each
-events.csv row is checked as it is read, in file order, and its first failing
-rule wins (blank rows are skipped):
+student_id may appear in it once. Each events.csv row is checked as it is read,
+in file order, and its first failing rule wins (blank rows are skipped):
   1. the row has six fields;
   2. kind is one of the seven kinds, or the generic "watch": watch_correct if
      the row has an outcome, else watch_noquiz;
@@ -43,6 +49,7 @@ from .activity import (
     SLOT_INCORRECT,
     Demographics,
     EncodingError,
+    InputError,
     StudentRecord,
     event_columns,
     score_first_attempt,
@@ -59,13 +66,32 @@ _SLOT_OF = {name: slot for slot, name in enumerate(KIND_NAMES)}
 _WATCH_POINTS = {SLOT_CORRECT: ("1.0", "1.0"), SLOT_INCORRECT: ("0.0", "1.0")}
 
 
-class IngestError(ValueError):
+class IngestError(InputError):
     """Raised when a CSV file does not match its declared schema."""
 
 
-def _require_header(row, expected, path):
-    if row != expected:
-        raise IngestError(f"{path}: expected header {expected}, got {row}")
+def csv_rows(path: str, header: list[str], error: type[Exception]):
+    """Yield (line, row) for each non-blank row after the header of the CSV file at `path`.
+
+    Raises `error` naming `path:1` for a header other than `header`, `path:line`
+    for a row the csv module cannot parse, and `path` alone for bytes that are
+    not UTF-8 (text is decoded in chunks, so the line being read is not the bad one).
+    """
+    line_no = 0
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, None)
+                if first != header:
+                    raise error(f"{path}:1: expected header {header}, got {first}")
+                for line_no, row in enumerate(reader, start=2):
+                    if row:
+                        yield line_no, row
+            except csv.Error as exc:
+                raise error(f"{path}:{line_no + 1}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def write_events_csv(records: list[StudentRecord], path: str) -> None:
@@ -107,30 +133,24 @@ def write_students_csv(records: list[StudentRecord], path: str) -> None:
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     table: dict[str, tuple[Demographics, int]] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _require_header(header, STUDENT_HEADER, path)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(STUDENT_HEADER):
-                    raise ValueError(f"expected {len(STUDENT_HEADER)} fields")
-                sid, gender, continent, birth_year, label = row
-                demo = Demographics(
-                    gender=gender or None,
-                    continent=continent or None,
-                    birth_year=int(birth_year) if birth_year else None,
-                )
-                if int(label) not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {label}")
-                if sid in first_line:
-                    raise ValueError(f"student_id {sid!r} repeats line {first_line[sid]}")
-                first_line[sid] = line_no
-                table[sid] = (demo, int(label))
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_no}: {exc}") from exc
+    for line_no, row in csv_rows(path, STUDENT_HEADER, IngestError):
+        try:
+            if len(row) != len(STUDENT_HEADER):
+                raise ValueError(f"expected {len(STUDENT_HEADER)} fields")
+            sid, gender, continent, birth_year, label = row
+            demo = Demographics(
+                gender=gender or None,
+                continent=continent or None,
+                birth_year=int(birth_year) if birth_year else None,
+            )
+            if int(label) not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {label}")
+            if sid in first_line:
+                raise ValueError(f"student_id {sid!r} repeats line {first_line[sid]}")
+            first_line[sid] = line_no
+            table[sid] = (demo, int(label))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: {exc}") from exc
     return table
 
 
@@ -138,36 +158,31 @@ def _read_events(path: str, table: dict[str, tuple[Demographics, int]]) -> dict[
     """Check each events.csv row (rules 1-7) and file it under its student
     as (timestamp, line, video, slot, score), with a generic watch's slot resolved."""
     per_student: dict[str, list] = {sid: [] for sid in table}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _require_header(next(reader, None), EVENT_HEADER, path)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(EVENT_HEADER):
-                    raise ValueError(f"expected {len(EVENT_HEADER)} fields")
-                sid, ts, kind, video, points, max_points = row
-                has_outcome = points != "" and max_points != ""
-                if kind == "watch":
-                    kind = "watch_correct" if has_outcome else "watch_noquiz"
-                slot = _SLOT_OF.get(kind)
-                if slot is None:
-                    raise ValueError(f"unknown activity kind {kind!r}")
-                score = score_first_attempt(float(points), float(max_points)) if has_outcome else None
-                video = int(video) if video != "" else None
-                ts = int(ts)
-                if slot < N_WATCH:
-                    if video is None:
-                        raise ValueError(f"{kind} event requires a video_index")
-                elif video is not None:
-                    raise ValueError(f"{kind} event must not carry a video_index")
-            except ValueError as exc:
-                raise IngestError(f"{path}:{line_no}: {exc}") from exc
-            events = per_student.get(sid)
-            if events is None:
-                raise IngestError(f"{path}:{line_no}: event for unknown student {sid!r}")
-            events.append((ts, line_no, video, slot, score))
+    for line_no, row in csv_rows(path, EVENT_HEADER, IngestError):
+        try:
+            if len(row) != len(EVENT_HEADER):
+                raise ValueError(f"expected {len(EVENT_HEADER)} fields")
+            sid, ts, kind, video, points, max_points = row
+            has_outcome = points != "" and max_points != ""
+            if kind == "watch":
+                kind = "watch_correct" if has_outcome else "watch_noquiz"
+            slot = _SLOT_OF.get(kind)
+            if slot is None:
+                raise ValueError(f"unknown activity kind {kind!r}")
+            score = score_first_attempt(float(points), float(max_points)) if has_outcome else None
+            video = int(video) if video != "" else None
+            ts = int(ts)
+            if slot < N_WATCH:
+                if video is None:
+                    raise ValueError(f"{kind} event requires a video_index")
+            elif video is not None:
+                raise ValueError(f"{kind} event must not carry a video_index")
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: {exc}") from exc
+        events = per_student.get(sid)
+        if events is None:
+            raise IngestError(f"{path}:{line_no}: event for unknown student {sid!r}")
+        events.append((ts, line_no, video, slot, score))
     return per_student
 
 

@@ -8,6 +8,7 @@ run executes under an access monitor so train/test isolation can be audited.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ import numpy as np
 
 from .activity import StudentRecord, demographic_group
 from .config import ExperimentPlan, check_plan
+from .dataio import csv_rows
 from .federation import FederationError, FederationSchedule, RoundRow, run_federation
 from .metrics import ScoredStudent, UndefinedAUCError, auc
 from .network import score
@@ -322,6 +324,34 @@ def report_to_csv(report: EvalReport, path: str) -> None:
         for row in report.rows:
             writer.writerow([row.strategy, row.variable, row.subgroup,
                              repr(row.mean_auc), repr(row.std_auc), row.n_runs])
+
+
+def _report_row_problem(row: list[str]) -> str | None:
+    """How `row` lacks a field, finite AUC figures or a positive run count; None if it does not."""
+    if len(row) != len(REPORT_HEADER):
+        return f"expected {len(REPORT_HEADER)} fields"
+    for name, cell in zip(REPORT_HEADER[3:5], row[3:5]):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = False
+        if not finite:
+            return f"{name} must be a finite number, got {cell!r}"
+    if not (row[5].isdecimal() and int(row[5]) >= 1):
+        return f"n_runs must be a positive integer, got {row[5]!r}"
+    return None
+
+
+def read_report(path: str) -> list[list[str]]:
+    """The rows of a `report_to_csv` file. A fault raises `ValueError` naming `path`, and
+    its line where it has one; not `InputError`, since this program wrote the file."""
+    rows = []
+    for line_no, row in csv_rows(path, REPORT_HEADER, ValueError):
+        problem = _report_row_problem(row)
+        if problem:
+            raise ValueError(f"{path}:{line_no}: {problem}")
+        rows.append(row)
+    return rows
 
 
 def rounds_to_csv(report: EvalReport, path: str) -> None:

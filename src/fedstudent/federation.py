@@ -167,12 +167,14 @@ def meta_gradient(params: ModelParams, objective, cfg: MetaConfig) -> tuple[floa
     v = objective.loss_and_gradient(inner)[1]
     if cfg.mode == "first_order":
         result = v
-    else:
+    elif cfg.mode == "hessian_fd":
         delta = cfg.hessian_step
         g_plus = objective.loss_and_gradient(params_axpy(delta, v, params))[1]
         g_minus = objective.loss_and_gradient(params_axpy(-delta, v, params))[1]
         hvp = (g_plus - g_minus) * (1.0 / (2.0 * delta))
         result = params_axpy(-cfg.inner_lr, hvp, v)
+    else:
+        raise ValueError(f"MetaConfig.mode must be one of {META_MODES}, got {cfg.mode!r}")
     if not result.all_finite():
         raise FederationError("meta-gradient produced non-finite values")
     return loss, result
@@ -282,6 +284,8 @@ def fedatt_aggregate(
         summed = per_layer_alpha.sum(axis=0)
         weights = summed / summed.sum()
         per_layer_alpha = np.tile(weights, (len(names), 1))
+    elif cfg.mode != "per_layer":
+        raise ValueError(f"AttnAggConfig.mode must be one of {AGG_MODES}, got {cfg.mode!r}")
     new_layers = {}
     for i, name in enumerate(names):
         delta = np.zeros_like(global_params[name])
@@ -416,6 +420,9 @@ def run_federation(
     attn_cfg = attn_cfg or AttnAggConfig()
     monitor = monitor or NullMonitor()
     strategy = schedule.strategy
+    rules = RULES.get(strategy)
+    if rules is None:
+        raise ValueError(f"FederationSchedule.strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     clients = [
         ClientState(key=key, train_ids=split.assignments[key].train,
@@ -429,7 +436,6 @@ def run_federation(
     if pretrained is not None and strategy != "Local":
         init = transfer_weights(pretrained, init)
 
-    rules = RULES[strategy]
     trainers = clients
     if rules.aggregate == "pooled":
         union = sorted({sid for c in clients for sid in c.train_ids})

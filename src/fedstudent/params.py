@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -206,28 +207,41 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
+    """Read a `save_params` file. Any fault raises `ParamFormatError` naming `path`: the
+    magic line or version, a header entry, layer sizes other than the bytes that follow
+    the header, a shape other than the model's, or a weight that is not finite."""
     with open(path, "rb") as fh:
         magic_line = fh.readline().decode("ascii", errors="replace").strip()
         parts = magic_line.split()
         if len(parts) != 2 or parts[0] != FORMAT_MAGIC:
             raise ParamFormatError(f"not a parameter file (bad magic line): {path}")
         if parts[1] != str(FORMAT_VERSION):
-            raise ParamFormatError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}")
+            raise ParamFormatError(
+                f"unsupported format version {parts[1]!r} in {path}, expected {FORMAT_VERSION}")
         try:
             header = json.loads(fh.readline().decode("ascii"))
             k = int(header["hidden_dim"])
             d = int(header["input_dim"])
-            entries = header["layers"]
-        except (ValueError, KeyError, TypeError) as exc:
+            entries = [(str(entry["name"]), entry["shape"]) for entry in header["layers"]]
+            for name, shape in entries:
+                if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+                    raise ValueError(f"layer {name}: shape must be a list of non-negative "
+                                     f"integers, got {shape!r}")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParamFormatError(f"corrupt parameter header in {path}: {exc}") from exc
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         layers = {}
-        for entry in entries:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ParamFormatError(f"truncated parameter data in {path}")
-            layers[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        for name, shape in entries:
+            size = 8 * math.prod(shape)
+            if size > left:
+                raise ParamFormatError(
+                    f"truncated parameter data in {path}: layer {name} needs {size} bytes, {left} left")
+            left -= size
+            layers[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(layers[name]).all():
+                raise ParamFormatError(f"non-finite weight in layer {name} of {path}")
+        if left:
+            raise ParamFormatError(f"{left} bytes after the last layer in {path}")
     try:
         return ModelParams(k, d, layers)
     except ValueError as exc:

@@ -14,6 +14,7 @@ from .activity import (
     UNSPECIFIED,
     VARIABLES,
     YEAR_BANDS,
+    InputError,
     StudentRecord,
     demographic_group,
 )
@@ -21,7 +22,7 @@ from .activity import (
 logger = logging.getLogger(__name__)
 
 
-class SplitError(ValueError):
+class SplitError(InputError):
     """Raised when a subgroup is too small to split into train and test."""
 
 

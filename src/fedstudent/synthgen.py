@@ -29,10 +29,11 @@ from .activity import (
     SLOT_NOQUIZ,
     VARIABLES,
     Demographics,
+    InputError,
     StudentRecord,
     event_columns,
 )
-from .config import REQUIRED, Key, json_value, violation
+from .config import REQUIRED, Key, json_value, load_json, violation
 from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
@@ -42,7 +43,7 @@ DEFAULT_MAX_SEQUENCE = 256
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
 
 
-class CohortSpecError(ValueError):
+class CohortSpecError(InputError):
     """Raised when a cohort specification violates its invariants."""
 
 
@@ -366,12 +367,7 @@ def spec_from_dict(data: dict) -> CohortSpec:
 
 
 def load_cohort_spec(path: str) -> CohortSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CohortSpecError(f"cohort spec {path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(data)
+    return load_json(path, spec_from_dict, CohortSpecError)
 
 
 def save_cohort_spec(spec: CohortSpec, path: str) -> None:

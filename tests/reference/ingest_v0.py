@@ -5,7 +5,8 @@ Kept as a test oracle. Each events.csv row is parsed into a frozen
 row; `load_records` then encodes each student's capped sequence event by event
 with `event_columns`, which took an `ActivityKind` then. The package's ingest
 must build the same records and raise the same `IngestError` text. The two
-dataclasses are frozen here and also serve `synthgen_v0`.
+dataclasses are frozen here and also serve `synthgen_v0`. So is the header
+check, whose message the package's reader has since extended with line 1.
 """
 
 from __future__ import annotations
@@ -26,10 +27,15 @@ from fedstudent.activity import (
     StudentRecord,
     score_first_attempt,
 )
-from fedstudent.dataio import EVENT_HEADER, IngestError, _require_header, read_students_csv
+from fedstudent.dataio import EVENT_HEADER, IngestError, read_students_csv
 from fedstudent.synthgen import DEFAULT_MAX_SEQUENCE
 
 logger = logging.getLogger(__name__)
+
+
+def _require_header(row, expected, path):
+    if row != expected:
+        raise IngestError(f"{path}: expected header {expected}, got {row}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from fedstudent.cli import main
 from fedstudent.config import KEYS, PLAN_KEYS, REQUIRED, ConfigError, parse_config
 from fedstudent.dataio import load_records
 from fedstudent.evaluate import EvalReport, ExperimentPlan, ReportRow, cross_validate, report_to_csv
-from fedstudent.params import ModelParams, save_params
+from fedstudent.params import ModelParams, load_params, save_params
 from fedstudent.synthgen import (
     PROFILE_KEYS,
     SPEC_KEYS,
@@ -573,3 +575,188 @@ class TestReportCommand:
         for path in (tmp_path / "nope.csv", tmp_path):
             assert main(["report", "--report", str(path)]) == 2
             assert str(path) in capsys.readouterr().err
+
+
+# The corruption sweep: every input of every command, each broken one way on a tiny
+# cohort so that it fails while loading. Anything the user wrote or named exits 2; a
+# model file or report, which this program writes, exits 1. Each error names its file,
+# and its line for a CSV row; undecodable bytes name the file alone.
+COMMAND_INPUTS = {"generate": ("spec",), "run": ("config", "events", "students"),
+                  "dump-embeddings": ("model", "events", "students"), "report": ("report",)}
+FORMAT = {"spec": "json", "config": "json", "events": "csv", "students": "csv",
+          "model": "model", "report": "csv"}
+EXIT_CODE = {"spec": 2, "config": 2, "events": 2, "students": 2, "model": 1, "report": 1}
+# Where each input holds a number: a JSON key path, a CSV column, or a model layer.
+NUMBER_AT = {"spec": ("profiles", 0, "quiz_correct_prob"), "config": ("optimizer", "lr"),
+             "events": "max_points", "students": "birth_year", "report": "mean_auc",
+             "model": "attn.p"}
+
+
+def sweep_files(tmp_path):
+    """The path of every input, each valid, for the tiny cohort."""
+    files = {"spec": tmp_path / "spec.json", "config": tmp_path / "config.json",
+             "events": tmp_path / "data" / "events.csv", "students": tmp_path / "data" / "students.csv",
+             "model": tmp_path / "model.params", "report": tmp_path / "report.csv"}
+    write_spec(files["spec"], pop=4)
+    assert main(["generate", "--spec", str(files["spec"]), "--out", str(tmp_path / "data")]) == 0
+    write_config(files["config"], files["spec"], tmp_path / "out", dataset=CSV_DATASET)
+    save_params(ModelParams.zeros(4, N_VIDEOS + 7), str(files["model"]))
+    rows = [ReportRow("FedAvg", "G", "G:F", 0.75, 0.01, 1), ReportRow("FedAvg", "G", "G:M", 0.5, 0.0, 1)]
+    report_to_csv(EvalReport(rows=rows, outcomes=[], warnings=[]), str(files["report"]))
+    return files
+
+
+def command_argv(command, files, tmp_path):
+    return {
+        "generate": ["generate", "--spec", str(files["spec"]), "--out", str(tmp_path / "gen")],
+        "run": ["run", "--config", str(files["config"]), "--jobs", "1"],
+        "dump-embeddings": ["dump-embeddings", "--model", str(files["model"]), "--events",
+                            str(files["events"]), "--students", str(files["students"]),
+                            "--out", str(tmp_path / "emb.csv")],
+        "report": ["report", "--report", str(files["report"])],
+    }[command]
+
+
+def _read_rows(path):
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _where(path, line):
+    return f"{path}:{line}:"
+
+
+def corrupt_empty(name, path):
+    path.write_bytes(b"")
+    return _where(path, 1) if FORMAT[name] == "csv" else str(path)
+
+
+def corrupt_truncated(name, path):
+    """Cut a CSV file in the middle of the first field of its last row; cut another at half."""
+    data = path.read_bytes()
+    if FORMAT[name] != "csv":
+        path.write_bytes(data[:len(data) // 2])
+        return str(path)
+    lines = data.rstrip(b"\n").split(b"\n")
+    first_field = lines[-1].split(b",")[0]
+    path.write_bytes(b"\n".join(lines[:-1] + [first_field[:len(first_field) // 2]]))
+    return _where(path, len(lines))
+
+
+def corrupt_wrong_header(name, path):
+    """Swap the first two columns of a CSV header, or name another version or magic."""
+    if FORMAT[name] == "csv":
+        rows = _read_rows(path)
+        rows[0][:2] = rows[0][1::-1]
+        _write_rows(path, rows)
+        return _where(path, 1)
+    if FORMAT[name] == "model":
+        path.write_bytes(path.read_bytes().replace(b"fedstudent-params", b"fedstudent-weights", 1))
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 2}))
+    return str(path)
+
+
+def corrupt_number(value):
+    def corrupt(name, path):
+        at = NUMBER_AT[name]
+        if FORMAT[name] == "model":
+            params = load_params(str(path))
+            params[at][0] = value
+            save_params(params, str(path))
+            return str(path)
+        if FORMAT[name] == "json":
+            data = json.loads(path.read_text())
+            holder = data
+            for part in at[:-1]:
+                holder = holder[part]
+            holder[at[-1]] = value
+            path.write_text(json.dumps(data))
+            return str(path)
+        rows = _read_rows(path)
+        rows[-1][rows[0].index(at)] = str(value)
+        if name == "events":
+            rows[-1][rows[0].index("points")] = "1"  # with both given, the row's outcome is read
+        _write_rows(path, rows)
+        return _where(path, len(rows))
+    return corrupt
+
+
+def corrupt_not_utf8(name, path):
+    """Put bytes that are not UTF-8 in the middle of the last line of a text file, or of
+    a model's header line."""
+    data = path.read_bytes()
+    if FORMAT[name] == "model":
+        start = data.index(b"\n") + 1
+        end = data.index(b"\n", start)
+    else:
+        end = len(data.rstrip(b"\n"))
+        start = data.rfind(b"\n", 0, end) + 1
+    at = (start + end) // 2
+    path.write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+    return f"{path}: not UTF-8 text" if FORMAT[name] == "csv" else str(path)
+
+
+def corrupt_oversized_field(name, path):
+    """A first field of 200 KiB in the last row, over the csv module's limit."""
+    rows = _read_rows(path)
+    rows[-1][0] = "x" * 200_000
+    _write_rows(path, rows)
+    return _where(path, len(rows))
+
+
+def corrupt_repeated_id(name, path):
+    rows = _read_rows(path)
+    _write_rows(path, rows + [rows[1]])
+    return _where(path, len(rows) + 1)
+
+
+CORRUPTIONS = {"empty": corrupt_empty, "truncated": corrupt_truncated,
+               "wrong_header": corrupt_wrong_header, "nan": corrupt_number(float("nan")),
+               "inf": corrupt_number(float("inf")), "not_utf8": corrupt_not_utf8,
+               "oversized_field": corrupt_oversized_field, "repeated_id": corrupt_repeated_id}
+
+
+def sweep_cases():
+    """(command, input, corruption) for each input of each command and each corruption
+    that its format has: an oversized field for a CSV file, a repeated id for students.csv."""
+    cases = []
+    for command, names in COMMAND_INPUTS.items():
+        for name in names:
+            for case in CORRUPTIONS:
+                if ((case == "oversized_field" and FORMAT[name] != "csv")
+                        or (case == "repeated_id" and name != "students")):
+                    continue
+                cases.append(pytest.param(command, name, case, id=f"{command}-{name}-{case}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, name, case", sweep_cases())
+def test_corrupt_input_exits_with_its_code_naming_it(tmp_path, capsys, command, name, case):
+    files = sweep_files(tmp_path)
+    where = CORRUPTIONS[case](name, files[name])
+    capsys.readouterr()
+    assert main(command_argv(command, files, tmp_path)) == EXIT_CODE[name]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and where in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not any((tmp_path / out).exists() for out in ("gen", "out", "emb.csv"))
+
+
+def test_main_alone_maps_errors_to_exit_codes():
+    """`main` holds the only `try` in cli.py, so no `cmd_*` catches anything, and the only
+    error class cli.py names is `InputError`: no command lists the classes of another module."""
+    try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))  # TryStar: Python 3.11+
+    tree = ast.parse(inspect.getsource(cli))
+    tries = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+             for inner in ast.walk(node) if isinstance(inner, try_nodes)}
+    names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+             | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names})
+    assert tries == {"main"}
+    assert sum(isinstance(node, try_nodes) for node in ast.walk(tree)) == 1
+    assert {name for name in names if name.endswith("Error")} == {"InputError"}

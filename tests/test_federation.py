@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from fedstudent import federation
 from fedstudent.federation import (
+    AGG_MODES,
+    META_MODES,
+    STRATEGIES,
     AttnAggConfig,
     ClientState,
     FederationError,
@@ -73,6 +78,11 @@ class TestMetaGradient:
         cfg = MetaConfig(inner_lr=1.0, mode="first_order")
         _, grad = meta_gradient(theta, QuadraticObjective(1.0), cfg)
         assert params_norm(grad) < 1e-12
+
+    def test_unknown_mode_rejected_naming_modes(self):
+        cfg = MetaConfig(mode="typo")
+        with pytest.raises(ValueError, match=re.escape(f"MetaConfig.mode must be one of {META_MODES}")):
+            meta_gradient(random_params(2, 9, 4), QuadraticObjective(1.0), cfg)
 
 
 class TestFedavgAggregate:
@@ -183,6 +193,12 @@ class TestFedattAggregate:
     def test_zero_locals_rejected(self):
         with pytest.raises(ValueError):
             fedatt_aggregate(random_params(2, 9, 0), [])
+
+    def test_unknown_mode_rejected_naming_modes(self):
+        g = random_params(2, 9, 7)
+        locs = [random_params(2, 9, s) for s in (8, 9)]
+        with pytest.raises(ValueError, match=re.escape(f"AttnAggConfig.mode must be one of {AGG_MODES}")):
+            fedatt_aggregate(g, locs, AttnAggConfig(mode="typo"))
 
 
 N_VIDEOS = 5
@@ -412,6 +428,12 @@ class TestRunFederation:
         subgroups = {row.subgroup for row in result.rounds}
         assert subgroups == {"G:M", "G:F"}
         assert max(row.round for row in result.rounds) == 2
+
+    def test_unknown_strategy_rejected_naming_strategies(self):
+        records = tiny_cohort()
+        with pytest.raises(ValueError, match=re.escape(f"FederationSchedule.strategy must be one of {STRATEGIES}")):
+            run_federation(record_map(records), make_split(records), FederationSchedule("Bogus", 1, 1),
+                           seed=0, settings=tiny_settings())
 
     def test_empty_train_split_rejected(self):
         records = tiny_cohort()

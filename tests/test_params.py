@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,61 @@ def test_load_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ParamFormatError, match="truncated"):
         load_params(str(path))
+
+
+def rewrite_header(path, change):
+    """Rewrite the JSON header line of the parameter file at `path` by `change(header)`."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    change(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+def set_first_shape(value):
+    def change(header):
+        header["layers"][0]["shape"] = value
+    return change
+
+
+# Header faults that each escaped load_params as a KeyError, ValueError, TypeError,
+# a negative read length or a MemoryError.
+@pytest.mark.parametrize("change, message", [
+    (lambda header: header["layers"][0].pop("shape"), "corrupt parameter header"),
+    (set_first_shape("ab"), "corrupt parameter header"),
+    (set_first_shape("12"), "corrupt parameter header"),
+    (lambda header: header.update(layers=3), "corrupt parameter header"),
+    (lambda header: header.update(layers=[3]), "corrupt parameter header"),
+    (lambda header: header.update(hidden_dim=float("inf")), "corrupt parameter header"),
+    (set_first_shape([-1]), "corrupt parameter header"),
+    (set_first_shape([2.0, 4]), "corrupt parameter header"),
+    (set_first_shape([10**9, 10**9]), "truncated parameter data"),
+    (set_first_shape([4, 6]), "inconsistent parameter header"),
+], ids=["no_shape", "shape_string", "shape_digits", "layers_int", "entry_int", "dim_inf",
+        "shape_negative", "shape_float", "shape_huge", "shape_wrong"])
+def test_load_rejects_bad_header_naming_path(tmp_path, change, message):
+    path = tmp_path / "model.params"
+    save_params(random_params(2, 4, 0), str(path))
+    rewrite_header(path, change)
+    with pytest.raises(ParamFormatError, match=message) as info:
+        load_params(str(path))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_weight_naming_layer(tmp_path, value):
+    p = random_params(2, 4, 0)
+    p["attn.p"][1] = value
+    path = tmp_path / "model.params"
+    save_params(p, str(path))
+    with pytest.raises(ParamFormatError, match="non-finite weight in layer attn.p") as info:
+        load_params(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_load_rejects_bytes_after_the_last_layer(tmp_path):
+    path = tmp_path / "model.params"
+    save_params(random_params(2, 4, 0), str(path))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ParamFormatError, match="8 bytes after the last layer") as info:
+        load_params(str(path))
+    assert str(path) in str(info.value)
