@@ -107,6 +107,7 @@ def _print_report(report: EvalReport) -> None:
 def cmd_run(config_path: str, seed_override: int | None, jobs: int, out_override: str | None) -> int:
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
+    _require_file("config", config_path)
     config = load_config(config_path)
     if seed_override is not None:
         config.plan = dataclasses.replace(config.plan, seeds=(seed_override,))

@@ -262,7 +262,5 @@ def load_json(path: str, parse, error: type[Exception]):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config: no such file: {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
     return load_json(path, lambda data: parse_config(data, base_dir), ConfigError)
