@@ -218,7 +218,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
-        logger.info("the failure below, with its traceback", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
