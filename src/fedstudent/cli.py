@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 
-from .activity import InputError
+from .activity import VARIABLES, InputError
 from .config import ExperimentConfig, load_config
 from .dataio import load_records, write_events_csv, write_students_csv
 from .evaluate import (
@@ -52,16 +52,19 @@ def _require_file(what: str, path: str) -> None:
         raise InputError(f"{what}: no such file: {path}")
 
 
-def _file_in_the_way(path: str) -> str | None:
-    """The existing non-directory at or above `path` that keeps it from being made, if any."""
-    path = os.path.abspath(path)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    return None if os.path.isdir(path) else path
+def _require_dir(what: str, path: str) -> None:
+    """Raise `InputError` naming the existing non-directory at or above `path` that keeps
+    directory `path` from being made, if any."""
+    blocker = os.path.abspath(path)
+    while not os.path.lexists(blocker):
+        blocker = os.path.dirname(blocker)
+    if not os.path.isdir(blocker):
+        raise InputError(f"{what}: not a directory: {blocker}")
 
 
 def cmd_generate(spec_path: str, seed: int, out_dir: str) -> int:
     _require_file("cohort spec", spec_path)
+    _require_dir(f"output directory {out_dir}", out_dir)
     records = generate_cohort(load_cohort_spec(spec_path), seed)
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.csv")
@@ -113,9 +116,7 @@ def cmd_run(config_path: str, seed_override: int | None, jobs: int, out_override
         config.plan = dataclasses.replace(config.plan, seeds=(seed_override,))
     out_dir = out_override or config.output_dir
     models_dir = os.path.join(out_dir, "models")
-    blocker = _file_in_the_way(models_dir)
-    if blocker is not None:
-        raise InputError(f"output directory {out_dir}: not a directory: {blocker}")
+    _require_dir(f"output directory {out_dir}", models_dir)
     records = _load_dataset(config)
     report = cross_validate(records, config.plan, jobs=jobs)
     os.makedirs(models_dir, exist_ok=True)
@@ -148,6 +149,8 @@ def cmd_dump_embeddings(
     variable: str,
     include_unspecified: bool,
 ) -> int:
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        raise InputError(f"output file {out_path}: must not be a directory and its directory must exist")
     _require_file("model", model_path)
     params = load_params(model_path)
     _require_file("events", events_path)
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--events", required=True)
     p_dump.add_argument("--students", required=True)
     p_dump.add_argument("--out", required=True)
-    p_dump.add_argument("--variable", default="G", choices=["G", "C", "Y"])
+    p_dump.add_argument("--variable", default="G", choices=VARIABLES)
     p_dump.add_argument("--include-unspecified", action="store_true")
 
     p_rep = sub.add_parser("report", help="pretty-print an existing report.csv")

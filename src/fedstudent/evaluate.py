@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import StudentRecord, demographic_group
+from .activity import StudentRecord
 from .config import ExperimentPlan, check_plan
 from .dataio import csv_rows
 from .federation import FederationError, FederationSchedule, RoundRow, run_federation
@@ -23,9 +23,10 @@ from .metrics import ScoredStudent, UndefinedAUCError, auc
 from .network import score
 from .params import ModelParams
 from .pretrain import run_pretraining
-from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, rng_for
+from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, cut, rng_for
 from .tracking import AccessMonitor, track_records
 
+HOLDOUT_FRACTION = 0.2  # share of each subgroup's label held out for test when `folds` is 1
 VAL_FRACTION = 0.2  # share of each fold's training pool, per subgroup and label, kept for validation
 REPORT_HEADER = ["strategy", "variable", "subgroup", "mean_auc", "std_auc", "n_runs"]
 ROUNDS_HEADER = ["strategy", "fold", "seed", "round", "subgroup", "val_auc", "train_loss"]
@@ -39,6 +40,14 @@ def _stratified_chunks(ids: list[str], n_chunks: int, rng: np.random.Generator) 
     return chunks
 
 
+def _by_label(ids: list[str], records: dict[str, StudentRecord]) -> dict[int, list[str]]:
+    """`ids` by label, 0 then 1, each in the given order; a label with no student is left out."""
+    by_label: dict[int, list[str]] = {0: [], 1: []}
+    for sid in ids:
+        by_label[records[sid].label].append(sid)
+    return {label: members for label, members in by_label.items() if members}
+
+
 def build_fold_split(
     records: dict[str, StudentRecord],
     plan: ExperimentPlan,
@@ -50,46 +59,28 @@ def build_fold_split(
         raise SplitError(f"no subgroups found for variable {plan.variable}")
     assignments: dict[SubgroupKey, SplitAssignment] = {}
     for key in sorted(groups):
-        ids = sorted(groups[key])
-        by_label: dict[int, list[str]] = {0: [], 1: []}
-        for sid in ids:
-            by_label[records[sid].label].append(sid)
         test: list[str] = []
         pool: list[str] = []
-        for label, members in sorted(by_label.items()):
-            if not members:
-                continue
+        for label, members in _by_label(sorted(groups[key]), records).items():
             rng = rng_for(plan.fold_seed, "folds", str(key), label)
             if plan.folds >= 2:
                 chunks = _stratified_chunks(members, plan.folds, rng)
                 test.extend(chunks[fold_idx])
-                for i, chunk in enumerate(chunks):
-                    if i != fold_idx:
-                        pool.extend(chunk)
+                pool.extend(sid for i, chunk in enumerate(chunks) if i != fold_idx for sid in chunk)
             else:
-                shuffled = [members[i] for i in rng.permutation(len(members))]
-                n_test = max(1, int(len(shuffled) * 0.2)) if len(shuffled) > 1 else 0
-                test.extend(shuffled[:n_test])
-                pool.extend(shuffled[n_test:])
+                held, rest = cut([members[i] for i in rng.permutation(len(members))], HOLDOUT_FRACTION)
+                test.extend(held)
+                pool.extend(rest)
         if not pool or not test:
             raise SplitError(f"subgroup {key} too small for a {plan.folds}-fold split")
+        # `cut` leaves every label of the pool at least one training student.
         val: list[str] = []
         train: list[str] = []
-        pool_by_label: dict[int, list[str]] = {0: [], 1: []}
-        for sid in pool:
-            pool_by_label[records[sid].label].append(sid)
-        for label, members in sorted(pool_by_label.items()):
-            if not members:
-                continue
+        for label, members in _by_label(pool, records).items():
             rng = rng_for(plan.fold_seed, "val", str(key), label, fold_idx)
-            shuffled = [members[i] for i in rng.permutation(len(members))]
-            n_val = int(len(shuffled) * VAL_FRACTION)
-            if n_val == 0 and len(shuffled) >= 2:
-                n_val = 1
-            val.extend(shuffled[:n_val])
-            train.extend(shuffled[n_val:])
-        if not train:
-            raise SplitError(f"subgroup {key}: validation carve-out emptied the training set")
+            carved, kept = cut([members[i] for i in rng.permutation(len(members))], VAL_FRACTION)
+            val.extend(carved)
+            train.extend(kept)
         assignments[key] = SplitAssignment(train=sorted(train), val=sorted(val), test=sorted(test))
     return DatasetSplit(assignments=assignments)
 
@@ -379,18 +370,13 @@ def export_embeddings(
     variable: str = "G",
     include_unspecified: bool = True,
 ) -> EmbeddingDump:
-    """Pooled representation per student, dropout disabled."""
-    kept = []
-    for record in records:
-        tag = demographic_group(record.demographics, variable)
-        if tag is None:
-            if not include_unspecified:
-                continue
-            tag = "unspecified"
-        kept.append((record, f"{variable}:{tag}"))
-    _, pooled = score(params, [record.sequence for record, _ in kept])
-    rows = [(record.student_id, subgroup, vector)
-            for (record, subgroup), vector in zip(kept, pooled)]
+    """Pooled representation per student in record order, dropout disabled."""
+    groups = build_subgroups(records, variable, include_unspecified)
+    subgroup_of = {sid: str(key) for key, ids in groups.items() for sid in ids}
+    kept = [record for record in records if record.student_id in subgroup_of]
+    _, pooled = score(params, [record.sequence for record in kept])
+    rows = [(record.student_id, subgroup_of[record.student_id], vector)
+            for record, vector in zip(kept, pooled)]
     return EmbeddingDump(hidden_dim=params.hidden_dim, rows=rows)
 
 

@@ -112,6 +112,16 @@ def ids_digest(ids) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
+def cut(items: list, fraction: float) -> tuple[list, list]:
+    """`items` split after its first floor(n * fraction) entries: the one split-size rule.
+
+    The head takes at least one item and at most n - 1, so both parts are
+    non-empty once n >= 2; a single item goes to the tail.
+    """
+    k = min(max(1, int(len(items) * fraction)), len(items) - 1)
+    return items[:k], items[k:]
+
+
 def split_train_test(
     groups: dict[SubgroupKey, list[str]],
     seed: int,
@@ -120,26 +130,18 @@ def split_train_test(
 ) -> DatasetSplit:
     """Per-subgroup 4:1 train/test split with a validation share carved from train.
 
-    Sizes are floored with a minimum of one per non-empty bucket; validation
-    requires at least two training students. Deterministic given the seed.
+    Each subgroup is shuffled once; `cut` takes its training pool off the front
+    and then the validation share off the front of that pool, so test keeps at
+    least one student and so does train, and validation takes one once the pool
+    holds two. Deterministic given the seed.
     """
     assignments: dict[SubgroupKey, SplitAssignment] = {}
     for key in sorted(groups):
-        ids = list(groups[key])
+        ids = groups[key]
         if len(ids) < 2:
             raise SplitError(f"subgroup {key} has {len(ids)} student(s); need at least 2 to split")
         rng = rng_for(seed, "split", key.variable, key.group)
-        order = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in order]
-        n_train = max(1, int(len(ids) * train_fraction))
-        if n_train == len(ids):
-            n_train = len(ids) - 1
-        train_pool = shuffled[:n_train]
-        test = shuffled[n_train:]
-        n_val = int(len(train_pool) * val_fraction)
-        if n_val == 0 and len(train_pool) >= 2:
-            n_val = 1
-        val = train_pool[:n_val]
-        train = train_pool[n_val:]
+        train_pool, test = cut([ids[i] for i in rng.permutation(len(ids))], train_fraction)
+        val, train = cut(train_pool, val_fraction)
         assignments[key] = SplitAssignment(train=train, val=val, test=test)
     return DatasetSplit(assignments=assignments)

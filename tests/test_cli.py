@@ -92,6 +92,24 @@ class TestGenerate:
         assert main(["generate", "--spec", str(spec_dir), "--seed", "0", "--out", str(tmp_path)]) == 2
         assert str(spec_dir) in capsys.readouterr().err
 
+    # (the --out flag, the file in the way, which the error names)
+    @pytest.mark.parametrize("out_flag, blocker", [("taken", "taken"), ("taken/sub", "taken")])
+    def test_output_path_not_a_directory_exits_2_before_generating(
+        self, tmp_path, capsys, monkeypatch, out_flag, blocker
+    ):
+        def no_generating(spec, seed):
+            raise AssertionError("the cohort was generated")
+
+        monkeypatch.setattr(cli, "generate_cohort", no_generating)
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        (tmp_path / blocker).write_text("a file\n")
+        argv = ["generate", "--spec", str(spec_path), "--seed", "0", "--out", str(tmp_path / out_flag)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and str(tmp_path / blocker) in err
+        assert (tmp_path / blocker).read_text() == "a file\n"
+
     def test_rerun_same_seed_identical_files(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)
@@ -241,6 +259,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: output directory") and str(tmp_path / blocker) in err
         assert (tmp_path / blocker).read_text() == "a file\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_student_subgroup_exits_2_naming_it(self, tmp_path, capsys, jobs):
+        """The split fails inside a run task; at --jobs 2 its error crosses the pool."""
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        spec = json.loads(spec_path.read_text())
+        spec["profiles"][1]["population"] = 1  # the one F student
+        spec_path.write_text(json.dumps(spec))
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / "out", seeds=(0, 1))
+        assert main(["run", "--config", str(config_path), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: subgroup G:F too small for a 1-fold split\n"
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reports_across_jobs(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -481,6 +513,20 @@ class TestDumpEmbeddings:
         assert main(argv) == 2
         assert str(paths[flag]) in capsys.readouterr().err
         assert not (tmp_path / "emb.csv").exists()
+
+    @pytest.mark.parametrize("out", ["existing_dir", "missing_dir/emb.csv"])
+    def test_bad_output_path_exits_2_before_loading(self, tmp_path, capsys, monkeypatch, out):
+        def no_loading(path):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(cli, "load_params", no_loading)
+        (tmp_path / "existing_dir").mkdir()
+        argv = ["dump-embeddings", "--model", str(tmp_path / "model.params"), "--events", "x",
+                "--students", "y", "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: output file {tmp_path / out}:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir"]
+        assert list((tmp_path / "existing_dir").iterdir()) == []
 
     def test_empty_student_list_header_only(self, tmp_path):
         events = tmp_path / "events.csv"

@@ -17,10 +17,12 @@ from fedstudent.evaluate import (
     export_embeddings,
 )
 from fedstudent import evaluate, federation
+from fedstudent.activity import Demographics, StudentRecord
 from fedstudent.config import PLAN_KEYS, ConfigError
 from fedstudent.federation import FederationError, FederationSchedule, MetaConfig, TrainSettings
 from fedstudent.optim import OptState
 from fedstudent.params import ModelParams
+from fedstudent.splits import SplitError, SubgroupKey
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 
 N_VIDEOS = 5
@@ -58,6 +60,13 @@ def small_plan(**overrides):
     )
     fields.update(overrides)
     return ExperimentPlan(**fields)
+
+
+def hand_records(*students):
+    """Records keyed by id from (id, gender or None, label) triples."""
+    return {sid: StudentRecord(sid, Demographics(gender=gender), sequence=np.ones((1, N_VIDEOS + 7)),
+                               label=label)
+            for sid, gender, label in students}
 
 
 class TestBuildFoldSplit:
@@ -106,6 +115,26 @@ class TestBuildFoldSplit:
                                  if r.demographics.gender == key.group}
                 if len(source_labels) == 2:
                     assert labels == {0, 1}
+
+    def test_fold_with_an_empty_test_chunk_is_too_small(self):
+        # Three folds of F's two label-0 students leave fold 2's test chunk empty.
+        records = hand_records(*[(f"m{i}", "M", i % 2) for i in range(6)], ("f0", "F", 0), ("f1", "F", 0))
+        plan = small_plan(folds=3)
+        assert len(build_fold_split(records, plan, 0).assignments) == 2
+        with pytest.raises(SplitError, match="^subgroup G:F too small for a 3-fold split$"):
+            build_fold_split(records, plan, 2)
+
+    def test_holdout_of_one_student_per_label_is_too_small(self):
+        records = hand_records(*[(f"m{i}", "M", i % 2) for i in range(6)], ("f0", "F", 0), ("f1", "F", 1))
+        with pytest.raises(SplitError, match="^subgroup G:F too small for a 1-fold split$"):
+            build_fold_split(records, small_plan(folds=1), 0)
+
+    def test_no_subgroup_without_the_unspecified_group(self):
+        records = hand_records(*[(f"u{i}", None, i % 2) for i in range(6)])
+        with pytest.raises(SplitError, match="^no subgroups found for variable G$"):
+            build_fold_split(records, small_plan(include_unspecified=False), 0)
+        assert list(build_fold_split(records, small_plan(include_unspecified=True), 0).assignments) == [
+            SubgroupKey("G", "unspecified")]
 
 
 class TestExecuteRun:

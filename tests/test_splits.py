@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,23 @@ class TestSplitTrainTest:
         split = split_train_test(self.group(2), seed=0)
         a = split.assignments[SubgroupKey("G", "M")]
         assert len(a.train) == 1 and len(a.val) == 0 and len(a.test) == 1
+
+    def test_full_validation_share_keeps_one_training_student(self):
+        a = split_train_test(self.group(10), seed=3, val_fraction=1.0).assignments[SubgroupKey("G", "M")]
+        assert (len(a.train), len(a.val), len(a.test)) == (1, 7, 2)
+
+    def test_train_fraction_above_one_keeps_one_test_student(self):
+        a = split_train_test(self.group(10), seed=3, train_fraction=1.5).assignments[SubgroupKey("G", "M")]
+        assert (len(a.train), len(a.val), len(a.test)) == (8, 1, 1)
+
+
+def test_one_place_sizes_a_split():
+    """`splits.cut` computes every split size, so no second size rule comes back."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    sites = [(path.name, lineno) for path in sorted(package.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "int(len(" in line]
+    tree = ast.parse((package / "splits.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cut")
+    assert len(sites) == 1 and sites[0][0] == "splits.py"
+    assert helper.lineno <= sites[0][1] <= helper.end_lineno
