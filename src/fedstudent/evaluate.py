@@ -129,8 +129,10 @@ def pretrain_for_fold(
 
     Depends only on (records, plan, fold, seed), never on the strategy, so one
     result serves every strategy of the same run. Returns the trained weights,
-    per-epoch losses, and the instrumented access counts.
+    per-epoch losses, and the instrumented access counts. A plan that a JSON
+    config could not give raises `ConfigError` before any work.
     """
+    check_plan(plan)
     monitor, tracked, split = _fold_setup(records, plan, fold_idx)
     with monitor.phase("pretrain"), _failure_named(f"pretraining fold {fold_idx} seed {seed}"):
         train_ids = sorted(split.all_train_ids())
@@ -155,7 +157,9 @@ def execute_run(
     pretrain_result: tuple | None = None,
 ) -> RunOutcome:
     """One federated run plus test evaluation, fully instrumented. With pretraining
-    enabled, `pretrain_result` is `pretrain_for_fold`'s result for this fold and seed."""
+    enabled, `pretrain_result` is `pretrain_for_fold`'s result for this fold and seed.
+    A plan that a JSON config could not give raises `ConfigError` before any work."""
+    check_plan(plan)
     monitor, tracked, split = _fold_setup(records, plan, fold_idx)
     pretrained = None
     pretrain_losses: list[float] = []

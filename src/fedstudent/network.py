@@ -20,44 +20,86 @@ Dropout (inverted scaling) is applied to the pooled vector before the head,
 only when a mask is supplied; only outcome training supplies masks.
 
 `loss_and_gradient` takes a list of (L, d) sequences of any lengths and runs
-them as one padded, time-major batch under the named head: a forward pass
-recorded in one `BatchTrace`, every row's loss, and a backward pass over that
-trace. It returns the summed loss, added row by row in input order, and the
-gradient of the mean loss. A sequence's numbers agree with a batch holding it
-alone to rounding (about 1e-15), not bit for bit, because a matrix product adds
-its terms in an order that depends on its row count.
+them as one packed batch under the named head: a forward pass recorded in one
+`BatchTrace`, every row's loss, and a backward pass over that trace. It returns
+the summed loss, added row by row in input order, and the gradient of the mean
+loss. A sequence's numbers agree with a batch holding it alone to rounding
+(about 1e-15), not bit for bit, because a matrix product adds its terms in an
+order that depends on its row count.
 
-Products over the whole (T, B, .) batch are stacked matmuls, which numpy runs
-as one (B, .) BLAS product per step. One (T*B)-row product is a little faster
-on a single BLAS thread, but it is large enough for OpenBLAS to start threads,
-and while the cores are busy, as in a `--jobs` pool, each product then waits
-for them: a two-worker PerFedAttn and FedAvg run on 2 vCPUs took 19 s that way
-against 10-11 s stacked. Per-step products of training-sized batches stay on
-one thread. Either way the results do not depend on the BLAS thread count.
+A packed batch has one row per (step, sequence) cell and no padding: step t
+holds the rows of the sequences still running at t (see `_pack`). Only the two
+recurrences loop over steps, each step's products running over its contiguous
+rows. Everything else runs once over all N rows: the input projection, the
+attention scores and pooling, the backward pass's gate factors and its
+weight-gradient products. Per-sequence sums (the attention softmax and the
+pooled vectors) go through each row's column index. OpenBLAS runs a large
+enough product on several threads, and while the cores are busy, as in a
+`--jobs` pool, each such product waits for them: unblocked (T*B)-row
+products over a padded batch made a two-worker PerFedAttn and FedAvg run on 2
+vCPUs take 19 s against 10-11 s. So every product over the N rows runs in row
+blocks of at most ONE_THREAD_MADDS multiply-adds, which OpenBLAS keeps on one
+thread. The block bounds depend on the shapes alone, and the results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .params import Gradients, ModelParams
 
 PROB_CLAMP = 1e-12
-# Rows per `score` chunk. A chunk's GRU arrays are padded to its longest
-# sequence, (L, rows, 3k) floats, so this bounds the scorer's memory. Scoring
-# 2,000 students of lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS
-# thread, 16 rows peaked at 4.5 MB and took 0.08 s, 64 rows 9.8 MB and 0.05 s,
-# one student at a time 0.42-0.47 s.
+# Rows per `score` chunk. A chunk's packed arrays hold one row per (step,
+# sequence) cell, so this bounds the scorer's memory. Scoring 2,000 students of
+# lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS thread, 16 rows
+# peaked at 3.6 MB (tracemalloc) and took 0.042-0.044 s, 64 rows 8.4 MB and
+# 0.031-0.034 s, one student at a time 0.33-0.52 s.
 SCORE_CHUNK = 16
+# Multiply-adds per BLAS call up to which OpenBLAS runs a product on one thread:
+# its default gemm threshold, 65536 x GEMM_MULTITHREAD_THRESHOLD (4). Its gemv
+# threshold is higher, and builds with a small-matrix kernel keep products of
+# up to 1e6 on one thread.
+ONE_THREAD_MADDS = 1 << 18
 
 
-def _longest_first(lengths: list[int]) -> tuple[list[int], list[int]]:
-    """Batch columns ordered by decreasing length, and per step how many are still running.
+def _block(row_madds: int) -> int:
+    """Rows per block of a product whose rows cost `row_madds` multiply-adds each:
+    the most that stay within ONE_THREAD_MADDS. It depends on the shapes alone."""
+    return max(1, ONE_THREAD_MADDS // row_madds)
 
-    With columns in this order the sequences that reach step t are a leading
-    block of columns, so a step works on one contiguous slice.
+
+def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (N, p) rows `a` and a (p, q) or (p,) `b`, one product per row block."""
+    n = _block(a.shape[1] * (b.size // b.shape[0]))
+    out = np.empty(a.shape[:1] + b.shape[1:])
+    for start in range(0, a.shape[0], n):
+        np.matmul(a[start:start + n], b, out=out[start:start + n])
+    return out
+
+
+def _rows_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b for (N, p) or (N,) `a` and (N, q) `b`: one product per row block,
+    added up block by block in row order."""
+    n = _block((a.size // a.shape[0]) * b.shape[1])
+    total = a[:n].T @ b[:n]
+    for start in range(n, a.shape[0], n):
+        total += a[start:start + n].T @ b[start:start + n]
+    return total
+
+
+def _pack(lengths: list[int]) -> tuple[list[int], list[int], list[int], np.ndarray, np.ndarray]:
+    """The packed layout of a batch of sequences with these lengths.
+
+    Columns are ordered by decreasing length, so the sequences that reach step t
+    are a leading block of n_t columns. Step t occupies rows
+    offsets[t]:offsets[t + 1], one per running column in column order, so there
+    are sum(lengths) rows in all. Returns the input index of each column, n_t
+    per step, the offsets (ending with the row count), and each row's step and
+    column.
     """
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
     active, n = [], len(order)
@@ -65,39 +107,54 @@ def _longest_first(lengths: list[int]) -> tuple[list[int], list[int]]:
         while lengths[order[n - 1]] <= t:
             n -= 1
         active.append(n)
-    return order, active
+    offsets = list(accumulate(active, initial=0))
+    step = np.arange(len(active)).repeat(active)
+    return order, active, offsets, step, np.arange(offsets[-1]) - np.array(offsets)[step]
 
 
 @dataclass
 class BatchTrace:
     """Everything a forward pass over a batch computed, sufficient for its exact backward pass.
 
-    The GRU and attention arrays are time-major, (T, B, .), padded with zeros
-    past each sequence's end, with columns ordered longest first: input
-    `order[j]` sits in column j. `pooled`, `head_input` and `probs` are in
-    input order.
+    The GRU and attention arrays hold packed rows (`_pack`), one per (step,
+    sequence) cell and none past a sequence's end: columns are ordered longest
+    first, input `order[j]` in column j; step t occupies rows
+    offsets[t]:offsets[t + 1], its `active[t]` running columns in order; `col`
+    gives each row's column. `sequence(i)` reads input i's rows back.
+    `pooled`, `head_input` and `probs` are in input order.
     """
 
-    X: np.ndarray                    # (T, B, d) padded inputs
+    X: np.ndarray                    # (N, d) inputs
     order: list[int]                 # input index of each column
     active: list[int]                # per step, how many leading columns are still running
-    ZR: np.ndarray                   # (T, B, 2k) update and reset gates
-    C: np.ndarray                    # (T, B, k) candidates
-    H: np.ndarray                    # (T + 1, B, k) hidden states, H[0] = h_0 = 0
-    A: np.ndarray                    # (T, B, k) tanh(H W_alpha^T)
-    alpha: np.ndarray                # (T, B) attention weights, 0 past each end
+    offsets: list[int]               # per step its first row, then N
+    col: np.ndarray                  # (N,) column of each row
+    ZR: np.ndarray                   # (N, 2k) update and reset gates
+    C: np.ndarray                    # (N, k) candidates
+    H: np.ndarray                    # (N, k) hidden states
+    A: np.ndarray                    # (N, k) tanh(H W_alpha^T)
+    alpha: np.ndarray                # (N,) attention weights
     pooled: np.ndarray               # (B, k)
     mask: np.ndarray                 # (B, k) dropout mask, ones where none was given
     head_input: np.ndarray           # (B, k) pooled after dropout
     probs: np.ndarray                # (B, outputs) head probabilities
 
+    def rows(self, i: int) -> np.ndarray:
+        """The rows of input sequence i, step by step."""
+        j = self.order.index(i)
+        return np.asarray(self.offsets[: sum(n > j for n in self.active)]) + j
+
+    def sequence(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Input sequence i's hidden states (L, k) and attention weights (L,)."""
+        rows = self.rows(i)
+        return self.H[rows], self.alpha[rows]
+
 
 def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
-    """Run a batch of sequences of any lengths through the GRU, all columns of a step together.
+    """Run a batch of sequences of any lengths through the GRU, the running rows of a step together.
 
-    Returns the column order, the active column count per step, the padded
-    inputs X (T, B, d), gates ZR (T, B, 2k), candidates C (T, B, k) and hidden
-    states H (T + 1, B, k) with H[0] = 0.
+    Returns the packed layout (`_pack`), then the packed inputs X (N, d), gates
+    ZR (N, 2k), candidates C (N, k) and hidden states H (N, k).
     """
     k = params.hidden_dim
     W_in = params["gru.input_weights"]
@@ -109,57 +166,59 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
             raise ValueError("sequence must be non-empty")
         if X.shape[1] != params.input_dim:
             raise ValueError(f"input width {X.shape[1]} does not match model input_dim {params.input_dim}")
-    order, active = _longest_first([X.shape[0] for X in Xs])
-    B, T = len(Xs), len(active)
-    X = np.zeros((T, B, params.input_dim))
-    for j, i in enumerate(order):
-        X[: Xs[i].shape[0], j] = Xs[i]
+    lengths = [X.shape[0] for X in Xs]
+    order, active, offsets, step, col = _pack(lengths)
+    # Row (t, j) is row t of column j's sequence.
+    first = np.array(list(accumulate((lengths[i] for i in order[:-1]), initial=0)))
+    X = np.concatenate([Xs[i] for i in order]).take(first[col] + step, axis=0)
     # Every step's input projection before the recurrence, biases folded in. The
     # gates' sigmoid is 0.5 * tanh(0.5 * x) + 0.5; its inner halving is folded into
     # their input projection and recurrent weights, which is exact in binary.
-    XW = X @ W_in.T
+    XW = _rows_times(X, W_in.T)
     XW += params["gru.biases"]
-    XW[:, :, : 2 * k] *= 0.5
+    XW[:, : 2 * k] *= 0.5
     U_zr_T = 0.5 * U[: 2 * k].T
     U_c_T = U[2 * k:].T
-    ZR = np.zeros((T, B, 2 * k))
-    C = np.zeros((T, B, k))
-    H = np.zeros((T + 1, B, k))
-    for t, n in enumerate(active):
-        h, zr, c, h_next = H[t, :n], ZR[t, :n], C[t, :n], H[t + 1, :n]
+    N = len(col)
+    ZR = np.empty((N, 2 * k))
+    C = np.empty((N, k))
+    H = np.empty((N, k))
+    XW_zr, XW_c = XW[:, : 2 * k], XW[:, 2 * k:]
+    h = np.zeros((active[0], k))
+    for n, lo, hi in zip(active, offsets, offsets[1:]):
+        h, zr, c, h_next = h[:n], ZR[lo:hi], C[lo:hi], H[lo:hi]
         np.matmul(h, U_zr_T, out=zr)
-        zr += XW[t, :n, : 2 * k]
+        zr += XW_zr[lo:hi]
         np.tanh(zr, out=zr)
         zr *= 0.5
         zr += 0.5
         np.matmul(zr[:, k:] * h, U_c_T, out=c)
-        c += XW[t, :n, 2 * k:]
+        c += XW_c[lo:hi]
         np.tanh(c, out=c)
         np.subtract(c, h, out=h_next)
         h_next *= zr[:, :k]
         h_next += h
-    return order, active, X, ZR, C, H
+        h = h_next
+    return order, active, offsets, col, X, ZR, C, H
 
 
 def gru_forward(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Hidden states (L, k) for a non-empty (L, d) sequence."""
-    return _run_gru(params, [X])[-1][1:, 0]
+    return _run_gru(params, [X])[-1]
 
 
-def _attend(params: ModelParams, H: np.ndarray, active: list[int]):
-    """tanh(H W_alpha^T), the attention weights and the pooled vectors of (T, B, k) hidden states.
-
-    Column j holds a sequence for the steps t with j < active[t]; the other
-    steps get weight 0.
-    """
-    B = H.shape[1]
-    A = H @ params["attn.W_alpha"].T
+def _attend(params: ModelParams, H: np.ndarray, col: np.ndarray, B: int):
+    """tanh(H W_alpha^T), the attention weights and the B pooled vectors of packed hidden states."""
+    A = _rows_times(H, params["attn.W_alpha"].T)
     np.tanh(A, out=A)
-    e = A @ params["attn.p"]
-    e[np.arange(B) >= np.array(active)[:, None]] = -np.inf
-    ex = np.exp(e - e.max(axis=0))
-    alpha = ex / ex.sum(axis=0)
-    return A, alpha, np.einsum("tb,tbk->bk", alpha, H)
+    e = _rows_times(A, params["attn.p"])
+    top = np.full(B, -np.inf)
+    np.maximum.at(top, col, e)
+    ex = np.exp(e - top[col])
+    alpha = ex / np.bincount(col, ex, B)[col]
+    weights = np.zeros((len(col), B))   # row r weighs column col[r]'s pooled vector by alpha[r]
+    weights.ravel()[np.arange(len(col)) * B + col] = alpha
+    return A, alpha, _rows_gram(weights, H)
 
 
 def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +226,8 @@ def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]
     H = np.asarray(states, dtype=np.float64)
     if H.shape[0] == 0:
         raise ValueError("states must be non-empty")
-    _, alpha, pooled = _attend(params, H[:, None], [1] * H.shape[0])
-    return pooled[0], alpha[:, 0]
+    _, alpha, pooled = _attend(params, H, np.zeros(H.shape[0], dtype=np.intp), 1)
+    return pooled[0], alpha
 
 
 def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) -> np.ndarray | None:
@@ -217,8 +276,8 @@ def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
         masks = [None] * len(sequences)
     if len(masks) != len(sequences):
         raise ValueError(f"{len(masks)} dropout masks for {len(sequences)} sequences")
-    order, active, X, ZR, C, H = _run_gru(params, sequences)
-    A, alpha, by_column = _attend(params, H[1:], active)
+    order, active, offsets, col, X, ZR, C, H = _run_gru(params, sequences)
+    A, alpha, by_column = _attend(params, H, col, len(order))
     pooled = np.empty_like(by_column)
     pooled[order] = by_column
     mask = np.ones_like(pooled)
@@ -230,7 +289,7 @@ def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
     logits = head_input @ params[W_name] + params[b_name]
     ex = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)
-    return BatchTrace(X, order, active, ZR, C, H, A, alpha, pooled, mask, head_input, probs)
+    return BatchTrace(X, order, active, offsets, col, ZR, C, H, A, alpha, pooled, mask, head_input, probs)
 
 
 def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +313,6 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
     """The batch's summed gradient, given the gradient at each sequence's (B, outputs) head probabilities."""
     k = params.hidden_dim
     W_name, b_name, _ = HEADS[head]
-    W_alpha = params["attn.W_alpha"]
     g = params.zeros_like()
 
     # Head: probs = softmax(head_input @ W + b), head_input = pooled * mask.
@@ -265,45 +323,50 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
     g_pooled = ((g_logits @ params[W_name].T) * trace.mask)[trace.order]   # by column
 
     # Attention: pooled = sum_t alpha_t H_t with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
-    H, A, alpha = trace.H[1:], trace.A, trace.alpha
-    T, B = alpha.shape
-    galpha = np.einsum("tbk,bk->tb", H, g_pooled)
-    ge = alpha * (galpha - (alpha * galpha).sum(axis=0))
-    g["attn.p"] = np.einsum("tbk,tb->k", A, ge)
-    Gpre = (ge[:, :, None] * (1.0 - A * A)) * params["attn.p"]
-    g["attn.W_alpha"] = (Gpre.transpose(0, 2, 1) @ H).sum(axis=0)
+    H, A, alpha, col = trace.H, trace.A, trace.alpha, trace.col
+    G_row = g_pooled[col]   # each row's sequence's gradient at its pooled vector
+    galpha = np.einsum("rk,rk->r", H, G_row)
+    ge = alpha * (galpha - np.bincount(col, alpha * galpha, len(trace.order))[col])
+    g["attn.p"] = _rows_gram(ge, A)
+    Gpre = (ge[:, None] * (1.0 - A * A)) * params["attn.p"]
+    g["attn.W_alpha"] = _rows_gram(Gpre, H)
     # Gradient at each hidden state.
-    GH = alpha[:, :, None] * g_pooled + Gpre @ W_alpha
+    GH = alpha[:, None] * G_row
+    GH += _rows_times(Gpre, params["attn.W_alpha"])
 
     # GRU backpropagation through time: only the recurrence stays in the loop.
     U = params["gru.recurrent_weights"]
     U_zr = U[: 2 * k]
     U_c = U[2 * k:]
-    Z = trace.ZR[:, :, :k]
-    R = trace.ZR[:, :, k:]
+    active, offsets = trace.active, trace.offsets
+    # Each row's previous hidden state: the same column's row one step back, h_0 = 0.
+    running = np.array(active)
+    Hprev = np.zeros_like(H)
+    Hprev[active[0]:] = H[np.arange(active[0], len(H)) - running[:-1].repeat(running[1:])]
+    Z = trace.ZR[:, :k]
+    R = trace.ZR[:, k:]
     C = trace.C
-    Hprev = trace.H[:-1]
     one_minus_Z = 1.0 - Z
     dz_factor = (C - Hprev) * Z * one_minus_Z
     dc_factor = Z * (1.0 - C * C)
     dr_factor = Hprev * R * (1.0 - R)
-    dgates = np.zeros((T, B, 3 * k))   # stays zero past each sequence's end
-    gh = np.zeros((B, k))
-    for t in range(T - 1, -1, -1):
-        n = trace.active[t]
-        gt = gh[:n] + GH[t, :n]
-        dc = gt * dc_factor[t, :n]
+    dgates = np.empty((len(H), 3 * k))
+    gh = np.zeros((active[0], k))
+    for t in range(len(active) - 1, -1, -1):
+        n, lo, hi = active[t], offsets[t], offsets[t + 1]
+        gt = gh[:n] + GH[lo:hi]
+        dc = gt * dc_factor[lo:hi]
         tmp = dc @ U_c
-        dgates[t, :n, :k] = gt * dz_factor[t, :n]
-        dgates[t, :n, k: 2 * k] = tmp * dr_factor[t, :n]
-        dgates[t, :n, 2 * k:] = dc
-        gh[:n] = gt * one_minus_Z[t, :n] + tmp * R[t, :n] + dgates[t, :n, : 2 * k] @ U_zr
+        dg = dgates[lo:hi]
+        dg[:, :k] = gt * dz_factor[lo:hi]
+        dg[:, k: 2 * k] = tmp * dr_factor[lo:hi]
+        dg[:, 2 * k:] = dc
+        gh[:n] = gt * one_minus_Z[lo:hi] + tmp * R[lo:hi] + dg[:, : 2 * k] @ U_zr
 
-    dgT = dgates.transpose(0, 2, 1)
-    g["gru.input_weights"] = (dgT @ trace.X).sum(axis=0)
-    g["gru.recurrent_weights"][: 2 * k] = (dgT[:, : 2 * k] @ Hprev).sum(axis=0)
-    g["gru.recurrent_weights"][2 * k:] = (dgT[:, 2 * k:] @ (R * Hprev)).sum(axis=0)
-    g["gru.biases"] = dgates.sum(axis=(0, 1))
+    g["gru.input_weights"] = _rows_gram(dgates, trace.X)
+    g["gru.recurrent_weights"][: 2 * k] = _rows_gram(dgates[:, : 2 * k], Hprev)
+    g["gru.recurrent_weights"][2 * k:] = _rows_gram(dgates[:, 2 * k:], R * Hprev)
+    g["gru.biases"] = dgates.sum(axis=0)
     return g
 
 

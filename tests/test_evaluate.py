@@ -258,6 +258,14 @@ class TestPlanCheck:
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be"):
             cross_validate(small_cohort(), ExperimentPlan(**overrides))
 
+    @pytest.mark.parametrize("task", ["execute_run", "pretrain_for_fold"])
+    def test_bad_plan_handed_straight_to_a_task_names_its_key(self, task):
+        """A run or pretraining task checks its plan as `cross_validate` does, before any work."""
+        plan = small_plan(pretrain_enabled=True, settings=TrainSettings(hidden_dim=6, dropout=1.5))
+        args = ("FedAvg", 0, 0) if task == "execute_run" else (0, 0)
+        with pytest.raises(ConfigError, match=r"^model\.dropout must be"):
+            getattr(evaluate, task)(small_cohort(), plan, *args)
+
     def test_plan_dataclasses_leave_bounds_to_the_key_table(self):
         """No plan dataclass checks its values in `__post_init__`; the `KEYS` rows bound
         them all. OptState keeps its kind check, which guards optimizer_step's dispatch."""

@@ -294,7 +294,7 @@ class TestForwardDeterminism:
             trace = _forward(params, [random_sequence(6, 10, seed)], "outcome")
             assert np.all(trace.probs >= 0)
             assert abs(trace.probs[0].sum() - 1.0) < 1e-9
-            assert abs(trace.alpha[:, 0].sum() - 1.0) < 1e-9
+            assert abs(trace.sequence(0)[1].sum() - 1.0) < 1e-9
 
 
 def assert_close_to_sum(grad, parts):
@@ -330,15 +330,14 @@ class TestBatchedPasses:
         return params, Xs, masks, labels
 
     def assert_rows_alone(self, trace, alone, i, j=0):
-        a, b = trace.order.index(i), alone.order.index(j)
-        L = sum(n > a for n in trace.active)
-        assert L == sum(n > b for n in alone.active)
+        rows, lone = trace.rows(i), alone.rows(j)
+        assert len(rows) == len(lone)
         for name in ("ZR", "C", "A"):
-            np.testing.assert_allclose(getattr(trace, name)[:L, a], getattr(alone, name)[:L, b],
+            np.testing.assert_allclose(getattr(trace, name)[rows], getattr(alone, name)[lone],
                                        rtol=0, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(trace.H[: L + 1, a], alone.H[: L + 1, b], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(trace.alpha[:L, a], alone.alpha[:L, b], rtol=0, atol=1e-12)
-        assert np.all(trace.alpha[L:, a] == 0.0)
+        (H, alpha), (lone_H, lone_alpha) = trace.sequence(i), alone.sequence(j)
+        np.testing.assert_allclose(H, lone_H, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha, lone_alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.pooled[i], alone.pooled[j], rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.probs[i], alone.probs[j], rtol=0, atol=1e-12)
 
@@ -373,6 +372,19 @@ class TestBatchedPasses:
         n = len(Xs)
         for i in range(n):
             self.assert_rows_alone(trace, rev, i, n - 1 - i)
+
+    def test_trace_holds_one_row_per_step_of_each_sequence(self):
+        """No padded cell: the sequences' rows partition the trace's sum(lengths) rows."""
+        params, Xs, masks, _ = self.batch()
+        trace = _forward(params, Xs, "outcome", masks)
+        N = sum(self.LENGTHS)
+        for name in ("X", "ZR", "C", "H", "A", "alpha", "col"):
+            assert len(getattr(trace, name)) == N, name
+        rows = np.concatenate([trace.rows(i) for i in range(len(Xs))])
+        assert sorted(rows.tolist()) == list(range(N))
+        for i, X in enumerate(Xs):
+            assert np.array_equal(trace.X[trace.rows(i)], X)
+            assert np.all(trace.col[trace.rows(i)] == trace.order.index(i))
 
     def test_same_batch_twice_gives_identical_bytes(self):
         params, Xs, masks, labels = self.batch()

@@ -67,8 +67,39 @@ def assert_close_layers(grad, old_grads, params):
 
 @pytest.mark.parametrize("head", ["outcome", "pretrain"])
 def test_batch_network_matches_per_sequence_oracle(head):
+    assert_matches_oracle(head, range(CASES))
+
+
+@pytest.mark.parametrize("head", ["outcome", "pretrain"])
+def test_row_blocked_products_match_per_sequence_oracle(head, monkeypatch):
+    """With a limit of 100 multiply-adds per product, every product over the packed
+    rows runs in two or more row blocks, many with a shorter last block, and the
+    same oracle bounds hold."""
+    monkeypatch.setattr(network, "ONE_THREAD_MADDS", 100)
+    rows, blocks = [], []
+    for name in ("_rows_times", "_rows_gram"):
+        def product(a, b, run=getattr(network, name)):
+            rows.append(a.shape[0])
+            return run(a, b)
+        monkeypatch.setattr(network, name, product)
+
+    def block(row_madds, run=network._block):
+        blocks.append(run(row_madds))
+        return blocks[-1]
+    monkeypatch.setattr(network, "_block", block)
+    seeds = range(1, 9)
+    assert_matches_oracle(head, seeds)
+    # Per seed two forward passes (input projection, attention scores, e, pooling)
+    # and one backward pass (attn.p, attn.W_alpha, the gradient at H and the three
+    # GRU weight gradients).
+    assert len(rows) == len(blocks) == len(seeds) * (2 * 4 + 6)
+    assert all(n >= 2 * b for n, b in zip(rows, blocks)), list(zip(rows, blocks))
+    assert sum(n % b != 0 for n, b in zip(rows, blocks)) > len(rows) // 4
+
+
+def assert_matches_oracle(head, seeds):
     saturated = 0
-    for seed in range(CASES):
+    for seed in seeds:
         params, Xs, masks, labels = random_batch(seed)
         if head == "outcome":
             targets, old_loss = labels, ref.outcome_loss
@@ -90,8 +121,7 @@ def test_batch_network_matches_per_sequence_oracle(head):
         for i, (t, probs) in enumerate(zip(old, old_probs)):
             np.testing.assert_allclose(trace.probs[i], probs, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
             np.testing.assert_allclose(trace.pooled[i], t.pooled, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
-            hidden = trace.H[1:len(Xs[i]) + 1, trace.order.index(i)]
-            np.testing.assert_allclose(hidden, t.gru.H, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
+            np.testing.assert_allclose(trace.sequence(i)[0], t.gru.H, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
         assert_close_layers(grad, old_grads, params)
     assert saturated > 0
 
