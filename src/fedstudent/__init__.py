@@ -6,10 +6,10 @@ from .activity import (
     StudentRecord,
     score_first_attempt,
 )
-from .evaluate import ExperimentPlan, cross_validate, export_embeddings
+from .evaluate import cross_validate, export_embeddings
 from .federation import (
     AttnAggConfig,
-    FederationSchedule,
+    ExperimentPlan,
     MetaConfig,
     TrainSettings,
     adapt_for_eval,

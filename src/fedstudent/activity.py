@@ -52,6 +52,8 @@ KIND_NAMES = tuple(kind.value for kind in KIND_SLOT)
 SLOT_NOQUIZ, SLOT_CORRECT, SLOT_INCORRECT, SLOT_NOANSWER = (KIND_SLOT[kind] for kind in WATCH_KINDS)
 N_WATCH = len(WATCH_KINDS)
 N_KINDS = 7
+# The most recent events a record keeps, by default, for generated and ingested cohorts.
+DEFAULT_MAX_SEQUENCE = 256
 
 
 def score_first_attempt(points: float, max_points: float) -> int:

@@ -2,10 +2,12 @@
 
 `KEYS` has one row per dotted key: its JSON type, its default, the values it
 may take and, for a key of the experiment plan, the plan attribute it sets.
-`parse_config` walks the table to read a JSON config, and `check_plan` walks it
-to check a plan built in code; a key the table does not name, a value of
-another JSON type or outside its bounds is a `ConfigError` that names the
-dotted key.
+A plan key's default is not written here: it is `ExperimentPlan()`'s value
+of that attribute, so the plan dataclasses in `federation` hold every plan
+default once. `parse_config` walks the table to read a JSON config, and
+`check_plan` walks it to check a plan built in code; a key the table does not
+name, a value of another JSON type or outside its bounds is a `ConfigError`
+that names the dotted key.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
-from .activity import VARIABLES, InputError
-from .federation import AGG_MODES, META_MODES, STRATEGIES, AttnAggConfig, MetaConfig, TrainSettings
+from .activity import DEFAULT_MAX_SEQUENCE, VARIABLES, InputError
+from .federation import AGG_MODES, META_MODES, STRATEGIES, ExperimentPlan
 from .optim import OPTIMIZER_KINDS
 
 CONFIG_VERSION = 1
@@ -61,13 +63,6 @@ REQUIRED = object()
 
 
 @dataclass(frozen=True)
-class Ref:
-    """A default that is the value read for another key."""
-
-    key: str
-
-
-@dataclass(frozen=True)
 class Key:
     """One config key.
 
@@ -78,7 +73,7 @@ class Key:
     an array, and a config array must be non-empty and distinct. A config key
     whose default is None may also be given as null. A key with `dataset`
     applies only when dataset.kind is that kind. A key with `attr` sets the
-    `ExperimentPlan` attribute at that dotted path.
+    `ExperimentPlan` attribute at that dotted path; `_plan_key` makes its row.
     """
 
     name: str
@@ -93,6 +88,12 @@ class Key:
     attr: str | None = None
 
 
+def _plan_key(name: str, kind: str, attr: str, **rule) -> Key:
+    """The row of config key `name` of JSON type `kind`, which sets the `ExperimentPlan`
+    attribute at the dotted path `attr` and defaults to `ExperimentPlan()`'s value there."""
+    return Key(name, kind, attrgetter(attr)(ExperimentPlan()), attr=attr, **rule)
+
+
 KEYS = (
     Key("version", "integer", choices=(CONFIG_VERSION,)),
     Key("dataset.kind", "string", choices=DATASET_KINDS),
@@ -102,31 +103,32 @@ KEYS = (
     Key("dataset.students_path", "file", dataset="csv"),
     Key("dataset.n_videos", "integer", low=1, dataset="csv"),
     # A cap below 1 would not cap: load_records keeps rows[-max_sequence:].
-    Key("dataset.max_sequence", "integer", 256, low=1, dataset="csv"),
-    Key("variable", "string", "G", choices=VARIABLES, attr="variable"),
-    Key("include_unspecified", "boolean", False, attr="include_unspecified"),
-    Key("strategies", "string array", ["PerFedAttn"], choices=STRATEGIES, attr="strategies"),
-    Key("rounds", "integer", 10, low=0, attr="rounds"),
-    Key("local_iters", "integer", 5, low=1, attr="local_iters"),
-    Key("model.hidden_dim", "integer", 48, low=1, attr="settings.hidden_dim"),
-    Key("model.dropout", "number", 0.5, low=0, high=1, attr="settings.dropout"),
-    Key("model.batch_size", "integer", 8, low=1, attr="settings.batch_size"),
-    Key("optimizer.kind", "string", "adam", choices=OPTIMIZER_KINDS, attr="settings.opt_kind"),
-    Key("optimizer.lr", "number", 1e-3, low=0, strict=True, attr="settings.lr"),
-    Key("optimizer.decay", "number", 1e-3, low=0, attr="settings.decay"),
-    Key("meta.inner_lr", "number", 0.01, low=0, attr="meta.inner_lr"),
-    Key("meta.outer_lr", "number", Ref("optimizer.lr"), low=0, attr="meta.outer_lr"),
-    Key("meta.mode", "string", "first_order", choices=META_MODES, attr="meta.mode"),
-    Key("meta.hessian_step", "number", 1e-4, low=0, strict=True, attr="meta.hessian_step"),
+    Key("dataset.max_sequence", "integer", DEFAULT_MAX_SEQUENCE, low=1, dataset="csv"),
+    _plan_key("variable", "string", "variable", choices=VARIABLES),
+    _plan_key("include_unspecified", "boolean", "include_unspecified"),
+    _plan_key("strategies", "string array", "strategies", choices=STRATEGIES),
+    _plan_key("rounds", "integer", "rounds", low=0),
+    _plan_key("local_iters", "integer", "local_iters", low=1),
+    _plan_key("model.hidden_dim", "integer", "settings.hidden_dim", low=1),
+    _plan_key("model.dropout", "number", "settings.dropout", low=0, high=1),
+    _plan_key("model.batch_size", "integer", "settings.batch_size", low=1),
+    _plan_key("optimizer.kind", "string", "settings.opt_kind", choices=OPTIMIZER_KINDS),
+    _plan_key("optimizer.lr", "number", "settings.lr", low=0, strict=True),
+    _plan_key("optimizer.decay", "number", "settings.decay", low=0),
+    _plan_key("meta.inner_lr", "number", "meta.inner_lr", low=0),
+    # None: optimizer.lr.
+    _plan_key("meta.outer_lr", "number", "meta.outer_lr", low=0),
+    _plan_key("meta.mode", "string", "meta.mode", choices=META_MODES),
+    _plan_key("meta.hessian_step", "number", "meta.hessian_step", low=0, strict=True),
     # None: the training batch size.
-    Key("meta.meta_batch", "integer", None, low=1, attr="meta.meta_batch"),
-    Key("aggregation.step", "number", 1.0, low=0, strict=True, attr="attn.step"),
-    Key("aggregation.mode", "string", "per_layer", choices=AGG_MODES, attr="attn.mode"),
-    Key("pretrain.enabled", "boolean", False, attr="pretrain_enabled"),
-    Key("pretrain.epochs", "integer", 10, low=0, attr="pretrain_epochs"),
-    Key("folds", "integer", 5, low=1, attr="folds"),
-    Key("seeds", "integer array", [0, 1, 2, 3, 4], attr="seeds"),
-    Key("fold_seed", "integer", 1234, attr="fold_seed"),
+    _plan_key("meta.meta_batch", "integer", "meta.meta_batch", low=1),
+    _plan_key("aggregation.step", "number", "attn.step", low=0, strict=True),
+    _plan_key("aggregation.mode", "string", "attn.mode", choices=AGG_MODES),
+    _plan_key("pretrain.enabled", "boolean", "pretrain_enabled"),
+    _plan_key("pretrain.epochs", "integer", "pretrain_epochs", low=0),
+    _plan_key("folds", "integer", "folds", low=1),
+    _plan_key("seeds", "integer array", "seeds"),
+    _plan_key("fold_seed", "integer", "fold_seed"),
     Key("output_dir", "dir", "out"),
 )
 PLAN_KEYS = tuple(key for key in KEYS if key.attr)
@@ -146,26 +148,6 @@ def violation(key: Key, value, name: str) -> str | None:
 
 
 @dataclass
-class ExperimentPlan:
-    """Everything a cross-validated experiment needs besides the records; `check_plan`
-    holds it to the bounds of the `KEYS` rows that set it."""
-
-    variable: str = "G"
-    include_unspecified: bool = False
-    strategies: tuple = ("PerFedAttn",)
-    rounds: int = 10
-    local_iters: int = 5
-    settings: TrainSettings = field(default_factory=TrainSettings)
-    meta: MetaConfig = field(default_factory=MetaConfig)
-    attn: AttnAggConfig = field(default_factory=AttnAggConfig)
-    pretrain_enabled: bool = False
-    pretrain_epochs: int = 10
-    folds: int = 1
-    seeds: tuple = (0, 1, 2, 3, 4)
-    fold_seed: int = 1234
-
-
-@dataclass
 class DatasetSource:
     kind: str                     # "generated" or "csv"
     spec_path: str | None = None
@@ -173,7 +155,7 @@ class DatasetSource:
     events_path: str | None = None
     students_path: str | None = None
     n_videos: int | None = None
-    max_sequence: int = 256
+    max_sequence: int = DEFAULT_MAX_SEQUENCE
 
 
 @dataclass
@@ -185,9 +167,12 @@ class ExperimentConfig:
 
 
 def _check(key: Key, raw, base_dir: str):
-    """`raw` read as `key` says: an array as a tuple, a path joined to `base_dir`."""
+    """`raw` read as `key` says; a tuple reads as an array. An array comes back as a
+    tuple, and a path joined to `base_dir`."""
     if raw is None and key.default is None:
         return None
+    if isinstance(raw, tuple):
+        raw = list(raw)
     value = json_value(raw, "string" if key.type in ("file", "dir") else key.type, key.name)
     if isinstance(value, list) and (not value or len(set(value)) != len(value)):
         raise ConfigError(f"{key.name} must be a non-empty array of distinct values, got {raw!r}")
@@ -213,7 +198,7 @@ def _read(data, base_dir: str) -> dict:
         raw = holder.get(leaf, key.default)
         if raw is REQUIRED:
             raise ConfigError(f"{key.name} is required")
-        values[key.name] = _check(key, values[raw.key] if isinstance(raw, Ref) else raw, base_dir)
+        values[key.name] = _check(key, raw, base_dir)
     sections = {name.partition(".")[0] for name in values if "." in name}
     given = set()
     for top, value in data.items():
@@ -225,12 +210,10 @@ def _read(data, base_dir: str) -> dict:
 
 
 def check_plan(plan: ExperimentPlan) -> None:
-    """Hold a plan built in code to its `KEYS` rows, as a JSON config is held: a tuple
-    reads as an array. Raises `ConfigError` naming the dotted key of the first value
-    that a config could not give."""
+    """Hold a plan built in code to its `KEYS` rows, as a JSON config is held. Raises
+    `ConfigError` naming the dotted key of the first value that a config could not give."""
     for key in PLAN_KEYS:
-        value = attrgetter(key.attr)(plan)
-        _check(key, list(value) if isinstance(value, tuple) else value, "")
+        _check(key, attrgetter(key.attr)(plan), "")
 
 
 def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:

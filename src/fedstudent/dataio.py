@@ -42,6 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from .activity import (
+    DEFAULT_MAX_SEQUENCE,
     KIND_NAMES,
     N_KINDS,
     N_WATCH,
@@ -54,7 +55,6 @@ from .activity import (
     event_columns,
     score_first_attempt,
 )
-from .synthgen import DEFAULT_MAX_SEQUENCE
 
 logger = logging.getLogger(__name__)
 

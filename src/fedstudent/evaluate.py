@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activity import StudentRecord
-from .config import ExperimentPlan, check_plan
+from .config import check_plan
 from .dataio import csv_rows
-from .federation import FederationError, FederationSchedule, RoundRow, run_federation
-from .metrics import ScoredStudent, UndefinedAUCError, auc
+from .federation import ExperimentPlan, FederationError, RoundRow, run_federation, scored_auc
+from .metrics import UndefinedAUCError
 from .network import score
 from .params import ModelParams
 from .pretrain import run_pretraining
@@ -169,14 +169,9 @@ def execute_run(
         pretrained, pretrain_losses, pretrain_counts = pretrain_result
         monitor.counts.update(pretrain_counts)
 
-    schedule = FederationSchedule(strategy, rounds=plan.rounds, local_iters=plan.local_iters)
     task = f"{strategy} fold {fold_idx} seed {seed}"
     with _failure_named(task):
-        result = run_federation(
-            tracked, split, schedule, seed,
-            settings=plan.settings, meta_cfg=plan.meta, attn_cfg=plan.attn,
-            pretrained=pretrained, monitor=monitor,
-        )
+        result = run_federation(tracked, split, plan, strategy, seed, pretrained, monitor)
     warnings = list(result.warnings)
 
     subgroup_auc: dict[str, float | None] = {}
@@ -187,14 +182,11 @@ def execute_run(
         assignment = split.assignments[key]
         test_ids[str(key)] = list(assignment.test)
         with monitor.phase("evaluate"), _failure_named(task):
-            p_pass, _ = score(model, [tracked[sid].sequence for sid in assignment.test])
-            scored = [ScoredStudent(sid, float(p), tracked[sid].label, key)
-                      for sid, p in zip(assignment.test, p_pass)]
-        try:
-            subgroup_auc[str(key)] = auc(scored)
-        except UndefinedAUCError as exc:
-            subgroup_auc[str(key)] = None
-            warnings.append(f"{task} subgroup {key}: {exc}")
+            try:
+                subgroup_auc[str(key)] = scored_auc(model, assignment.test, tracked, key)
+            except UndefinedAUCError as exc:
+                subgroup_auc[str(key)] = None
+                warnings.append(f"{task} subgroup {key}: {exc}")
 
     return RunOutcome(
         strategy=strategy,
@@ -371,8 +363,8 @@ class EmbeddingDump:
 def export_embeddings(
     params: ModelParams,
     records: list[StudentRecord],
-    variable: str = "G",
-    include_unspecified: bool = True,
+    variable: str,
+    include_unspecified: bool,
 ) -> EmbeddingDump:
     """Pooled representation per student in record order, dropout disabled."""
     groups = build_subgroups(records, variable, include_unspecified)

@@ -46,32 +46,26 @@ class FederationError(RuntimeError):
 class MetaConfig:
     """Inner/outer step sizes and Hessian handling for meta-gradient updates.
 
-    meta_batch is the number of students drawn per meta iteration; None uses
-    the training batch size.
+    outer_lr None steps at the training lr. meta_batch is the number of
+    students drawn per meta iteration; None uses the training batch size.
     """
 
     inner_lr: float = 0.01
-    outer_lr: float = 1e-3
+    outer_lr: float | None = None
     mode: str = "first_order"
     hessian_step: float = 1e-4
     meta_batch: int | None = None  # None: use the training batch size
 
-    def make_opt(self) -> OptState:
-        """The outer step: plain SGD at outer_lr, never decayed."""
-        return OptState(kind="sgd", lr=self.outer_lr, decay=0.0)
+    def make_opt(self, lr: float) -> OptState:
+        """The outer step: plain SGD at outer_lr, or at the training `lr` without one,
+        never decayed."""
+        return OptState(kind="sgd", lr=lr if self.outer_lr is None else self.outer_lr, decay=0.0)
 
 
 @dataclass
 class AttnAggConfig:
     step: float = 1.0
     mode: str = "per_layer"  # one of AGG_MODES
-
-
-@dataclass
-class FederationSchedule:
-    strategy: str
-    rounds: int = 10
-    local_iters: int = 5
 
 
 @dataclass
@@ -87,6 +81,27 @@ class TrainSettings:
 
     def make_opt(self) -> OptState:
         return OptState(kind=self.opt_kind, lr=self.lr, decay=self.decay)
+
+
+@dataclass
+class ExperimentPlan:
+    """Everything a cross-validated experiment needs besides the records. Its defaults
+    are the defaults of a JSON config, and `config.check_plan` holds it to the bounds
+    of the `config.KEYS` rows that set it."""
+
+    variable: str = "G"
+    include_unspecified: bool = False
+    strategies: tuple = ("PerFedAttn",)
+    rounds: int = 10
+    local_iters: int = 5
+    settings: TrainSettings = field(default_factory=TrainSettings)
+    meta: MetaConfig = field(default_factory=MetaConfig)
+    attn: AttnAggConfig = field(default_factory=AttnAggConfig)
+    pretrain_enabled: bool = False
+    pretrain_epochs: int = 10
+    folds: int = 5
+    seeds: tuple = (0, 1, 2, 3, 4)
+    fold_seed: int = 1234
 
 
 @dataclass(frozen=True)
@@ -226,7 +241,8 @@ def local_update(
         lam = params_cosine(client.prev_model, start)
         params = params_axpy(lam, client.prev_model, (1.0 - lam) * start)
     if rule == "meta":
-        opt, rng = meta_cfg.make_opt(), rng_for(client.seed, "meta", client.digest, round_idx)
+        opt = meta_cfg.make_opt(client.settings.lr)
+        rng = rng_for(client.seed, "meta", client.digest, round_idx)
     for e in epochs:
         if rule == "meta":
             params, loss = train_epoch(params, client, opt, rng, meta_cfg)
@@ -265,10 +281,9 @@ def fedavg_aggregate(locals_: list[tuple[ModelParams, float]]) -> ModelParams:
 def fedatt_aggregate(
     global_params: ModelParams,
     locals_: list[ModelParams],
-    cfg: AttnAggConfig | None = None,
+    cfg: AttnAggConfig,
 ) -> ModelParams:
     """Pull the global model toward locals, weighted by per-layer parameter distance."""
-    cfg = cfg or AttnAggConfig()
     if not locals_:
         raise ValueError("cannot aggregate zero local models")
     ordered = sorted(locals_, key=_content_digest)
@@ -354,7 +369,7 @@ def adapt_for_eval(
     if mode == "plain":
         return train_epoch(params, client, client.settings.make_opt(), rng)[0]
     if mode == "meta":
-        return train_epoch(params, client, meta_cfg.make_opt(), rng, meta_cfg)[0]
+        return train_epoch(params, client, meta_cfg.make_opt(client.settings.lr), rng, meta_cfg)[0]
     raise ValueError(f"unknown adaptation mode {mode!r}")
 
 
@@ -376,17 +391,21 @@ class FederationResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def scored_auc(params: ModelParams, ids: list[str], records: dict, key: SubgroupKey) -> float:
+    """The AUC of `params`' pass probabilities over the students `ids` of subgroup `key`;
+    `UndefinedAUCError` when they hold one label only."""
+    p_pass, _ = score(params, [records[sid].sequence for sid in ids])
+    return auc([ScoredStudent(sid, float(p), records[sid].label, key) for sid, p in zip(ids, p_pass)])
+
+
 def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
     if not client.val_ids:
         return None
     with monitor.phase("validate"):
-        p_pass, _ = score(params, [client.records[sid].sequence for sid in client.val_ids])
-        scored = [ScoredStudent(sid, float(p), client.records[sid].label, client.key)
-                  for sid, p in zip(client.val_ids, p_pass)]
-    try:
-        return auc(scored)
-    except UndefinedAUCError:
-        return None
+        try:
+            return scored_auc(params, client.val_ids, client.records, client.key)
+        except UndefinedAUCError:
+            return None
 
 
 def _mean_defined(values) -> float | None:
@@ -397,15 +416,15 @@ def _mean_defined(values) -> float | None:
 def run_federation(
     records: dict,
     split: DatasetSplit,
-    schedule: FederationSchedule,
+    plan: ExperimentPlan,
+    strategy: str,
     seed: int,
-    settings: TrainSettings | None = None,
-    meta_cfg: MetaConfig | None = None,
-    attn_cfg: AttnAggConfig | None = None,
     pretrained: ModelParams | None = None,
     monitor=None,
 ) -> FederationResult:
-    """Execute one strategy over one split; deterministic given (schedule, split, seed).
+    """Execute one strategy over one split with the plan's rounds, local iterations,
+    training settings, meta and aggregation configs; deterministic given (plan, split,
+    strategy, seed). Without a monitor no data access is counted.
 
     Every strategy runs the same steps. In a step each training client runs
     its local update from the model it was handed, the aggregate rule forms the
@@ -415,14 +434,12 @@ def run_federation(
     validation AUC over the subgroups it serves is selected, and those
     evaluation models are returned.
     """
-    settings = settings or TrainSettings()
-    meta_cfg = meta_cfg or MetaConfig(outer_lr=settings.lr)
-    attn_cfg = attn_cfg or AttnAggConfig()
-    monitor = monitor or NullMonitor()
-    strategy = schedule.strategy
+    settings, meta_cfg = plan.settings, plan.meta
+    if monitor is None:
+        monitor = NullMonitor()
     rules = RULES.get(strategy)
     if rules is None:
-        raise ValueError(f"FederationSchedule.strategy must be one of {STRATEGIES}, got {strategy!r}")
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     clients = [
         ClientState(key=key, train_ids=split.assignments[key].train,
@@ -451,8 +468,8 @@ def run_federation(
     # Without aggregation a round is only a count of epochs, so Local and
     # Central validate after every epoch and number their rows by epoch.
     per_epoch = rules.aggregate in ("none", "pooled")
-    epochs_per_step = 1 if per_epoch else schedule.local_iters
-    n_steps = schedule.rounds * schedule.local_iters // epochs_per_step
+    epochs_per_step = 1 if per_epoch else plan.local_iters
+    n_steps = plan.rounds * plan.local_iters // epochs_per_step
     groups = [[c] for c in clients] if rules.aggregate == "none" else [clients]
     chosen: list[tuple | None] = [None] * len(groups)   # (mean val AUC, step, eval models)
 
@@ -467,7 +484,7 @@ def run_federation(
     evaluated = evaluation_models(0) if n_steps == 0 else {}
     rows: list[RoundRow] = []
     for step in range(1, n_steps + 1):
-        round_idx, first = divmod((step - 1) * epochs_per_step, schedule.local_iters)
+        round_idx, first = divmod((step - 1) * epochs_per_step, plan.local_iters)
         try:
             with monitor.phase("train"):
                 updates, losses = [], {}
@@ -481,7 +498,7 @@ def run_federation(
                     starts = {t.key: params for t, params in updates}
                 else:
                     global_params = _aggregate(rules.aggregate, global_params, updates,
-                                               attn_cfg, confidence)
+                                               plan.attn, confidence)
                     starts = dict.fromkeys(starts, global_params)
             evaluated = evaluation_models(step)
             val = {c.key: _val_auc(evaluated[c.key], c, monitor) for c in clients}

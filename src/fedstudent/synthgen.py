@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activity import (
+    DEFAULT_MAX_SEQUENCE,
     N_KINDS,
     N_WATCH,
     SLOT_NOANSWER,
@@ -38,7 +39,6 @@ from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_SEQUENCE = 256
 # Year sampled uniformly within the band for the Y variable.
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedstudent.activity import (
+    DEFAULT_MAX_SEQUENCE,
     FORUM_KINDS,
     KIND_SLOT,
     N_KINDS,
@@ -28,7 +29,6 @@ from fedstudent.activity import (
     score_first_attempt,
 )
 from fedstudent.dataio import EVENT_HEADER, IngestError, read_students_csv
-from fedstudent.synthgen import DEFAULT_MAX_SEQUENCE
 
 logger = logging.getLogger(__name__)
 

@@ -18,7 +18,6 @@ from fedstudent.evaluate import (
 )
 from fedstudent.federation import (
     AttnAggConfig,
-    FederationSchedule,
     MetaConfig,
     TrainSettings,
     fedatt_aggregate,
@@ -169,10 +168,9 @@ class TestCriterion3AggregationOracles:
         split = split_train_test(groups, seed=3)
         record_map = {r.student_id: r for r in records}
         settings = TrainSettings(hidden_dim=8, dropout=0.5, batch_size=4, lr=1e-3, decay=1e-3)
-        fed = run_federation(record_map, split, FederationSchedule("FedAvg", 3, 2),
-                             seed=11, settings=settings)
-        cen = run_federation(record_map, split, FederationSchedule("Central", 3, 2),
-                             seed=11, settings=settings)
+        plan = ExperimentPlan(rounds=3, local_iters=2, settings=settings)
+        fed = run_federation(record_map, split, plan, "FedAvg", seed=11)
+        cen = run_federation(record_map, split, plan, "Central", seed=11)
         worst_eq = max(
             float(np.max(np.abs(fed.final_params[n] - cen.final_params[n])))
             for n in fed.final_params.names()

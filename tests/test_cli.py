@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -355,6 +356,11 @@ def test_config_table_rejects_naming_key(tmp_path, capsys, name, dataset_kind, v
     assert err.startswith("error: ") and name in err
 
 
+EXAMPLE_DIR = os.path.join(os.path.dirname(__file__), "..", "examples_config")
+# A config with only the required keys; every plan key takes its default.
+REQUIRED_ONLY = {"version": 1, "dataset": {"kind": "generated", "spec_path": "cohort.json"}}
+
+
 def with_value(plan, attr, value):
     """`plan` with the attribute at the dotted path `attr` set to `value`."""
     part, _, name = attr.rpartition(".")
@@ -371,13 +377,12 @@ def with_value(plan, attr, value):
 def test_code_built_plan_rejects_naming_key(monkeypatch, key, value):
     """A plan built in code whose value a config row rejects (an array given as a tuple)
     fails in cross_validate before any task, with the error a JSON config gets."""
-    example_dir = os.path.join(os.path.dirname(__file__), "..", "examples_config")
-    with open(os.path.join(example_dir, "experiment.json"), encoding="utf-8") as fh:
+    with open(os.path.join(EXAMPLE_DIR, "experiment.json"), encoding="utf-8") as fh:
         config = json.load(fh)
     section, _, field = key.name.rpartition(".")
     (config.setdefault(section, {}) if section else config)[field] = value
     with pytest.raises(ConfigError) as from_json:
-        parse_config(config, base_dir=example_dir)
+        parse_config(config, base_dir=EXAMPLE_DIR)
 
     def no_tasks(*args):
         raise AssertionError("a task ran")
@@ -388,6 +393,20 @@ def test_code_built_plan_rejects_naming_key(monkeypatch, key, value):
         cross_validate([], plan)
     assert str(from_code.value) == str(from_json.value)
     assert key.name in str(from_code.value)
+
+
+@pytest.mark.parametrize("key", PLAN_KEYS, ids=lambda key: key.name)
+def test_json_default_is_the_plan_default(key):
+    """A plan key left out of a config reads as `ExperimentPlan()`'s value, so a plan
+    built in code and its JSON twin agree on every key that neither sets."""
+    parsed = parse_config(REQUIRED_ONLY, base_dir=EXAMPLE_DIR).plan
+    assert attrgetter(key.attr)(parsed) == attrgetter(key.attr)(ExperimentPlan())
+
+
+def test_required_keys_alone_parse_to_the_default_plan():
+    assert parse_config(REQUIRED_ONLY, base_dir=EXAMPLE_DIR).plan == ExperimentPlan()
+    with_null = dict(REQUIRED_ONLY, meta={"outer_lr": None, "meta_batch": None})
+    assert parse_config(with_null, base_dir=EXAMPLE_DIR).plan == ExperimentPlan()
 
 
 def write_changed_spec(tmp_path, path, value):

@@ -16,10 +16,10 @@ from fedstudent.evaluate import (
     execute_run,
     export_embeddings,
 )
-from fedstudent import evaluate, federation
+from fedstudent import evaluate, federation, optim
 from fedstudent.activity import Demographics, StudentRecord
-from fedstudent.config import PLAN_KEYS, ConfigError
-from fedstudent.federation import FederationError, FederationSchedule, MetaConfig, TrainSettings
+from fedstudent.config import PLAN_KEYS, ConfigError, parse_config
+from fedstudent.federation import FederationError, MetaConfig, TrainSettings
 from fedstudent.optim import OptState
 from fedstudent.params import ModelParams
 from fedstudent.splits import SplitError, SubgroupKey
@@ -270,7 +270,7 @@ class TestPlanCheck:
         """No plan dataclass checks its values in `__post_init__`; the `KEYS` rows bound
         them all. OptState keeps its kind check, which guards optimizer_step's dispatch."""
         plan = ExperimentPlan()
-        classes = {ExperimentPlan, FederationSchedule, OptState} | {
+        classes = {ExperimentPlan, OptState} | {
             type(getattr(plan, key.attr.partition(".")[0])) for key in PLAN_KEYS if "." in key.attr}
         checks = {}
         for cls in classes:
@@ -280,8 +280,32 @@ class TestPlanCheck:
                     [ast.unparse(node.test) for node in ast.walk(tree) if isinstance(node, ast.If)],
                     sum(isinstance(node, ast.Raise) for node in ast.walk(tree)),
                 )
-        assert len(classes) == 6
+        assert len(classes) == 5
         assert checks == {"OptState": (["self.kind not in OPTIMIZER_KINDS"], 1)}
+
+    def test_default_meta_steps_at_the_training_lr_as_the_json_twin(self, monkeypatch):
+        """A plan built in code with lr 5e-3 and the default meta config equals its JSON
+        twin, which leaves meta.outer_lr out, and takes every outer SGD step at 5e-3."""
+        settings = TrainSettings(hidden_dim=6, dropout=0.0, batch_size=4, lr=5e-3)
+        plan = ExperimentPlan(strategies=("PerFedAvgAgg",), rounds=1, local_iters=1,
+                              settings=settings, folds=1, seeds=(0,))
+        twin = parse_config({
+            "version": 1,
+            "dataset": {"kind": "generated", "spec_path": "cohort.json"},
+            "strategies": ["PerFedAvgAgg"], "rounds": 1, "local_iters": 1,
+            "model": {"hidden_dim": 6, "dropout": 0.0, "batch_size": 4},
+            "optimizer": {"lr": 5e-3}, "folds": 1, "seeds": [0],
+        }, base_dir=str(pathlib.Path(__file__).parent.parent / "examples_config")).plan
+        assert twin == plan
+        rates = []
+
+        def recording_step(params, grads, opt, step=optim.optimizer_step):
+            rates.append((opt.kind, opt.lr))
+            return step(params, grads, opt)
+
+        monkeypatch.setattr(optim, "optimizer_step", recording_step)
+        execute_run(small_cohort(), plan, "PerFedAvgAgg", 0, 0)
+        assert rates and set(rates) == {("sgd", 5e-3)}
 
 
 class TestTaskRunner:
@@ -362,7 +386,7 @@ class TestFailedRunIsNamed:
         def failing_score(*args, **kwargs):
             raise ValueError("scorer exploded")
 
-        monkeypatch.setattr(evaluate, "score", failing_score)
+        monkeypatch.setattr(evaluate, "scored_auc", failing_score)
         plan = small_plan(seeds=(3,), folds=2)
         with pytest.raises(FederationError, match="^FedAvg fold 0 seed 3: scorer exploded$"):
             cross_validate(small_cohort(), plan, jobs=jobs)
@@ -391,15 +415,15 @@ class TestExportEmbeddings:
     def test_zero_model_zero_rows(self):
         records = small_cohort()
         params = ModelParams.zeros(6, N_VIDEOS + 7)
-        dump = export_embeddings(params, records, "G")
+        dump = export_embeddings(params, records, "G", include_unspecified=True)
         for _, _, vec in dump.rows:
             assert np.all(vec == 0.0)
 
     def test_deterministic(self):
         records = small_cohort()
         params = ModelParams.initialized(6, N_VIDEOS + 7, np.random.default_rng(1))
-        d1 = export_embeddings(params, records, "G")
-        d2 = export_embeddings(params, records, "G")
+        d1 = export_embeddings(params, records, "G", include_unspecified=True)
+        d2 = export_embeddings(params, records, "G", include_unspecified=True)
         for (s1, g1, v1), (s2, g2, v2) in zip(d1.rows, d2.rows):
             assert s1 == s2 and g1 == g2 and np.array_equal(v1, v2)
 
@@ -407,4 +431,4 @@ class TestExportEmbeddings:
         records = small_cohort()
         params = ModelParams.zeros(6, 9)
         with pytest.raises(ValueError, match="width"):
-            export_embeddings(params, records, "G")
+            export_embeddings(params, records, "G", include_unspecified=True)

@@ -10,8 +10,8 @@ from fedstudent.federation import (
     STRATEGIES,
     AttnAggConfig,
     ClientState,
+    ExperimentPlan,
     FederationError,
-    FederationSchedule,
     MetaConfig,
     TrainSettings,
     adapt_for_eval,
@@ -138,7 +138,7 @@ class TestFedavgAggregate:
 class TestFedattAggregate:
     def test_fixed_point_when_locals_equal_global(self):
         g = random_params(2, 9, 0)
-        out = fedatt_aggregate(g, [g.copy(), g.copy()])
+        out = fedatt_aggregate(g, [g.copy(), g.copy()], AttnAggConfig())
         for name in g.names():
             np.testing.assert_allclose(out[name], g[name], atol=1e-15)
 
@@ -192,7 +192,7 @@ class TestFedattAggregate:
 
     def test_zero_locals_rejected(self):
         with pytest.raises(ValueError):
-            fedatt_aggregate(random_params(2, 9, 0), [])
+            fedatt_aggregate(random_params(2, 9, 0), [], AttnAggConfig())
 
     def test_unknown_mode_rejected_naming_modes(self):
         g = random_params(2, 9, 7)
@@ -307,9 +307,9 @@ class TestLocalAdaptation:
         split = make_split(records)
         by_id = record_map(records)
         seed = 4
-        result = run_federation(by_id, split, FederationSchedule("PerFedAvgAgg", 1, 2), seed=seed,
-                                settings=tiny_settings(dropout=0.5),
-                                meta_cfg=MetaConfig(inner_lr=0.05, outer_lr=0.0, meta_batch=3))
+        plan = ExperimentPlan(rounds=1, local_iters=2, settings=tiny_settings(dropout=0.5),
+                              meta=MetaConfig(inner_lr=0.05, outer_lr=0.0, meta_batch=3))
+        result = run_federation(by_id, split, plan, "PerFedAvgAgg", seed=seed)
         init = ModelParams.initialized(6, N_VIDEOS + 7, rng_for(seed, "init"))
         for row in result.rounds:
             train = split.assignments[SubgroupKey("G", row.subgroup.split(":")[1])].train
@@ -320,7 +320,7 @@ class TestLocalAdaptation:
     def test_outer_step_is_sgd_at_outer_lr(self):
         """The meta outer step goes through the optimizer and lands where theta - outer_lr * g does."""
         theta, grad = random_params(2, 9, 5), random_params(2, 9, 6)
-        opt = MetaConfig(outer_lr=0.25).make_opt()
+        opt = MetaConfig(outer_lr=0.25).make_opt(lr=1e-3)
         for _ in range(2):
             stepped = optimizer_step(theta, grad, opt)
             opt.epoch += 1
@@ -383,9 +383,8 @@ class TestRunFederation:
     def test_zero_rounds_returns_initial_model(self):
         records = tiny_cohort()
         split = make_split(records)
-        schedule = FederationSchedule(strategy="FedAvg", rounds=0, local_iters=5)
-        result = run_federation(record_map(records), split, schedule, seed=1,
-                                settings=tiny_settings())
+        plan = ExperimentPlan(rounds=0, local_iters=5, settings=tiny_settings())
+        result = run_federation(record_map(records), split, plan, "FedAvg", seed=1)
         init = ModelParams.initialized(6, N_VIDEOS + 7, __import__("fedstudent.splits", fromlist=["rng_for"]).rng_for(1, "init"))
         for name in init.names():
             assert np.array_equal(result.final_params[name], init[name])
@@ -394,11 +393,9 @@ class TestRunFederation:
         records = [r for r in tiny_cohort(populations=(16, 4)) if r.student_id.startswith("M-")]
         groups = build_subgroups(records, "G", include_unspecified=False)
         split = split_train_test(groups, seed=2)
-        settings = tiny_settings(dropout=0.5)
-        fed = run_federation(record_map(records), split, FederationSchedule("FedAvg", 3, 2),
-                             seed=7, settings=settings)
-        central = run_federation(record_map(records), split, FederationSchedule("Central", 3, 2),
-                                 seed=7, settings=settings)
+        plan = ExperimentPlan(rounds=3, local_iters=2, settings=tiny_settings(dropout=0.5))
+        fed = run_federation(record_map(records), split, plan, "FedAvg", seed=7)
+        central = run_federation(record_map(records), split, plan, "Central", seed=7)
         worst = 0.0
         for name in fed.final_params.names():
             worst = max(worst, float(np.abs(fed.final_params[name] - central.final_params[name]).max()))
@@ -409,11 +406,10 @@ class TestRunFederation:
     def test_full_run_determinism(self, strategy):
         records = tiny_cohort()
         split = make_split(records)
-        schedule = FederationSchedule(strategy, rounds=2, local_iters=2)
-        kwargs = dict(settings=tiny_settings(dropout=0.5),
-                      meta_cfg=MetaConfig(inner_lr=0.05, outer_lr=0.01))
-        r1 = run_federation(record_map(records), split, schedule, seed=5, **kwargs)
-        r2 = run_federation(record_map(records), split, schedule, seed=5, **kwargs)
+        plan = ExperimentPlan(rounds=2, local_iters=2, settings=tiny_settings(dropout=0.5),
+                              meta=MetaConfig(inner_lr=0.05, outer_lr=0.01))
+        r1 = run_federation(record_map(records), split, plan, strategy, seed=5)
+        r2 = run_federation(record_map(records), split, plan, strategy, seed=5)
         for name in r1.final_params.names():
             assert np.array_equal(r1.final_params[name], r2.final_params[name])
         assert [(row.round, row.subgroup, row.val_auc, row.train_loss) for row in r1.rounds] == \
@@ -422,18 +418,17 @@ class TestRunFederation:
     def test_round_rows_cover_all_subgroups(self):
         records = tiny_cohort()
         split = make_split(records)
-        result = run_federation(record_map(records), split,
-                                FederationSchedule("FedAvg", 2, 1), seed=0,
-                                settings=tiny_settings())
+        plan = ExperimentPlan(rounds=2, local_iters=1, settings=tiny_settings())
+        result = run_federation(record_map(records), split, plan, "FedAvg", seed=0)
         subgroups = {row.subgroup for row in result.rounds}
         assert subgroups == {"G:M", "G:F"}
         assert max(row.round for row in result.rounds) == 2
 
     def test_unknown_strategy_rejected_naming_strategies(self):
         records = tiny_cohort()
-        with pytest.raises(ValueError, match=re.escape(f"FederationSchedule.strategy must be one of {STRATEGIES}")):
-            run_federation(record_map(records), make_split(records), FederationSchedule("Bogus", 1, 1),
-                           seed=0, settings=tiny_settings())
+        plan = ExperimentPlan(rounds=1, local_iters=1, settings=tiny_settings())
+        with pytest.raises(ValueError, match=re.escape(f"strategy must be one of {STRATEGIES}")):
+            run_federation(record_map(records), make_split(records), plan, "Bogus", seed=0)
 
     def test_empty_train_split_rejected(self):
         records = tiny_cohort()
@@ -443,8 +438,8 @@ class TestRunFederation:
         broken.assignments[key] = SplitAssignment(train=[], val=["x"], test=["y"])
         with pytest.raises(FederationError, match=str(key)):
             run_federation(record_map(records), broken,
-                           FederationSchedule("FedAvg", 1, 1), seed=0,
-                           settings=tiny_settings())
+                           ExperimentPlan(rounds=1, local_iters=1, settings=tiny_settings()),
+                           "FedAvg", seed=0)
 
 
 class TestAdaptForEval:

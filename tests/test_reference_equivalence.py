@@ -34,7 +34,7 @@ import pytest
 
 from fedstudent.federation import (
     STRATEGIES,
-    FederationSchedule,
+    ExperimentPlan,
     MetaConfig,
     TrainSettings,
     run_federation,
@@ -109,8 +109,9 @@ def test_matches_reference(data, strategy, scenario, seed):
         assert all(len({records[s].label for s in a.val}) == 1 for a in split.assignments.values())
     cfg = meta_cfg(strategy)
 
-    new = run_federation(records, split, FederationSchedule(strategy, rounds, 2), seed,
-                         settings=SETTINGS, meta_cfg=cfg)
+    new = run_federation(records, split,
+                         ExperimentPlan(rounds=rounds, local_iters=2, settings=SETTINGS, meta=cfg),
+                         strategy, seed)
     old = ref.run_federation(records, split, ref.FederationSchedule(strategy, rounds, 2), seed,
                              settings=SETTINGS, meta_cfg=cfg)
     old_models = ref.replay_eval_models(old, split, cfg)
@@ -151,8 +152,9 @@ def test_matches_reference(data, strategy, scenario, seed):
 def test_fedirt_loss_is_last_local_epoch(data):
     """FedIRT's train_loss follows FedAvg's rule: with equal first-round starts they agree."""
     records, split = data
-    irt = run_federation(records, split, FederationSchedule("FedIRT", 1, 2), 4, settings=SETTINGS)
-    avg = run_federation(records, split, FederationSchedule("FedAvg", 1, 2), 4, settings=SETTINGS)
+    plan = ExperimentPlan(rounds=1, local_iters=2, settings=SETTINGS)
+    irt = run_federation(records, split, plan, "FedIRT", 4)
+    avg = run_federation(records, split, plan, "FedAvg", 4)
     assert [r.train_loss for r in irt.rounds] == [r.train_loss for r in avg.rounds]
 
 
