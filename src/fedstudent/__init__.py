@@ -24,7 +24,7 @@ from .network import attention_pool, gru_forward, loss_and_gradient
 from .optim import OptState, optimizer_step
 from .params import ModelParams, load_params, params_axpy, params_cosine, params_norm, save_params
 from .pretrain import make_cbow_instances, run_pretraining, transfer_weights
-from .splits import SubgroupKey, build_subgroups, split_train_test
+from .splits import SubgroupKey, build_subgroups
 from .synthgen import CohortSpec, SubgroupProfile, generate_cohort, profile_divergence
 
 __version__ = "0.1.0"

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import logging
 import os
 import sys
 
 from .activity import VARIABLES, InputError
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, write_json
 from .dataio import load_records, write_events_csv, write_students_csv
 from .evaluate import (
     REPORT_HEADER,
@@ -93,9 +92,7 @@ def _write_manifest(config: ExperimentConfig, out_dir: str, artifacts: list[str]
         "seeds": list(config.plan.seeds),
         "artifacts": {os.path.basename(p): _sha256_file(p) for p in sorted(artifacts)},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _print_report(report: EvalReport) -> None:

@@ -244,6 +244,13 @@ def load_json(path: str, parse, error: type[Exception]):
         raise error(f"{path}: {exc}") from exc
 
 
+def write_json(path: str, value) -> None:
+    """Write `value` to `path` as JSON indented by two, keys sorted, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_config(path: str) -> ExperimentConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     return load_json(path, lambda data: parse_config(data, base_dir), ConfigError)

@@ -94,40 +94,47 @@ def csv_rows(path: str, header: list[str], error: type[Exception]):
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write `header`, then each row of the iterable `rows`, to the UTF-8 CSV file at `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _event_rows(records: list[StudentRecord]):
+    for record in records:
+        n_videos = record.sequence.shape[1] - N_KINDS
+        slots = record.sequence[:, n_videos:].argmax(axis=1).tolist()
+        videos = record.sequence[:, :n_videos].argmax(axis=1).tolist()
+        for timestamp, (slot, video) in enumerate(zip(slots, videos)):
+            if slot < N_WATCH:
+                yield [record.student_id, timestamp, KIND_NAMES[slot], video,
+                       *_WATCH_POINTS.get(slot, ("", ""))]
+            else:
+                yield [record.student_id, timestamp, KIND_NAMES[slot], "", "", ""]
+
+
 def write_events_csv(records: list[StudentRecord], path: str) -> None:
     """Emit encoded records back to the raw-event format.
 
     Kinds and video indices are recovered from the one-hot encoding, which is
     always possible for generated cohorts.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_HEADER)
-        for record in records:
-            n_videos = record.sequence.shape[1] - N_KINDS
-            slots = record.sequence[:, n_videos:].argmax(axis=1).tolist()
-            videos = record.sequence[:, :n_videos].argmax(axis=1).tolist()
-            for timestamp, (slot, video) in enumerate(zip(slots, videos)):
-                if slot < N_WATCH:
-                    writer.writerow([record.student_id, timestamp, KIND_NAMES[slot], video,
-                                     *_WATCH_POINTS.get(slot, ("", ""))])
-                else:
-                    writer.writerow([record.student_id, timestamp, KIND_NAMES[slot], "", "", ""])
+    write_csv(path, EVENT_HEADER, _event_rows(records))
 
 
 def write_students_csv(records: list[StudentRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STUDENT_HEADER)
-        for record in records:
-            demo = record.demographics
-            writer.writerow([
-                record.student_id,
-                demo.gender or "",
-                demo.continent or "",
-                demo.birth_year if demo.birth_year is not None else "",
-                record.label,
-            ])
+    write_csv(path, STUDENT_HEADER, (
+        [
+            record.student_id,
+            record.demographics.gender or "",
+            record.demographics.continent or "",
+            "" if record.demographics.birth_year is None else record.demographics.birth_year,
+            record.label,
+        ]
+        for record in records
+    ))
 
 
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:

@@ -1,13 +1,12 @@
 """Cross-validated multi-seed experiment execution and per-subgroup reporting.
 
-Folds are stratified per subgroup and per label; the fold assignment is fixed
-by `fold_seed` while the training/initialization seed varies per repeat. Every
-run executes under an access monitor so train/test isolation can be audited.
+Each fold's split comes from `splits.build_fold_split`, fixed by `fold_seed`
+while the training/initialization seed varies per repeat. Every run executes
+under an access monitor so train/test isolation can be audited.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -17,72 +16,17 @@ import numpy as np
 
 from .activity import StudentRecord
 from .config import check_plan
-from .dataio import csv_rows
+from .dataio import csv_rows, write_csv
 from .federation import ExperimentPlan, FederationError, RoundRow, run_federation, scored_auc
 from .metrics import UndefinedAUCError
 from .network import score
 from .params import ModelParams
 from .pretrain import run_pretraining
-from .splits import DatasetSplit, SplitAssignment, SplitError, SubgroupKey, build_subgroups, cut, rng_for
+from .splits import build_fold_split, build_subgroups, rng_for
 from .tracking import AccessMonitor, track_records
 
-HOLDOUT_FRACTION = 0.2  # share of each subgroup's label held out for test when `folds` is 1
-VAL_FRACTION = 0.2  # share of each fold's training pool, per subgroup and label, kept for validation
 REPORT_HEADER = ["strategy", "variable", "subgroup", "mean_auc", "std_auc", "n_runs"]
 ROUNDS_HEADER = ["strategy", "fold", "seed", "round", "subgroup", "val_auc", "train_loss"]
-
-
-def _stratified_chunks(ids: list[str], n_chunks: int, rng: np.random.Generator) -> list[list[str]]:
-    order = rng.permutation(len(ids))
-    chunks: list[list[str]] = [[] for _ in range(n_chunks)]
-    for position, idx in enumerate(order):
-        chunks[position % n_chunks].append(ids[idx])
-    return chunks
-
-
-def _by_label(ids: list[str], records: dict[str, StudentRecord]) -> dict[int, list[str]]:
-    """`ids` by label, 0 then 1, each in the given order; a label with no student is left out."""
-    by_label: dict[int, list[str]] = {0: [], 1: []}
-    for sid in ids:
-        by_label[records[sid].label].append(sid)
-    return {label: members for label, members in by_label.items() if members}
-
-
-def build_fold_split(
-    records: dict[str, StudentRecord],
-    plan: ExperimentPlan,
-    fold_idx: int,
-) -> DatasetSplit:
-    """Stratified per-subgroup, per-label fold split with a validation carve-out."""
-    groups = build_subgroups(list(records.values()), plan.variable, plan.include_unspecified)
-    if not groups:
-        raise SplitError(f"no subgroups found for variable {plan.variable}")
-    assignments: dict[SubgroupKey, SplitAssignment] = {}
-    for key in sorted(groups):
-        test: list[str] = []
-        pool: list[str] = []
-        for label, members in _by_label(sorted(groups[key]), records).items():
-            rng = rng_for(plan.fold_seed, "folds", str(key), label)
-            if plan.folds >= 2:
-                chunks = _stratified_chunks(members, plan.folds, rng)
-                test.extend(chunks[fold_idx])
-                pool.extend(sid for i, chunk in enumerate(chunks) if i != fold_idx for sid in chunk)
-            else:
-                held, rest = cut([members[i] for i in rng.permutation(len(members))], HOLDOUT_FRACTION)
-                test.extend(held)
-                pool.extend(rest)
-        if not pool or not test:
-            raise SplitError(f"subgroup {key} too small for a {plan.folds}-fold split")
-        # `cut` leaves every label of the pool at least one training student.
-        val: list[str] = []
-        train: list[str] = []
-        for label, members in _by_label(pool, records).items():
-            rng = rng_for(plan.fold_seed, "val", str(key), label, fold_idx)
-            carved, kept = cut([members[i] for i in rng.permutation(len(members))], VAL_FRACTION)
-            val.extend(carved)
-            train.extend(kept)
-        assignments[key] = SplitAssignment(train=sorted(train), val=sorted(val), test=sorted(test))
-    return DatasetSplit(assignments=assignments)
 
 
 @dataclass
@@ -305,12 +249,10 @@ def cross_validate(records: list[StudentRecord], plan: ExperimentPlan, jobs: int
 
 
 def report_to_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in report.rows:
-            writer.writerow([row.strategy, row.variable, row.subgroup,
-                             repr(row.mean_auc), repr(row.std_auc), row.n_runs])
+    write_csv(path, REPORT_HEADER, (
+        [row.strategy, row.variable, row.subgroup, repr(row.mean_auc), repr(row.std_auc), row.n_runs]
+        for row in report.rows
+    ))
 
 
 def _report_row_problem(row: list[str]) -> str | None:
@@ -342,16 +284,14 @@ def read_report(path: str) -> list[list[str]]:
 
 
 def rounds_to_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_HEADER)
-        for outcome in report.outcomes:
-            for row in outcome.rounds:
-                writer.writerow([
-                    outcome.strategy, outcome.fold, outcome.seed, row.round, row.subgroup,
-                    "" if row.val_auc is None else repr(row.val_auc),
-                    "" if row.train_loss is None else repr(row.train_loss),
-                ])
+    write_csv(path, ROUNDS_HEADER, (
+        [
+            outcome.strategy, outcome.fold, outcome.seed, row.round, row.subgroup,
+            "" if row.val_auc is None else repr(row.val_auc),
+            "" if row.train_loss is None else repr(row.train_loss),
+        ]
+        for outcome in report.outcomes for row in outcome.rounds
+    ))
 
 
 @dataclass
@@ -377,8 +317,6 @@ def export_embeddings(
 
 
 def embeddings_to_csv(dump: EmbeddingDump, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["student_id", "subgroup"] + [f"h_{i + 1}" for i in range(dump.hidden_dim)])
-        writer.writerows([sid, subgroup, *vector.tolist()] for sid, subgroup, vector in dump.rows)
+    write_csv(path, ["student_id", "subgroup"] + [f"h_{i + 1}" for i in range(dump.hidden_dim)],
+              ([sid, subgroup, *vector.tolist()] for sid, subgroup, vector in dump.rows))
 

@@ -1,10 +1,15 @@
-"""Demographic subgroup construction and train/validation/test splitting."""
+"""Demographic subgroup construction and the one train/validation/test splitter.
+
+`build_fold_split` decides which students of a subgroup train, validate and
+test in each fold, stratified per label; `cut` sizes every share it cuts.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,7 +24,13 @@ from .activity import (
     demographic_group,
 )
 
+if TYPE_CHECKING:  # `federation` imports this module
+    from .federation import ExperimentPlan
+
 logger = logging.getLogger(__name__)
+
+HOLDOUT_FRACTION = 0.2  # share of each subgroup's label held out for test when `folds` is 1
+VAL_FRACTION = 0.2  # share of each fold's training pool, per subgroup and label, kept for validation
 
 
 class SplitError(InputError):
@@ -50,7 +61,7 @@ def canonical_groups(variable: str) -> tuple[str, ...]:
 def build_subgroups(
     records: list[StudentRecord],
     variable: str,
-    include_unspecified: bool = True,
+    include_unspecified: bool,
 ) -> dict[SubgroupKey, list[str]]:
     """Partition student ids by one demographic variable.
 
@@ -122,26 +133,50 @@ def cut(items: list, fraction: float) -> tuple[list, list]:
     return items[:k], items[k:]
 
 
-def split_train_test(
-    groups: dict[SubgroupKey, list[str]],
-    seed: int,
-    val_fraction: float = 0.2,
-    train_fraction: float = 0.8,
-) -> DatasetSplit:
-    """Per-subgroup 4:1 train/test split with a validation share carved from train.
+def _by_label(ids: list[str], records: dict[str, StudentRecord]) -> dict[int, list[str]]:
+    """`ids` by label, 0 then 1, each in the given order; a label with no student is left out."""
+    by_label: dict[int, list[str]] = {0: [], 1: []}
+    for sid in ids:
+        by_label[records[sid].label].append(sid)
+    return {label: members for label, members in by_label.items() if members}
 
-    Each subgroup is shuffled once; `cut` takes its training pool off the front
-    and then the validation share off the front of that pool, so test keeps at
-    least one student and so does train, and validation takes one once the pool
-    holds two. Deterministic given the seed.
+
+def build_fold_split(
+    records: dict[str, StudentRecord],
+    plan: ExperimentPlan,
+    fold_idx: int,
+) -> DatasetSplit:
+    """Stratified per-subgroup, per-label fold split with a validation carve-out.
+
+    Each label of a subgroup is shuffled once under `fold_seed`. With two or
+    more folds, fold f tests every `folds`-th student from position f; with one,
+    `cut` holds out HOLDOUT_FRACTION. A second shuffle of the label's remaining
+    students then cuts off its validation share, which leaves at least one of
+    them for training.
     """
+    groups = build_subgroups(list(records.values()), plan.variable, plan.include_unspecified)
+    if not groups:
+        raise SplitError(f"no subgroups found for variable {plan.variable}")
     assignments: dict[SubgroupKey, SplitAssignment] = {}
     for key in sorted(groups):
-        ids = groups[key]
-        if len(ids) < 2:
-            raise SplitError(f"subgroup {key} has {len(ids)} student(s); need at least 2 to split")
-        rng = rng_for(seed, "split", key.variable, key.group)
-        train_pool, test = cut([ids[i] for i in rng.permutation(len(ids))], train_fraction)
-        val, train = cut(train_pool, val_fraction)
-        assignments[key] = SplitAssignment(train=train, val=val, test=test)
+        test: list[str] = []
+        val: list[str] = []
+        train: list[str] = []
+        for label, members in _by_label(sorted(groups[key]), records).items():
+            rng = rng_for(plan.fold_seed, "folds", str(key), label)
+            shuffled = [members[i] for i in rng.permutation(len(members))]
+            if plan.folds >= 2:
+                held = shuffled[fold_idx::plan.folds]
+                # Chunk by chunk: the validation shuffle below permutes positions in this order.
+                rest = [sid for f in range(plan.folds) if f != fold_idx for sid in shuffled[f::plan.folds]]
+            else:
+                held, rest = cut(shuffled, HOLDOUT_FRACTION)
+            rng = rng_for(plan.fold_seed, "val", str(key), label, fold_idx)
+            carved, kept = cut([rest[i] for i in rng.permutation(len(rest))], VAL_FRACTION)
+            test.extend(held)
+            val.extend(carved)
+            train.extend(kept)
+        if not train or not test:
+            raise SplitError(f"subgroup {key} too small for a {plan.folds}-fold split")
+        assignments[key] = SplitAssignment(train=sorted(train), val=sorted(val), test=sorted(test))
     return DatasetSplit(assignments=assignments)

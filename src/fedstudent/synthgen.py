@@ -15,7 +15,6 @@ records that generator gave, bit for bit.
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .activity import (
     StudentRecord,
     event_columns,
 )
-from .config import REQUIRED, Key, json_value, load_json, violation
+from .config import REQUIRED, Key, json_value, load_json, violation, write_json
 from .splits import canonical_groups, rng_for
 
 logger = logging.getLogger(__name__)
@@ -371,6 +370,4 @@ def load_cohort_spec(path: str) -> CohortSpec:
 
 
 def save_cohort_spec(spec: CohortSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, spec_to_dict(spec))

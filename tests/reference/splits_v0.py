@@ -1,12 +1,11 @@
-"""Fold and train/test splits, as they were when each cut wrote its own size rule.
+"""The fold split as it was when each cut wrote its own size rule.
 
 Kept as a test oracle. `build_fold_split` cut the `folds == 1` holdout and the
 validation carve-out each with its own "floor, at least one" expression and
-partitioned each subgroup by label twice; `split_train_test` wrote the rule
-again for its train cut and its validation cut. The package now routes every
-cut through `splits.cut`. For every fraction below 1 it must produce the same
-train/val/test lists in the same order, or raise a `SplitError` with the same
-text.
+partitioned each subgroup by label twice. The package now routes every cut
+through `splits.cut` and splits each label in one pass. It must produce the
+same train/val/test lists in the same order, or raise a `SplitError` with the
+same text.
 """
 
 from __future__ import annotations
@@ -87,37 +86,4 @@ def build_fold_split(
         if not train:
             raise SplitError(f"subgroup {key}: validation carve-out emptied the training set")
         assignments[key] = SplitAssignment(train=sorted(train), val=sorted(val), test=sorted(test))
-    return DatasetSplit(assignments=assignments)
-
-
-def split_train_test(
-    groups: dict[SubgroupKey, list[str]],
-    seed: int,
-    val_fraction: float = 0.2,
-    train_fraction: float = 0.8,
-) -> DatasetSplit:
-    """Per-subgroup 4:1 train/test split with a validation share carved from train.
-
-    Sizes are floored with a minimum of one per non-empty bucket; validation
-    requires at least two training students. Deterministic given the seed.
-    """
-    assignments: dict[SubgroupKey, SplitAssignment] = {}
-    for key in sorted(groups):
-        ids = list(groups[key])
-        if len(ids) < 2:
-            raise SplitError(f"subgroup {key} has {len(ids)} student(s); need at least 2 to split")
-        rng = rng_for(seed, "split", key.variable, key.group)
-        order = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in order]
-        n_train = max(1, int(len(ids) * train_fraction))
-        if n_train == len(ids):
-            n_train = len(ids) - 1
-        train_pool = shuffled[:n_train]
-        test = shuffled[n_train:]
-        n_val = int(len(train_pool) * val_fraction)
-        if n_val == 0 and len(train_pool) >= 2:
-            n_val = 1
-        val = train_pool[:n_val]
-        train = train_pool[n_val:]
-        assignments[key] = SplitAssignment(train=train, val=val, test=test)
     return DatasetSplit(assignments=assignments)

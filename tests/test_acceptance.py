@@ -29,7 +29,7 @@ from fedstudent.irt import ResponseMatrix, fit_rasch
 from fedstudent.metrics import ScoredStudent, auc
 from fedstudent.network import loss_and_gradient
 from fedstudent.params import ModelParams, layer_shapes, params_norm
-from fedstudent.splits import build_subgroups, split_train_test
+from fedstudent.splits import build_fold_split
 from fedstudent.synthgen import (
     CohortSpec,
     SubgroupProfile,
@@ -164,9 +164,8 @@ class TestCriterion3AggregationOracles:
         worst_fix = max(float(np.max(np.abs(fixed[n] - g[n]))) for n in g.names())
 
         records = tiny_cohort(pop=24)
-        groups = build_subgroups(records, "G", include_unspecified=False)
-        split = split_train_test(groups, seed=3)
         record_map = {r.student_id: r for r in records}
+        split = build_fold_split(record_map, ExperimentPlan(folds=1, fold_seed=3), 0)
         settings = TrainSettings(hidden_dim=8, dropout=0.5, batch_size=4, lr=1e-3, decay=1e-3)
         plan = ExperimentPlan(rounds=3, local_iters=2, settings=settings)
         fed = run_federation(record_map, split, plan, "FedAvg", seed=11)

@@ -26,7 +26,7 @@ from fedstudent.network import loss_and_gradient
 from fedstudent.optim import optimizer_step
 from fedstudent.params import ModelParams, layer_shapes, params_axpy, params_cosine, params_norm
 from fedstudent.splits import (
-    DatasetSplit, SplitAssignment, SubgroupKey, build_subgroups, rng_for, split_train_test,
+    DatasetSplit, SplitAssignment, SubgroupKey, build_fold_split, rng_for,
 )
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 
@@ -229,8 +229,7 @@ def tiny_settings(**overrides):
 
 
 def make_split(records, variable="G"):
-    groups = build_subgroups(records, variable, include_unspecified=False)
-    return split_train_test(groups, seed=0)
+    return build_fold_split(record_map(records), ExperimentPlan(variable=variable, folds=1, fold_seed=0), 0)
 
 
 def record_map(records):
@@ -391,8 +390,7 @@ class TestRunFederation:
 
     def test_single_subgroup_fedavg_equals_central(self):
         records = [r for r in tiny_cohort(populations=(16, 4)) if r.student_id.startswith("M-")]
-        groups = build_subgroups(records, "G", include_unspecified=False)
-        split = split_train_test(groups, seed=2)
+        split = build_fold_split(record_map(records), ExperimentPlan(folds=1, fold_seed=2), 0)
         plan = ExperimentPlan(rounds=3, local_iters=2, settings=tiny_settings(dropout=0.5))
         fed = run_federation(record_map(records), split, plan, "FedAvg", seed=7)
         central = run_federation(record_map(records), split, plan, "Central", seed=7)

@@ -39,7 +39,7 @@ from fedstudent.federation import (
     TrainSettings,
     run_federation,
 )
-from fedstudent.splits import DatasetSplit, SplitAssignment, build_subgroups, split_train_test
+from fedstudent.splits import DatasetSplit, SplitAssignment, build_fold_split
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
 from reference import federation_v0 as ref
 
@@ -93,9 +93,7 @@ def assert_close_params(new, old, tol, what):
 def data():
     records = cohort()
     by_id = {r.student_id: r for r in records}
-    groups = build_subgroups(records, "G", include_unspecified=False)
-    split = split_train_test(groups, seed=0, val_fraction=0.4)
-    return by_id, split
+    return by_id, build_fold_split(by_id, ExperimentPlan(folds=1, fold_seed=0), 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

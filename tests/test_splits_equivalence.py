@@ -1,13 +1,12 @@
-"""`build_fold_split` and `split_train_test` against `reference.splits_v0`.
+"""`build_fold_split` against `reference.splits_v0`.
 
-Every cut now goes through `splits.cut`. On every input below it must do what
-the oracle does: give the same train/val/test lists per subgroup, in the same
-order, or raise a `SplitError` with the same text. The inputs are generated:
-cohorts whose per-label subgroup sizes run from 0 to 12 (some subgroups with
-one label only, one cohort with no specified student), under each demographic
-variable, with and without the unspecified group, at 1 to 6 folds and every
-fold index; and single subgroups of 0 to 60 students cut at every train and
-validation fraction below.
+Every cut now goes through `splits.cut`, and each label is split in one pass.
+On every input below the split must do what the oracle does: give the same
+train/val/test lists per subgroup, in the same order, or raise a `SplitError`
+with the same text. The inputs are generated: cohorts whose per-label subgroup
+sizes run from 0 to 12 (some subgroups with one label only, one cohort with no
+specified student), under each demographic variable, with and without the
+unspecified group, at 1 to 6 folds and every fold index.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 from fedstudent.activity import UNSPECIFIED, VARIABLES, Demographics, StudentRecord
 from fedstudent.config import ExperimentPlan
 from fedstudent.evaluate import build_fold_split
-from fedstudent.splits import SplitError, SubgroupKey, canonical_groups, split_train_test
+from fedstudent.splits import SplitError, canonical_groups
 from reference import splits_v0 as ref
 
 SEQUENCE = np.ones((1, 11))
@@ -84,14 +83,3 @@ def test_fold_split_matches_oracle(variable, include_unspecified, folds):
     assert "split" in seen
     assert any("too small" in text for text in seen)
     assert any(text.startswith("SplitError: no subgroups found") for text in seen) == (not include_unspecified)
-
-
-@pytest.mark.parametrize("val_fraction", [0.0, 0.2, 0.4, 0.9])
-@pytest.mark.parametrize("train_fraction", [0.5, 0.8, 1.0])
-def test_train_test_split_matches_oracle(train_fraction, val_fraction):
-    for n in range(61):
-        for seed in (0, 1):
-            numbers = np.random.default_rng([n, seed]).permutation(n)
-            groups = {SubgroupKey("C", "EU"): [f"s{number:02d}" for number in numbers]}
-            expected = outcome(ref.split_train_test, groups, seed, val_fraction, train_fraction)
-            assert outcome(split_train_test, groups, seed, val_fraction, train_fraction) == expected, (n, seed)
