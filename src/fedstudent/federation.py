@@ -161,8 +161,7 @@ class BatchObjective:
         k = client.settings.hidden_dim
         self.matrices = [client.records[sid].sequence for sid in student_ids]
         self.labels = [client.records[sid].label for sid in student_ids]
-        self.masks = [make_dropout_mask(rng, k, dropout) if rng is not None and dropout > 0 else None
-                      for _ in student_ids]
+        self.masks = make_dropout_mask(rng, (len(student_ids), k), dropout) if rng is not None else None
 
     def loss_and_gradient(self, params: ModelParams) -> tuple[float, Gradients]:
         """The batch's summed loss, and the gradient of its mean loss."""
@@ -255,8 +254,7 @@ def local_update(
 
 def _content_digest(params: ModelParams, extra: bytes = b"") -> bytes:
     h = hashlib.sha256()
-    for name in params.names():
-        h.update(params[name].tobytes())
+    h.update(params.flat.tobytes())
     h.update(extra)
     return h.digest()
 

@@ -84,7 +84,7 @@ def _sigmoid(x):
 def _penalized_ll(theta, b, responses, obs) -> float:
     p = _sigmoid(theta[:, None] - b[None, :])
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    ll = np.where(obs, responses * np.log(p) + (1.0 - responses) * np.log(1.0 - p), 0.0).sum()
+    ll = np.where(obs, np.log(np.where(responses == 1.0, p, 1.0 - p)), 0.0).sum()
     return float(ll - 0.5 * PRIOR_WEIGHT * (theta @ theta + b @ b))
 
 
@@ -152,7 +152,7 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
     b = b - shift
     theta = theta - shift
     p = np.clip(_sigmoid(theta[:, None] - b[None, :]), 1e-12, 1.0 - 1e-12)
-    raw_ll = np.where(obs, filled * np.log(p) + (1.0 - filled) * np.log(1.0 - p), 0.0).sum()
+    raw_ll = np.where(obs, np.log(np.where(filled == 1.0, p, 1.0 - p)), 0.0).sum()
     return RaschFit(
         abilities={sid: float(t) for sid, t in zip(matrix.student_ids, theta)},
         difficulties={item: float(d) for item, d in zip(matrix.item_ids, b)},

@@ -230,12 +230,12 @@ def attention_pool(params: ModelParams, states) -> tuple[np.ndarray, np.ndarray]
     return pooled[0], alpha
 
 
-def make_dropout_mask(rng: np.random.Generator, hidden_dim: int, rate: float) -> np.ndarray | None:
-    """Inverted-scaling dropout mask; None when the rate is zero."""
+def make_dropout_mask(rng: np.random.Generator, shape: int | tuple[int, int], rate: float) -> np.ndarray | None:
+    """Inverted-scaling dropout mask, of shape k or (B, k); None when the rate is zero."""
     if rate <= 0.0:
         return None
     keep = 1.0 - rate
-    return (rng.random(hidden_dim) >= rate).astype(np.float64) / keep
+    return (rng.random(shape) >= rate).astype(np.float64) / keep
 
 
 def _outcome_losses(probs: np.ndarray, labels: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +269,7 @@ HEADS = {
 
 
 def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
-             masks: list[np.ndarray | None] | None = None) -> BatchTrace:
+             masks: list[np.ndarray | None] | np.ndarray | None = None) -> BatchTrace:
     """A batch through the GRU, attention pooling and the named head, each
     sequence with its optional dropout mask."""
     if masks is None:
@@ -371,12 +371,12 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
 
 
 def loss_and_gradient(params: ModelParams, head: str, sequences: list[np.ndarray], targets: list,
-                      masks: list[np.ndarray | None] | None = None) -> tuple[float, Gradients]:
+                      masks: list[np.ndarray | None] | np.ndarray | None = None) -> tuple[float, Gradients]:
     """A batch's summed loss under the named head, and the gradient of its mean loss.
 
     `targets` holds each sequence's label (outcome head) or original activity
-    vector (pretrain head); `masks` its dropout mask or None. The losses are
-    added left to right in input order.
+    vector (pretrain head); `masks` its dropout mask or None, or is one (B, k)
+    array of them. The losses are added left to right in input order.
     """
     if len(targets) != len(sequences):
         raise ValueError(f"{len(targets)} targets for {len(sequences)} sequences")

@@ -22,6 +22,8 @@ class OptState:
 
     The effective learning rate is lr / (1 + decay * epoch); `epoch` is
     advanced by the training loop at epoch boundaries, `step` by every update.
+    Adam's moments `m` and `v` are flat float64 vectors laid out as
+    `ModelParams.flat`, created at the first Adam step.
     """
 
     kind: str = "adam"
@@ -29,8 +31,8 @@ class OptState:
     decay: float = 1e-3
     step: int = 0
     epoch: int = 0
-    m: ModelParams | None = field(default=None, repr=False)
-    v: ModelParams | None = field(default=None, repr=False)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -41,34 +43,27 @@ class OptState:
 
 
 def optimizer_step(params: ModelParams, grads: Gradients, opt: OptState) -> ModelParams:
-    """One update; returns new parameters and mutates the optimizer state."""
+    """One update of the flat vector; returns new parameters and mutates the optimizer state."""
     params._check_congruent(grads)
     if not grads.all_finite():
         bad = [n for n, a in grads.layers.items() if not np.isfinite(a).all()]
         raise ValueError(f"non-finite gradient entries in layers: {bad}")
     lr = opt.effective_lr()
-    if opt.kind == "sgd":
-        opt.step += 1
-        return ModelParams(
-            params.hidden_dim, params.input_dim,
-            {n: params[n] - lr * grads[n] for n in params.layers},
-        )
-    if opt.m is None:
-        opt.m = params.zeros_like()
-        opt.v = params.zeros_like()
     opt.step += 1
+    g = grads.flat
+    if opt.kind == "sgd":
+        return params._with_flat(params.flat - lr * g)
+    if opt.m is None:
+        opt.m = np.zeros_like(params.flat)
+        opt.v = np.zeros_like(params.flat)
     t = opt.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    new_layers = {}
-    for name in params.layers:
-        g = grads[name]
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = opt.m[name] / bc1
-        v_hat = opt.v[name] / bc2
-        new_layers[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ModelParams(params.hidden_dim, params.input_dim, new_layers)
+    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
+    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = opt.m / bc1
+    v_hat = opt.v / bc2
+    return params._with_flat(params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 def run_epoch(

@@ -1,12 +1,15 @@
 """Named-layer parameter collections with vector algebra and binary serialization.
 
 The same container is used for model parameters and for gradients: both are
-ordered collections of float64 arrays with identical names and shapes, so
-aggregation rules and optimizer updates can treat models as vectors.
+ordered collections of float64 arrays with identical names and shapes. Each
+collection keeps its layers in one contiguous float64 vector, `flat`, in
+`layer_shapes` order, and every named layer is a view into it, so aggregation
+rules and optimizer updates treat a model as one vector.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -53,14 +56,30 @@ def _layer_fans(hidden_dim: int, input_dim: int) -> dict[str, tuple[int, int]]:
     }
 
 
-class ModelParams:
-    """Ordered named layers of float64 arrays.
+@functools.lru_cache(maxsize=8)
+def _layout(hidden_dim: int, input_dim: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every layer's span of the flat vector."""
+    spans, start = [], 0
+    for name, shape in layer_shapes(hidden_dim, input_dim).items():
+        spans.append((name, start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return tuple(spans)
 
-    Supports elementwise arithmetic (`+`, `-`, scalar `*`) so that update and
-    aggregation rules read like the vector expressions they implement.
+
+class ModelParams:
+    """Ordered named layers of float64 arrays, held in one contiguous vector.
+
+    `flat` holds every layer in `layer_shapes` order, and each named layer is
+    a reshaped view into it. The constructor copies the given arrays into a
+    new vector, so a model never aliases its caller's arrays. Assigning a
+    layer writes the values into the vector; it never rebinds the layer.
+
+    Supports elementwise arithmetic (`+`, `-`, scalar `*`), each one operation
+    on `flat`, so that update and aggregation rules read like the vector
+    expressions they implement.
     """
 
-    __slots__ = ("hidden_dim", "input_dim", "layers")
+    __slots__ = ("hidden_dim", "input_dim", "flat", "layers")
 
     def __init__(self, hidden_dim: int, input_dim: int, layers: dict[str, np.ndarray]):
         expected = layer_shapes(hidden_dim, input_dim)
@@ -68,14 +87,29 @@ class ModelParams:
             missing = sorted(set(expected) - set(layers))
             extra = sorted(set(layers) - set(expected))
             raise ValueError(f"layer name mismatch: missing={missing} extra={extra}")
+        self._bind(hidden_dim, input_dim, np.empty(_layout(hidden_dim, input_dim)[-1][2]))
+        for name in expected:
+            self[name] = layers[name]
+
+    def _bind(self, hidden_dim: int, input_dim: int, flat: np.ndarray) -> None:
         self.hidden_dim = hidden_dim
         self.input_dim = input_dim
-        self.layers: dict[str, np.ndarray] = {}
-        for name, shape in expected.items():
-            arr = np.asarray(layers[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"layer {name}: expected shape {shape}, got {arr.shape}")
-            self.layers[name] = arr
+        self.flat = flat
+        self.layers: dict[str, np.ndarray] = {
+            name: flat[start:stop].reshape(shape) for name, start, stop, shape in _layout(hidden_dim, input_dim)}
+
+    # Pickle the vector alone, so that a model sent to a worker process keeps its views.
+    def __getstate__(self) -> tuple[int, int, np.ndarray]:
+        return self.hidden_dim, self.input_dim, self.flat
+
+    def __setstate__(self, state: tuple[int, int, np.ndarray]) -> None:
+        self._bind(*state)
+
+    def _with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """A model of these dimensions over the float64 vector `flat` itself, not a copy."""
+        params = object.__new__(ModelParams)
+        params._bind(self.hidden_dim, self.input_dim, flat)
+        return params
 
     @classmethod
     def zeros(cls, hidden_dim: int, input_dim: int) -> "ModelParams":
@@ -104,22 +138,23 @@ class ModelParams:
         return self.layers[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
+        layer = self.layers[name]
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != self.layers[name].shape:
-            raise ValueError(f"layer {name}: expected shape {self.layers[name].shape}, got {value.shape}")
-        self.layers[name] = value
+        if value.shape != layer.shape:
+            raise ValueError(f"layer {name}: expected shape {layer.shape}, got {value.shape}")
+        layer[...] = value
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.hidden_dim, self.input_dim, {n: a.copy() for n, a in self.layers.items()})
+        return self._with_flat(self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams.zeros(self.hidden_dim, self.input_dim)
+        return self._with_flat(np.zeros_like(self.flat))
 
     def congruent(self, other: "ModelParams") -> bool:
         return self.hidden_dim == other.hidden_dim and self.input_dim == other.input_dim
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self.layers.values())
+        return bool(np.isfinite(self.flat).all())
 
     def _check_congruent(self, other: "ModelParams") -> None:
         if not isinstance(other, ModelParams) or not self.congruent(other):
@@ -127,23 +162,14 @@ class ModelParams:
 
     def __add__(self, other: "ModelParams") -> "ModelParams":
         self._check_congruent(other)
-        return ModelParams(
-            self.hidden_dim, self.input_dim,
-            {n: self.layers[n] + other.layers[n] for n in self.layers},
-        )
+        return self._with_flat(self.flat + other.flat)
 
     def __sub__(self, other: "ModelParams") -> "ModelParams":
         self._check_congruent(other)
-        return ModelParams(
-            self.hidden_dim, self.input_dim,
-            {n: self.layers[n] - other.layers[n] for n in self.layers},
-        )
+        return self._with_flat(self.flat - other.flat)
 
     def __mul__(self, scalar: float) -> "ModelParams":
-        return ModelParams(
-            self.hidden_dim, self.input_dim,
-            {n: self.layers[n] * float(scalar) for n in self.layers},
-        )
+        return self._with_flat(self.flat * float(scalar))
 
     __rmul__ = __mul__
 
@@ -158,10 +184,7 @@ Gradients = ModelParams
 def params_axpy(a: float, x: ModelParams, y: ModelParams) -> ModelParams:
     """Elementwise a*x + y."""
     x._check_congruent(y)
-    return ModelParams(
-        x.hidden_dim, x.input_dim,
-        {n: float(a) * x.layers[n] + y.layers[n] for n in x.layers},
-    )
+    return x._with_flat(float(a) * x.flat + y.flat)
 
 
 def params_norm(x: ModelParams, layer: str | None = None) -> float:
@@ -202,8 +225,7 @@ def save_params(params: ModelParams, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n".encode("ascii"))
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for arr in params.layers.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path: str) -> ModelParams:
@@ -237,7 +259,7 @@ def load_params(path: str) -> ModelParams:
                 raise ParamFormatError(
                     f"truncated parameter data in {path}: layer {name} needs {size} bytes, {left} left")
             left -= size
-            layers[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            layers[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape)
             if not np.isfinite(layers[name]).all():
                 raise ParamFormatError(f"non-finite weight in layer {name} of {path}")
         if left:

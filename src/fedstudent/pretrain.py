@@ -74,5 +74,5 @@ def transfer_weights(pretrained: ModelParams, fresh: ModelParams) -> ModelParams
     pretrained._check_congruent(fresh)
     out = fresh.copy()
     for name in TRANSFER_LAYERS:
-        out[name] = pretrained[name].copy()
+        out[name] = pretrained[name]
     return out

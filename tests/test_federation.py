@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from fedstudent.federation import (
     meta_gradient,
     run_federation,
 )
-from fedstudent.network import loss_and_gradient
+from fedstudent.network import loss_and_gradient, make_dropout_mask
 from fedstudent.optim import optimizer_step
 from fedstudent.params import ModelParams, layer_shapes, params_axpy, params_cosine, params_norm
 from fedstudent.splits import (
@@ -475,3 +476,59 @@ class TestAdaptForEval:
             stepped = stepped - cfg.outer_lr * grad
         for name in theta.names():
             np.testing.assert_allclose(stepped[name], expected[name], atol=1e-10)
+
+
+def test_content_digest_is_the_per_layer_hash():
+    """Hashing the flat vector once gives the digest of the layers hashed one by one,
+    so aggregation sorts locals as it did when each layer was hashed on its own."""
+    for seed in range(5):
+        params = random_params(4, 6, seed)
+        for extra in (b"", repr(17.0).encode()):
+            h = hashlib.sha256()
+            for name in params.names():
+                h.update(params[name].tobytes())
+            h.update(extra)
+            assert federation._content_digest(params, extra) == h.digest()
+
+
+class TestBatchDropout:
+    """`BatchObjective` draws a batch's (B, k) masks in one call. It must consume the
+    stream one mask per student did and give the same values."""
+
+    def objective_and_expected(self, dropout, n=5, seed=11):
+        records = tiny_cohort()
+        split = make_split(records)
+        key = SubgroupKey("G", "M")
+        client = ClientState(key=key, train_ids=split.assignments[key].train,
+                             val_ids=split.assignments[key].val, records=record_map(records),
+                             settings=tiny_settings(dropout=dropout), seed=0)
+        batch = client.train_ids[:n]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        objective = federation.BatchObjective(client, batch, rng)
+        expected = [make_dropout_mask(ref_rng, client.settings.hidden_dim, dropout) for _ in batch]
+        return objective, expected, rng, ref_rng
+
+    def test_one_draw_gives_the_per_student_masks(self):
+        for dropout in (0.2, 0.5):
+            objective, expected, _, _ = self.objective_and_expected(dropout)
+            assert objective.masks.shape == (5, 6)
+            for row, mask in zip(objective.masks, expected):
+                assert row.tobytes() == mask.tobytes()
+
+    def test_rng_state_after_the_draw_is_the_same(self):
+        for dropout in (0.0, 0.5):
+            _, _, rng, ref_rng = self.objective_and_expected(dropout)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.random() == ref_rng.random()
+
+    def test_no_dropout_draws_no_masks(self):
+        objective, expected, _, _ = self.objective_and_expected(0.0)
+        assert objective.masks is None and expected == [None] * 5
+
+    def test_mask_array_gives_the_per_student_loss_and_gradient(self):
+        objective, expected, _, _ = self.objective_and_expected(0.5)
+        params = ModelParams.initialized(6, objective.matrices[0].shape[1], np.random.default_rng(1))
+        loss, grads = objective.loss_and_gradient(params)
+        ref_loss, ref_grads = loss_and_gradient(params, "outcome", objective.matrices, objective.labels, expected)
+        assert loss == ref_loss
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from fedstudent.irt import (
+    PRIOR_WEIGHT,
     RaschFit,
     ResponseMatrix,
     ResponseMatrixError,
+    _penalized_ll,
     build_response_matrix,
     fit_rasch,
     irt_confidence,
@@ -159,3 +161,33 @@ class TestBuildResponseMatrix:
 
         with pytest.raises(ResponseMatrixError):
             build_response_matrix([Rec()])
+
+
+def two_log_ll(theta, b, filled, obs):
+    """The log-likelihood summed as r * log p + (1 - r) * log(1 - p), two logs per cell."""
+    p = np.clip(1.0 / (1.0 + np.exp(-np.clip(theta[:, None] - b[None, :], -500, 500))), 1e-12, 1.0 - 1e-12)
+    return np.where(obs, filled * np.log(p) + (1.0 - filled) * np.log(1.0 - p), 0.0).sum()
+
+
+def test_one_log_per_cell_gives_the_two_log_sums_bit_for_bit():
+    """Responses are exactly 0 or 1, so log(p or 1 - p) is each cell's two-log value: the
+    penalized objective and the fit's mean log-likelihood come out bit-equal on random
+    tables with missing cells."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n_students, n_items = rng.integers(2, 40), rng.integers(2, 12)
+        matrix, _, _ = simulate_matrix(n_students, n_items, seed, theta=rng.normal(0, 2, n_students))
+        responses = matrix.responses.copy()
+        responses[rng.random(responses.shape) < 0.3] = np.nan
+        responses[np.arange(n_students), rng.integers(0, n_items, n_students)] = 1.0
+        responses[rng.integers(0, n_students, n_items), np.arange(n_items)] = 0.0
+        matrix = ResponseMatrix(matrix.student_ids, matrix.item_ids, responses)
+        obs = matrix.observed()
+        filled = np.where(obs, responses, 0.0)
+        theta, b = rng.normal(0, 3, n_students), rng.normal(0, 3, n_items)
+        penalty = 0.5 * PRIOR_WEIGHT * (theta @ theta + b @ b)
+        assert _penalized_ll(theta, b, filled, obs) == float(two_log_ll(theta, b, filled, obs) - penalty)
+        fit = fit_rasch(matrix)
+        theta = np.array([fit.abilities[s] for s in matrix.student_ids])
+        b = np.array([fit.difficulties[i] for i in matrix.item_ids])
+        assert fit.mean_log_likelihood == float(two_log_ll(theta, b, filled, obs) / obs.sum())

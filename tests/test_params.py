@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -187,3 +188,103 @@ def test_load_rejects_bytes_after_the_last_layer(tmp_path):
     with pytest.raises(ParamFormatError, match="8 bytes after the last layer") as info:
         load_params(str(path))
     assert str(path) in str(info.value)
+
+
+class TestFlatBuffer:
+    """Every model keeps its layers in one contiguous vector, `flat`, in `layer_shapes` order."""
+
+    def models(self):
+        x = random_params(3, 5, 0)
+        y = random_params(3, 5, 1)
+        return {"built": x, "copy": x.copy(), "zeros_like": x.zeros_like(), "sum": x + y,
+                "difference": x - y, "scaled": 2.0 * x, "axpy": params_axpy(0.5, x, y),
+                "zeros": ModelParams.zeros(3, 5), "initialized": ModelParams.initialized(3, 5, np.random.default_rng(0))}
+
+    def test_each_layer_is_a_view_of_flat_in_layer_order(self):
+        shapes = layer_shapes(3, 5)
+        for label, p in self.models().items():
+            assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous, label
+            assert p.flat.size == sum(int(np.prod(s)) for s in shapes.values()), label
+            start = 0
+            for name, shape in shapes.items():
+                size = int(np.prod(shape))
+                assert p[name].shape == shape, (label, name)
+                assert np.shares_memory(p[name], p.flat), (label, name)
+                assert p[name].tobytes() == p.flat[start:start + size].tobytes(), (label, name)
+                start += size
+
+    def test_setitem_writes_through_and_keeps_the_view(self):
+        p = random_params(3, 5, 2)
+        view = p["attn.W_alpha"]
+        before = p.flat.copy()
+        p["attn.W_alpha"] = np.arange(9.0).reshape(3, 3)
+        assert p["attn.W_alpha"] is view
+        np.testing.assert_array_equal(view, np.arange(9.0).reshape(3, 3))
+        start = 45 + 27 + 9   # after the (9, 5), (9, 3) and (9,) GRU layers
+        np.testing.assert_array_equal(p.flat[start:start + 9], np.arange(9.0))
+        changed = np.flatnonzero(p.flat != before)
+        assert changed.min() >= start and changed.max() < start + 9
+
+    def test_setitem_copies_the_value(self):
+        p = ModelParams.zeros(3, 5)
+        value = np.ones(2)
+        p["head.b_l"] = value
+        value[0] = 7.0
+        np.testing.assert_array_equal(p["head.b_l"], [1.0, 1.0])
+
+    def test_setitem_rejects_wrong_shape_and_leaves_flat_unchanged(self):
+        p = random_params(3, 5, 3)
+        before = p.flat.copy()
+        with pytest.raises(ValueError, match=r"layer head.b_l: expected shape \(2,\), got \(3,\)"):
+            p["head.b_l"] = np.zeros(3)
+        with pytest.raises(ValueError, match="expected shape"):
+            p["attn.W_alpha"] = np.zeros(9)   # same size, wrong shape
+        assert p.flat.tobytes() == before.tobytes()
+
+    def test_copy_shares_no_memory(self):
+        p = random_params(3, 5, 4)
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        q["gru.biases"] = np.full(9, 5.0)
+        assert not np.any(p["gru.biases"] == 5.0)
+
+    def test_built_model_does_not_alias_the_callers_arrays(self):
+        rng = np.random.default_rng(5)
+        layers = {n: rng.normal(size=s) for n, s in layer_shapes(3, 5).items()}
+        p = ModelParams(3, 5, layers)
+        for name, arr in layers.items():
+            assert not np.shares_memory(arr, p.flat), name
+            assert np.array_equal(arr, p[name]), name
+        layers["attn.p"][:] = 9.0
+        assert not np.any(p["attn.p"] == 9.0)
+
+    def test_arithmetic_leaves_its_operands_unchanged(self):
+        x = random_params(3, 5, 6)
+        y = random_params(3, 5, 7)
+        before = (x.flat.tobytes(), y.flat.tobytes())
+        for out in (x + y, x - y, x * 3.0, params_axpy(2.0, x, y)):
+            assert not np.shares_memory(out.flat, x.flat) and not np.shares_memory(out.flat, y.flat)
+        assert (x.flat.tobytes(), y.flat.tobytes()) == before
+
+    def test_all_finite_sees_every_layer(self):
+        for name, shape in layer_shapes(3, 5).items():
+            p = random_params(3, 5, 8)
+            assert p.all_finite()
+            p[name].flat[-1] = np.nan
+            assert not p.all_finite(), name
+
+    def test_pickled_model_keeps_its_views(self):
+        p = random_params(3, 5, 10)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.flat.tobytes() == p.flat.tobytes() and (q.hidden_dim, q.input_dim) == (3, 5)
+        for name in q.names():
+            assert np.shares_memory(q[name], q.flat), name
+        q["head.b_l"] = np.array([4.0, 5.0])
+        assert q.flat[-22:-20].tolist() == [4.0, 5.0]   # before the (3, 5) and (5,) pretraining layers
+
+    def test_save_writes_layers_in_order(self, tmp_path):
+        p = random_params(3, 5, 9)
+        path = tmp_path / "model.params"
+        save_params(p, str(path))
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        assert payload == b"".join(p[name].astype("<f8").tobytes() for name in p.names())

@@ -117,6 +117,13 @@ class TestTransferWeights:
         for name in p.names():
             assert np.array_equal(out[name], p[name])
 
+    def test_result_shares_no_memory_with_either_model(self):
+        pre = random_params(3, 10, 12)
+        fresh = random_params(3, 10, 13)
+        out = transfer_weights(pre, fresh)
+        assert not np.shares_memory(out.flat, pre.flat)
+        assert not np.shares_memory(out.flat, fresh.flat)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             transfer_weights(random_params(3, 10, 0), random_params(4, 10, 0))
