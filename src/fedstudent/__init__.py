@@ -19,7 +19,7 @@ from .federation import (
     run_federation,
 )
 from .irt import fit_rasch, irt_confidence
-from .metrics import ScoredStudent, auc
+from .metrics import auc
 from .network import attention_pool, gru_forward, loss_and_gradient
 from .optim import OptState, optimizer_step
 from .params import ModelParams, load_params, params_axpy, params_cosine, params_norm, save_params

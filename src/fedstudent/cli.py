@@ -22,6 +22,7 @@ from .evaluate import (
     EvalReport,
     cross_validate,
     embeddings_to_csv,
+    encoded_videos,
     export_embeddings,
     read_report,
     report_to_csv,
@@ -150,9 +151,10 @@ def cmd_dump_embeddings(
         raise InputError(f"output file {out_path}: must not be a directory and its directory must exist")
     _require_file("model", model_path)
     params = load_params(model_path)
+    n_videos = encoded_videos(params, model_path)
     _require_file("events", events_path)
     _require_file("students", students_path)
-    records = load_records(events_path, students_path, n_videos=params.input_dim - 7)
+    records = load_records(events_path, students_path, n_videos=n_videos)
     dump = export_embeddings(params, records, variable, include_unspecified)
     embeddings_to_csv(dump, out_path)
     print(f"wrote {len(dump.rows)} embeddings to {out_path}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import StudentRecord
+from .activity import N_KINDS, StudentRecord
 from .config import check_plan
 from .dataio import csv_rows, write_csv
 from .federation import ExperimentPlan, FederationError, RoundRow, run_federation, scored_auc
@@ -127,7 +127,7 @@ def execute_run(
         test_ids[str(key)] = list(assignment.test)
         with monitor.phase("evaluate"), _failure_named(task):
             try:
-                subgroup_auc[str(key)] = scored_auc(model, assignment.test, tracked, key)
+                subgroup_auc[str(key)] = scored_auc(model, assignment.test, tracked)
             except UndefinedAUCError as exc:
                 subgroup_auc[str(key)] = None
                 warnings.append(f"{task} subgroup {key}: {exc}")
@@ -298,6 +298,15 @@ def rounds_to_csv(report: EvalReport, path: str) -> None:
 class EmbeddingDump:
     hidden_dim: int
     rows: list[tuple[str, str, np.ndarray]]
+
+
+def encoded_videos(params: ModelParams, path: str) -> int:
+    """The videos in the activity encoding that a model read from `path` takes as input. A model
+    that fits none raises `ValueError`, not `InputError`, since this program wrote the file."""
+    if params.hidden_dim < 1 or params.input_dim <= N_KINDS:
+        raise ValueError(f"{path}: hidden_dim {params.hidden_dim} and input_dim {params.input_dim} "
+                         f"fit no activity encoding (need hidden_dim >= 1 and input_dim > {N_KINDS})")
+    return params.input_dim - N_KINDS
 
 
 def export_embeddings(

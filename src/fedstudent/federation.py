@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .irt import build_response_matrix, fit_rasch, irt_confidence
-from .metrics import ScoredStudent, UndefinedAUCError, auc
+from .metrics import UndefinedAUCError, auc
 from .network import loss_and_gradient, make_dropout_mask, score
 from .optim import OptState, run_epoch
 from .params import Gradients, ModelParams, params_axpy, params_cosine
@@ -389,11 +389,11 @@ class FederationResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def scored_auc(params: ModelParams, ids: list[str], records: dict, key: SubgroupKey) -> float:
-    """The AUC of `params`' pass probabilities over the students `ids` of subgroup `key`;
+def scored_auc(params: ModelParams, ids: list[str], records: dict) -> float:
+    """The AUC of `params`' pass probabilities over the students `ids`;
     `UndefinedAUCError` when they hold one label only."""
     p_pass, _ = score(params, [records[sid].sequence for sid in ids])
-    return auc([ScoredStudent(sid, float(p), records[sid].label, key) for sid, p in zip(ids, p_pass)])
+    return auc(p_pass, [records[sid].label for sid in ids])
 
 
 def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
@@ -401,7 +401,7 @@ def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
         return None
     with monitor.phase("validate"):
         try:
-            return scored_auc(params, client.val_ids, client.records, client.key)
+            return scored_auc(params, client.val_ids, client.records)
         except UndefinedAUCError:
             return None
 
@@ -500,8 +500,6 @@ def run_federation(
                     starts = dict.fromkeys(starts, global_params)
             evaluated = evaluation_models(step)
             val = {c.key: _val_auc(evaluated[c.key], c, monitor) for c in clients}
-        except FederationError:
-            raise
         except Exception as exc:
             raise FederationError(f"round {step} ({strategy}): {exc}") from exc
         rows.extend(RoundRow(step, str(c.key), val[c.key], losses[home[c.key]]) for c in clients)

@@ -1,44 +1,24 @@
-"""Rank-based AUC with midrank tie handling."""
+"""Rank-based AUC with midrank tie handling, over an array of scores and one of 0/1 labels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .splits import SubgroupKey
 
 
 class UndefinedAUCError(ValueError):
     """Raised when AUC is requested for a single-class sample."""
 
 
-@dataclass(frozen=True)
-class ScoredStudent:
-    student_id: str
-    pass_probability: float
-    label: int
-    subgroup: SubgroupKey | None = None
-
-
 def _midranks(scores: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied scores sharing the mean of their ranks."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    return ranks
+    """Ranks 1..n with tied scores sharing the mean of their ranks; each NaN ranks alone."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
-def auc(scored: list[ScoredStudent]) -> float:
+def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties counting half."""
-    scores = np.array([s.pass_probability for s in scored])
-    labels = np.array([s.label for s in scored])
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

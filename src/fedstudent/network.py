@@ -16,8 +16,8 @@ Conventions fixed here so hand-written oracles can reproduce every number:
 * Masked-activity head: softmax(pooled @ W_p + b_p) scored by mean squared error
   against the original activity vector.
 
-Dropout (inverted scaling) is applied to the pooled vector before the head,
-only when a mask is supplied; only outcome training supplies masks.
+Dropout (inverted scaling) multiplies each pooled vector by its row of one
+(B, k) mask array before the head; only outcome training supplies the array.
 
 `loss_and_gradient` takes a list of (L, d) sequences of any lengths and runs
 them as one packed batch under the named head: a forward pass recorded in one
@@ -269,21 +269,18 @@ HEADS = {
 
 
 def _forward(params: ModelParams, sequences: list[np.ndarray], head: str,
-             masks: list[np.ndarray | None] | np.ndarray | None = None) -> BatchTrace:
-    """A batch through the GRU, attention pooling and the named head, each
-    sequence with its optional dropout mask."""
-    if masks is None:
-        masks = [None] * len(sequences)
-    if len(masks) != len(sequences):
-        raise ValueError(f"{len(masks)} dropout masks for {len(sequences)} sequences")
+             masks: np.ndarray | None = None) -> BatchTrace:
+    """A batch through the GRU, attention pooling and the named head, with an
+    optional (B, k) dropout mask array, one row per sequence."""
+    shape = (len(sequences), params.hidden_dim)
+    if masks is not None and not (isinstance(masks, np.ndarray) and masks.shape == shape):
+        got = masks.shape if isinstance(masks, np.ndarray) else type(masks).__name__
+        raise ValueError(f"dropout masks must be None or one {shape} array, got {got}")
     order, active, offsets, col, X, ZR, C, H = _run_gru(params, sequences)
     A, alpha, by_column = _attend(params, H, col, len(order))
     pooled = np.empty_like(by_column)
     pooled[order] = by_column
-    mask = np.ones_like(pooled)
-    for i, m in enumerate(masks):
-        if m is not None:
-            mask[i] = m
+    mask = np.ones_like(pooled) if masks is None else masks
     head_input = pooled * mask
     W_name, b_name, _ = HEADS[head]
     logits = head_input @ params[W_name] + params[b_name]
@@ -371,12 +368,12 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
 
 
 def loss_and_gradient(params: ModelParams, head: str, sequences: list[np.ndarray], targets: list,
-                      masks: list[np.ndarray | None] | np.ndarray | None = None) -> tuple[float, Gradients]:
+                      masks: np.ndarray | None = None) -> tuple[float, Gradients]:
     """A batch's summed loss under the named head, and the gradient of its mean loss.
 
     `targets` holds each sequence's label (outcome head) or original activity
-    vector (pretrain head); `masks` its dropout mask or None, or is one (B, k)
-    array of them. The losses are added left to right in input order.
+    vector (pretrain head); `masks` is None or one (B, k) dropout mask array,
+    row i for sequence i. The losses are added left to right in input order.
     """
     if len(targets) != len(sequences):
         raise ValueError(f"{len(targets)} targets for {len(sequences)} sequences")

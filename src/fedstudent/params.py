@@ -187,10 +187,8 @@ def params_axpy(a: float, x: ModelParams, y: ModelParams) -> ModelParams:
     return x._with_flat(float(a) * x.flat + y.flat)
 
 
-def params_norm(x: ModelParams, layer: str | None = None) -> float:
-    """Euclidean norm of the whole collection or of a single named layer."""
-    if layer is not None:
-        return float(np.linalg.norm(x.layers[layer]))
+def params_norm(x: ModelParams) -> float:
+    """Euclidean norm of the whole collection, added layer by layer."""
     total = 0.0
     for arr in x.layers.values():
         total += float(np.dot(arr.ravel(), arr.ravel()))

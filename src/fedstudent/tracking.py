@@ -52,10 +52,6 @@ class TrackedRecord:
         return self._record.student_id
 
     @property
-    def demographics(self):
-        return self._record.demographics
-
-    @property
     def quiz_responses(self):
         return self._record.quiz_responses
 
@@ -68,10 +64,6 @@ class TrackedRecord:
     def label(self) -> int:
         self._monitor.record(self._record.student_id, "label")
         return self._record.label
-
-    @property
-    def length(self) -> int:
-        return self._record.length
 
 
 def track_records(records, monitor: AccessMonitor) -> dict[str, TrackedRecord]:

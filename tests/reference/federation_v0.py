@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedstudent.irt import build_response_matrix, fit_rasch, irt_confidence
-from fedstudent.metrics import ScoredStudent, UndefinedAUCError, auc
+from fedstudent.metrics import UndefinedAUCError, auc
 from fedstudent.optim import OptState, optimizer_step
 from fedstudent.params import Gradients, ModelParams, params_axpy, params_cosine
 from fedstudent.pretrain import transfer_weights
@@ -453,13 +453,10 @@ def _val_auc(params: ModelParams, client: ClientState, monitor) -> float | None:
     if not client.val_ids:
         return None
     with monitor.phase("validate"):
-        scored = [
-            ScoredStudent(sid, _probability_of_pass(params, client.ctx.matrix(sid)),
-                          client.ctx.label(sid), client.key)
-            for sid in client.val_ids
-        ]
+        scores = [_probability_of_pass(params, client.ctx.matrix(sid)) for sid in client.val_ids]
+        labels = [client.ctx.label(sid) for sid in client.val_ids]
     try:
-        return auc(scored)
+        return auc(scores, labels)
     except UndefinedAUCError:
         return None
 

@@ -26,7 +26,7 @@ from fedstudent.federation import (
     run_federation,
 )
 from fedstudent.irt import ResponseMatrix, fit_rasch
-from fedstudent.metrics import ScoredStudent, auc
+from fedstudent.metrics import auc
 from fedstudent.network import loss_and_gradient
 from fedstudent.params import ModelParams, layer_shapes, params_norm
 from fedstudent.splits import build_fold_split
@@ -193,8 +193,7 @@ class TestCriterion4AucOracle:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             scores = (rng.integers(0, 6, size=n) / 5.0) if trial % 2 else rng.random(n)
-            scored = [ScoredStudent(str(i), float(s), int(y)) for i, (s, y) in enumerate(zip(scores, labels))]
-            got = auc(scored)
+            got = auc(scores, labels)
             pos = scores[labels == 1]
             neg = scores[labels == 0]
             wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)

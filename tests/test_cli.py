@@ -511,6 +511,18 @@ class TestDumpEmbeddings:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hidden_dim, input_dim", [(4, 3), (4, 7), (0, N_VIDEOS + 7)])
+    def test_model_that_fits_no_activity_encoding_exits_1(self, tmp_path, capsys, hidden_dim, input_dim):
+        """Checked before the events are read: their missing file would exit 2."""
+        model_path = tmp_path / "model.params"
+        save_params(ModelParams.zeros(hidden_dim, input_dim), str(model_path))
+        emb_path = tmp_path / "emb.csv"
+        code = main(["dump-embeddings", "--model", str(model_path),
+                     "--events", "x", "--students", "y", "--out", str(emb_path)])
+        assert code == 1
+        assert f"{model_path}: hidden_dim {hidden_dim} and input_dim {input_dim}" in capsys.readouterr().err
+        assert not emb_path.exists()
+
     @pytest.mark.parametrize("flag", ["--model", "--events", "--students"])
     @pytest.mark.parametrize("problem", ["missing", "directory"])
     def test_bad_input_path_exits_2_and_names_path(self, tmp_path, capsys, flag, problem):

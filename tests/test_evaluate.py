@@ -378,7 +378,8 @@ class TestFailedRunIsNamed:
         # Pool workers fork after the patch, so they inherit it.
         monkeypatch.setattr(federation, "meta_gradient", failing_meta_gradient)
         plan = small_plan(strategies=("FedAvg", "PerFedAvgAgg"), seeds=(3,), folds=2)
-        with pytest.raises(FederationError, match="PerFedAvgAgg fold 0 seed 3: .*meta-gradient"):
+        named = r"^PerFedAvgAgg fold 0 seed 3: round 1 \(PerFedAvgAgg\): meta-gradient"
+        with pytest.raises(FederationError, match=named):
             cross_validate(small_cohort(), plan, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])

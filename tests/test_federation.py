@@ -529,6 +529,7 @@ class TestBatchDropout:
         objective, expected, _, _ = self.objective_and_expected(0.5)
         params = ModelParams.initialized(6, objective.matrices[0].shape[1], np.random.default_rng(1))
         loss, grads = objective.loss_and_gradient(params)
-        ref_loss, ref_grads = loss_and_gradient(params, "outcome", objective.matrices, objective.labels, expected)
+        ref_loss, ref_grads = loss_and_gradient(params, "outcome", objective.matrices, objective.labels,
+                                                np.array(expected))
         assert loss == ref_loss
         assert grads.flat.tobytes() == ref_grads.flat.tobytes()

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from fedstudent.metrics import ScoredStudent, UndefinedAUCError, auc
-
-
-def scored(scores, labels):
-    return [
-        ScoredStudent(student_id=f"s{i}", pass_probability=p, label=y)
-        for i, (p, y) in enumerate(zip(scores, labels))
-    ]
+from fedstudent.metrics import UndefinedAUCError, auc
 
 
 def brute_force_auc(scores, labels):
@@ -26,24 +19,26 @@ def brute_force_auc(scores, labels):
 
 
 def test_perfect_separation():
-    assert auc(scored([0.9, 0.1], [1, 0])) == 1.0
+    assert auc([0.9, 0.1], [1, 0]) == 1.0
 
 
 def test_all_ties_is_half():
-    assert auc(scored([0.4, 0.4, 0.4, 0.4], [1, 0, 1, 0])) == 0.5
+    assert auc([0.4, 0.4, 0.4, 0.4], [1, 0, 1, 0]) == 0.5
 
 
 def test_hand_counted_pairs():
-    assert auc(scored([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])) == 0.75
+    assert auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
 
 def test_single_class_rejected():
     with pytest.raises(UndefinedAUCError):
-        auc(scored([0.2, 0.4], [1, 1]))
+        auc([0.2, 0.4], [1, 1])
 
 
 def test_matches_brute_force_on_random_instances_exactly():
+    """Uniform scores, or scores with ties; and for each, -0.0 / +0.0 and all-tied tables."""
     rng = np.random.default_rng(0)
+    zeros = np.random.default_rng(2)
     for trial in range(200):
         n = int(rng.integers(2, 51))
         labels = rng.integers(0, 2, size=n)
@@ -53,9 +48,12 @@ def test_matches_brute_force_on_random_instances_exactly():
             scores = rng.random(n)
         else:
             scores = rng.integers(0, 5, size=n) / 4.0  # force ties
-        got = auc(scored(scores.tolist(), labels.tolist()))
+        got = auc(scores.tolist(), labels.tolist())
         expected = brute_force_auc(scores.tolist(), labels.tolist())
         assert got == expected
+        signed_zeros = zeros.choice([-0.0, 0.0, 0.5], size=n)   # -0.0 ties +0.0
+        for table in (signed_zeros, np.full(n, scores[0])):
+            assert auc(table, labels) == brute_force_auc(table.tolist(), labels.tolist())
 
 
 def test_invariance_under_monotone_transform():
@@ -63,7 +61,7 @@ def test_invariance_under_monotone_transform():
     scores = rng.random(30)
     labels = rng.integers(0, 2, size=30)
     labels[0], labels[1] = 0, 1
-    base = auc(scored(scores.tolist(), labels.tolist()))
+    base = auc(scores.tolist(), labels.tolist())
     for transform in (lambda x: 2 * x + 3, np.exp, lambda x: x ** 3):
         moved = transform(scores)
-        assert auc(scored(moved.tolist(), labels.tolist())) == base
+        assert auc(moved.tolist(), labels.tolist()) == base

@@ -223,12 +223,12 @@ class TestBackward:
     def test_gradients_with_fixed_dropout_mask(self):
         params = random_params(4, 10, 2)
         X = random_sequence(5, 10, 3)
-        mask = make_dropout_mask(np.random.default_rng(0), 4, 0.5)
+        mask = make_dropout_mask(np.random.default_rng(0), (1, 4), 0.5)
 
         def loss_fn(p):
-            return loss_and_gradient(p, "outcome", [X], [1], [mask])[0]
+            return loss_and_gradient(p, "outcome", [X], [1], mask)[0]
 
-        analytic = loss_and_gradient(params, "outcome", [X], [1], [mask])[1]
+        analytic = loss_and_gradient(params, "outcome", [X], [1], mask)[1]
         numeric = finite_difference_grads(params, loss_fn)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -253,6 +253,20 @@ class TestBackward:
             loss_and_gradient(params, "pretrain", [X, X], [X[0]])
         with pytest.raises(ValueError):
             loss_and_gradient(params, "outcome", [X], [1], [None, None])
+
+    def test_masks_other_than_one_b_by_k_array_rejected(self):
+        """The per-sequence list form is gone; so is any array not shaped (B, k)."""
+        params = random_params(4, 10, 7)
+        Xs = [random_sequence(4, 10, 9), random_sequence(2, 10, 10)]
+        row = np.ones(4)
+        for masks, got in (([row, row], "list"), ([row, None], "list"), ((row, row), "tuple"),
+                           (np.ones((1, 4)), r"\(1, 4\)"), (np.ones((2, 5)), r"\(2, 5\)"),
+                           (np.ones(4), r"\(4,\)"), (np.ones((2, 4, 1)), r"\(2, 4, 1\)")):
+            expected = rf"dropout masks must be None or one \(2, 4\) array, got {got}$"
+            with pytest.raises(ValueError, match=expected):
+                _forward(params, Xs, "outcome", masks)
+            with pytest.raises(ValueError, match=expected):
+                loss_and_gradient(params, "outcome", Xs, [1, 0], masks)
 
 
 class TestPretrainPath:
@@ -282,9 +296,9 @@ class TestForwardDeterminism:
     def test_identical_inputs_identical_trace(self):
         params = random_params(4, 10, 20)
         X = random_sequence(8, 10, 21)
-        mask = make_dropout_mask(np.random.default_rng(5), 4, 0.5)
-        t1 = _forward(params, [X], "outcome", [mask])
-        t2 = _forward(params, [X], "outcome", [mask])
+        mask = make_dropout_mask(np.random.default_rng(5), (1, 4), 0.5)
+        t1 = _forward(params, [X], "outcome", mask)
+        t2 = _forward(params, [X], "outcome", mask)
         assert np.array_equal(t1.probs, t2.probs)
         assert np.array_equal(t1.H, t2.H)
 
@@ -325,7 +339,8 @@ class TestBatchedPasses:
         params = random_params(k, d, 30, scale=0.8)
         Xs = [random_sequence(L, d, 40 + i) for i, L in enumerate(self.LENGTHS)]
         rng = np.random.default_rng(6)
-        masks = [make_dropout_mask(rng, k, 0.5) if i % 2 else None for i in range(len(Xs))]
+        masks = np.ones((len(Xs), k))   # a ones row is no dropout
+        masks[1::2] = make_dropout_mask(rng, (len(Xs) // 2, k), 0.5)
         labels = [i % 2 for i in range(len(Xs))]
         return params, Xs, masks, labels
 
@@ -344,13 +359,13 @@ class TestBatchedPasses:
     def test_outcome_batch_matches_single_sequences(self):
         params, Xs, masks, labels = self.batch()
         for order in (list(range(len(Xs))), list(range(len(Xs)))[::-1]):
-            batch = ([Xs[i] for i in order], [labels[i] for i in order], [masks[i] for i in order])
+            batch = ([Xs[i] for i in order], [labels[i] for i in order], masks[order])
             trace = _forward(params, batch[0], "outcome", batch[2])
             lone = []
             for row, i in enumerate(order):
-                alone = _forward(params, [Xs[i]], "outcome", [masks[i]])
+                alone = _forward(params, [Xs[i]], "outcome", masks[[i]])
                 self.assert_rows_alone(trace, alone, row)
-                _, grad = loss_and_gradient(params, "outcome", [Xs[i]], [labels[i]], [masks[i]])
+                _, grad = loss_and_gradient(params, "outcome", [Xs[i]], [labels[i]], masks[[i]])
                 lone.append(grad * (1.0 / len(order)))
             assert_close_to_sum(loss_and_gradient(params, "outcome", *batch)[1], lone)
 
@@ -438,7 +453,7 @@ from fedstudent.params import ModelParams
 rng = np.random.default_rng(0)
 params = ModelParams.initialized(48, 12, rng)
 Xs = [rng.integers(0, 2, size=(L, 12)).astype(float) for L in rng.integers(1, 41, size=256)]
-masks = [make_dropout_mask(rng, 48, 0.5) for _ in Xs]
+masks = make_dropout_mask(rng, (256, 48), 0.5)
 trace = _forward(params, Xs, "outcome", masks)
 loss, grad = loss_and_gradient(params, "outcome", Xs, [i % 2 for i in range(256)], masks)
 p_pass, pooled = score(params, Xs)

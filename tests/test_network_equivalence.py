@@ -14,7 +14,13 @@ gradients, over 400 batches per head.)
 The summed loss is bit for bit: the oracle's per-row losses of the batch
 network's own probabilities, added left to right in input order. Training
 losses, and so `train_loss` and the pretraining losses, keep their bits.
+
+The oracle takes a list of per-sequence dropout masks, None for no dropout; the
+batch network takes one (B, k) array, a ones row for no dropout. A ones row is
+no dropout bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from fedstudent import network
 from fedstudent.params import ModelParams, layer_shapes
 from reference import network_v0 as ref
 
-CASES = 40
+CASES = 200
 
 
 def random_batch(seed):
@@ -48,6 +54,11 @@ def random_batch(seed):
         masks = None
     labels = rng.integers(0, 2, size=B).tolist()
     return params, Xs, masks, labels
+
+
+def mask_array(masks, k):
+    """The (B, k) array of the oracle's per-sequence masks, a ones row for each None."""
+    return None if masks is None else np.array([np.ones(k) if m is None else m for m in masks])
 
 
 def summed(grads, params):
@@ -111,8 +122,9 @@ def assert_matches_oracle(head, seeds):
             old = ref.forward_pretrain(params, Xs)
             old_grads = ref.backward_pretrain(old, targets, params)
             old_probs = [t.pre_probs for t in old]
-        trace = network._forward(params, Xs, head, masks)
-        loss, grad = network.loss_and_gradient(params, head, Xs, targets, masks)
+        array = mask_array(masks, params.hidden_dim)
+        trace = network._forward(params, Xs, head, array)
+        loss, grad = network.loss_and_gradient(params, head, Xs, targets, array)
         expected = 0.0
         for probs, target in zip(trace.probs, targets):
             expected += old_loss(probs, target)
@@ -124,6 +136,29 @@ def assert_matches_oracle(head, seeds):
             np.testing.assert_allclose(trace.sequence(i)[0], t.gru.H, rtol=0, atol=1e-12, err_msg=f"{seed} {i}")
         assert_close_layers(grad, old_grads, params)
     assert saturated > 0
+
+
+@pytest.mark.parametrize("head", ["outcome", "pretrain"])
+def test_ones_rows_are_no_dropout_bit_for_bit(head):
+    """Over the random batches, every row of a mixed mask array that stands for the
+    oracle's None leaves its pooled vector's bytes untouched, and an all-ones array
+    gives the bytes of no mask in every trace array, the loss and the gradient."""
+    for seed in range(CASES):
+        params, Xs, masks, labels = random_batch(seed)
+        targets = labels if head == "outcome" else [X[0] for X in Xs]
+        if masks is not None:
+            trace = network._forward(params, Xs, head, mask_array(masks, params.hidden_dim))
+            for i, m in enumerate(masks):
+                if m is None:
+                    assert trace.head_input[i].tobytes() == trace.pooled[i].tobytes(), (seed, i)
+        ones = np.ones((len(Xs), params.hidden_dim))
+        plain, masked = (network._forward(params, Xs, head, m) for m in (None, ones))
+        assert plain.order == masked.order
+        for name in (f.name for f in dataclasses.fields(plain)):
+            if name not in ("order", "active", "offsets"):
+                assert getattr(plain, name).tobytes() == getattr(masked, name).tobytes(), name
+        (l1, g1), (l2, g2) = (network.loss_and_gradient(params, head, Xs, targets, m) for m in (None, ones))
+        assert l1 == l2 and g1.flat.tobytes() == g2.flat.tobytes(), seed
 
 
 def test_outcome_losses_match_oracle_bits_at_the_clamp():
