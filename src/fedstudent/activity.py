@@ -3,8 +3,9 @@
 An encoded activity is the concatenation (video id one-hot; 4 watch-type bits;
 3 forum-type bits), giving a vector of length n_videos + 7. Watch events set
 exactly one video bit and one watch bit; forum events set exactly one forum
-bit and nothing else. `event_columns` names one event's set bits; both record
-builders (the generator and CSV ingest) write them into a zeroed matrix.
+bit and nothing else. `event_columns` names one event's set bits, and
+`activity_matrix` writes a record's set bits into its matrix, one byte per
+cell: both record builders (the generator and CSV ingest) call the two.
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ def event_columns(slot: int, video_index: int | None, first_attempt_score: int |
     return (video_index, n_videos + slot)
 
 
+def activity_matrix(length: int, n_videos: int, hot_rows: list[int], hot_cols: list[int]) -> np.ndarray:
+    """The (length, n_videos + 7) uint8 one-hot matrix with a 1 at each (hot_rows[i], hot_cols[i]).
+
+    A cell only ever holds 0 or 1, so one byte keeps it exactly; the network
+    casts a batch to float64 where it gathers it.
+    """
+    sequence = np.zeros((length, n_videos + N_KINDS), dtype=np.uint8)
+    sequence[hot_rows, hot_cols] = 1
+    return sequence
+
+
 @dataclass(frozen=True)
 class Demographics:
     """Voluntarily provided attributes; None means the student left it unspecified."""
@@ -136,8 +148,10 @@ def demographic_group(demo: Demographics, variable: str) -> str | None:
 class StudentRecord:
     """One student: demographics, timestamp-ordered activities, quiz scores, pass label.
 
-    `sequence` is the (L, n_videos + 7) float matrix whose rows are the encoded
-    activities, built once when the record is made.
+    `sequence` is the (L, n_videos + 7) matrix whose rows are the encoded
+    activities, built once when the record is made. The generator and ingest
+    build it as uint8 (`activity_matrix`); a matrix of any numeric dtype
+    works, since the network casts each batch to float64.
     """
 
     student_id: str

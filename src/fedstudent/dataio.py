@@ -39,8 +39,6 @@ import csv
 import logging
 from operator import itemgetter
 
-import numpy as np
-
 from .activity import (
     DEFAULT_MAX_SEQUENCE,
     KIND_NAMES,
@@ -52,6 +50,7 @@ from .activity import (
     EncodingError,
     InputError,
     StudentRecord,
+    activity_matrix,
     event_columns,
     score_first_attempt,
 )
@@ -226,7 +225,6 @@ def load_records(
             hot_cols += columns
             if score is not None:
                 quiz_responses.setdefault(video, score)
-        sequence = np.zeros((len(rows), n_videos + N_KINDS))
-        sequence[hot_rows, hot_cols] = 1.0
+        sequence = activity_matrix(len(rows), n_videos, hot_rows, hot_cols)
         records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))
     return records

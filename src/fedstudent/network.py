@@ -19,6 +19,11 @@ Conventions fixed here so hand-written oracles can reproduce every number:
 Dropout (inverted scaling) multiplies each pooled vector by its row of one
 (B, k) mask array before the head; only outcome training supplies the array.
 
+Sequences may hold any numeric dtype; records keep theirs as uint8 one-hot
+rows. `_run_gru` casts a batch to float64 once, as it gathers the rows into
+the packed layout, so every product, gradient, loss and score has the bits of
+a float64 batch.
+
 `loss_and_gradient` takes a list of (L, d) sequences of any lengths and runs
 them as one packed batch under the named head: a forward pass recorded in one
 `BatchTrace`, every row's loss, and a backward pass over that trace. It returns
@@ -81,14 +86,14 @@ def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rows_gram(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a.T @ b for (N, p) or (N,) `a` and (N, q) `b`: one product per row block,
-    added up block by block in row order."""
+    added up block by block in row order, into `out` when one is given."""
     n = _block((a.size // a.shape[0]) * b.shape[1])
-    total = a[:n].T @ b[:n]
+    out = np.matmul(a[:n].T, b[:n], out=out)
     for start in range(n, a.shape[0], n):
-        total += a[start:start + n].T @ b[start:start + n]
-    return total
+        out += a[start:start + n].T @ b[start:start + n]
+    return out
 
 
 def _pack(lengths: list[int]) -> tuple[list[int], list[int], list[int], np.ndarray, np.ndarray]:
@@ -124,7 +129,7 @@ class BatchTrace:
     `pooled`, `head_input` and `probs` are in input order.
     """
 
-    X: np.ndarray                    # (N, d) inputs
+    X: np.ndarray                    # (N, d) float64 inputs, cast from the sequences at the gather
     order: list[int]                 # input index of each column
     active: list[int]                # per step, how many leading columns are still running
     offsets: list[int]               # per step its first row, then N
@@ -153,8 +158,8 @@ class BatchTrace:
 def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
     """Run a batch of sequences of any lengths through the GRU, the running rows of a step together.
 
-    Returns the packed layout (`_pack`), then the packed inputs X (N, d), gates
-    ZR (N, 2k), candidates C (N, k) and hidden states H (N, k).
+    Returns the packed layout (`_pack`), then the packed float64 inputs X (N, d),
+    gates ZR (N, 2k), candidates C (N, k) and hidden states H (N, k).
     """
     k = params.hidden_dim
     W_in = params["gru.input_weights"]
@@ -168,9 +173,9 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
             raise ValueError(f"input width {X.shape[1]} does not match model input_dim {params.input_dim}")
     lengths = [X.shape[0] for X in Xs]
     order, active, offsets, step, col = _pack(lengths)
-    # Row (t, j) is row t of column j's sequence.
+    # Row (t, j) is row t of column j's sequence. The batch's one cast to float64.
     first = np.array(list(accumulate((lengths[i] for i in order[:-1]), initial=0)))
-    X = np.concatenate([Xs[i] for i in order]).take(first[col] + step, axis=0)
+    X = np.concatenate([Xs[i] for i in order], dtype=np.float64).take(first[col] + step, axis=0)
     # Every step's input projection before the recurrence, biases folded in. The
     # gates' sigmoid is 0.5 * tanh(0.5 * x) + 0.5; its inner halving is folded into
     # their input projection and recurrent weights, which is exact in binary.
@@ -307,7 +312,11 @@ def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray,
 
 
 def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.ndarray) -> Gradients:
-    """The batch's summed gradient, given the gradient at each sequence's (B, outputs) head probabilities."""
+    """The batch's summed gradient, given the gradient at each sequence's (B, outputs) head probabilities.
+
+    Each layer gradient is written straight into its view of the gradient's
+    flat vector; the other head's layers are zero.
+    """
     k = params.hidden_dim
     W_name, b_name, _ = HEADS[head]
     g = params.zeros_like()
@@ -315,8 +324,8 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
     # Head: probs = softmax(head_input @ W + b), head_input = pooled * mask.
     probs = trace.probs
     g_logits = probs * (grad_probs - (grad_probs * probs).sum(axis=1, keepdims=True))
-    g[W_name] = trace.head_input.T @ g_logits
-    g[b_name] = g_logits.sum(axis=0)
+    np.matmul(trace.head_input.T, g_logits, out=g[W_name])
+    g_logits.sum(axis=0, out=g[b_name])
     g_pooled = ((g_logits @ params[W_name].T) * trace.mask)[trace.order]   # by column
 
     # Attention: pooled = sum_t alpha_t H_t with alpha = softmax(A @ p), A = tanh(H W_alpha^T).
@@ -324,9 +333,9 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
     G_row = g_pooled[col]   # each row's sequence's gradient at its pooled vector
     galpha = np.einsum("rk,rk->r", H, G_row)
     ge = alpha * (galpha - np.bincount(col, alpha * galpha, len(trace.order))[col])
-    g["attn.p"] = _rows_gram(ge, A)
+    _rows_gram(ge, A, out=g["attn.p"])
     Gpre = (ge[:, None] * (1.0 - A * A)) * params["attn.p"]
-    g["attn.W_alpha"] = _rows_gram(Gpre, H)
+    _rows_gram(Gpre, H, out=g["attn.W_alpha"])
     # Gradient at each hidden state.
     GH = alpha[:, None] * G_row
     GH += _rows_times(Gpre, params["attn.W_alpha"])
@@ -360,10 +369,10 @@ def _backward(params: ModelParams, trace: BatchTrace, head: str, grad_probs: np.
         dg[:, 2 * k:] = dc
         gh[:n] = gt * one_minus_Z[lo:hi] + tmp * R[lo:hi] + dg[:, : 2 * k] @ U_zr
 
-    g["gru.input_weights"] = _rows_gram(dgates, trace.X)
-    g["gru.recurrent_weights"][: 2 * k] = _rows_gram(dgates[:, : 2 * k], Hprev)
-    g["gru.recurrent_weights"][2 * k:] = _rows_gram(dgates[:, 2 * k:], R * Hprev)
-    g["gru.biases"] = dgates.sum(axis=0)
+    _rows_gram(dgates, trace.X, out=g["gru.input_weights"])
+    _rows_gram(dgates[:, : 2 * k], Hprev, out=g["gru.recurrent_weights"][: 2 * k])
+    _rows_gram(dgates[:, 2 * k:], R * Hprev, out=g["gru.recurrent_weights"][2 * k:])
+    dgates.sum(axis=0, out=g["gru.biases"])
     return g
 
 
@@ -382,4 +391,6 @@ def loss_and_gradient(params: ModelParams, head: str, sequences: list[np.ndarray
     total = 0.0
     for loss in losses:   # one row at a time, as np.sum's pairwise adds would not
         total += float(loss)
-    return total, _backward(params, trace, head, grad_probs) * (1.0 / len(sequences))
+    gradient = _backward(params, trace, head, grad_probs)
+    gradient.flat *= 1.0 / len(sequences)
+    return total, gradient

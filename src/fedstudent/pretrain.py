@@ -21,14 +21,19 @@ TRANSFER_LAYERS = ("gru.input_weights", "gru.recurrent_weights", "gru.biases", "
 
 @dataclass
 class CbowInstance:
-    """One masked-position task: predict the zeroed activity from its context."""
+    """One masked-position task: predict the zeroed activity from its context.
+
+    `source` keeps the record's own dtype (uint8 for generated and ingested
+    records); `target` is its row as a new float64 vector, the vector the
+    pretraining loss compares float64 probabilities against.
+    """
 
     source: np.ndarray       # (L, d) original encoded sequence, shared, not copied
     target_position: int
 
     @property
     def target(self) -> np.ndarray:
-        return self.source[self.target_position].copy()
+        return self.source[self.target_position].astype(np.float64)
 
     def masked_matrix(self) -> np.ndarray:
         masked = self.source.copy()

@@ -31,6 +31,7 @@ from .activity import (
     Demographics,
     InputError,
     StudentRecord,
+    activity_matrix,
     event_columns,
 )
 from .config import REQUIRED, Key, json_value, load_json, violation, write_json
@@ -275,12 +276,10 @@ def _simulate_student(
         if demo_rng_draw < spec.unspecified_fraction
         else _demographics_for(spec.demographic_variable, profile.name, rng)
     )
-    sequence = np.zeros((length, spec.n_videos + N_KINDS))
-    sequence[hot_rows, hot_cols] = 1.0
     return StudentRecord(
         student_id=student_id,
         demographics=demo,
-        sequence=sequence,
+        sequence=activity_matrix(length, spec.n_videos, hot_rows, hot_cols),
         quiz_responses=quiz_responses,
         label=label,
     )

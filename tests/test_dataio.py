@@ -44,6 +44,18 @@ class TestRoundTrip:
             for a, b in zip(original.sequence, restored.sequence):
                 assert np.array_equal(a, b)
 
+    def test_loaded_sequences_are_uint8_zero_one_matrices(self, tmp_path):
+        _, records = cohort()
+        events = tmp_path / "events.csv"
+        students = tmp_path / "students.csv"
+        write_events_csv(records, str(events))
+        write_students_csv(records, str(students))
+        loaded = load_records(str(events), str(students), N_VIDEOS)
+        for record in loaded:
+            assert record.sequence.dtype == np.uint8
+            assert record.sequence.shape[1] == N_VIDEOS + 7
+            assert set(np.unique(record.sequence)) <= {0, 1}
+
     def test_sequence_cap_keeps_most_recent(self, tmp_path):
         spec, records = cohort()
         events = tmp_path / "events.csv"

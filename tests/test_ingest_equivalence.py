@@ -4,7 +4,9 @@ Ingest now parses each events.csv row straight to `event_columns`' arguments.
 On every file below, clean or faulty, it must do what the oracle does: build the
 same records (order, ids, demographics, labels, sequence bytes and
 `quiz_responses` in insertion order) or raise an `IngestError` with the same
-text. The faulty files are generated: each fault of `FAULTS` alone, pairs of
+text. The oracle builds float64 matrices and ingest uint8 ones, so the
+oracle's matrix is compared cast to uint8 (exact for 0/1 cells, which is
+checked), and ingest's dtype must be uint8. The faulty files are generated: each fault of `FAULTS` alone, pairs of
 faults in one row or in two rows, and faults in rows that the sequence cap
 drops.
 """
@@ -76,15 +78,24 @@ CLEAN = event_rows(RECORDS)
 TIED = tied_rows(CLEAN)
 
 
-def outcome(loader, events, students, cap):
-    """What `loader` makes of the files: the error text, or every record in plain form."""
+def as_uint8(matrix):
+    """The oracle's float64 matrix as the one byte per cell records keep; exact for 0/1 cells."""
+    stored = matrix.astype(np.uint8)
+    assert np.array_equal(stored, matrix)
+    return stored
+
+
+def outcome(loader, events, students, cap, stored=lambda matrix: matrix):
+    """What `loader` makes of the files: the error text, or every record in plain
+    form, its matrix as `stored` gives it."""
     kwargs = {} if cap is None else {"max_sequence": cap}
     try:
         records = loader(str(events), str(students), SPEC.n_videos, **kwargs)
     except IngestError as exc:
         return ("error", str(exc))
-    return ("records", [(r.student_id, r.demographics, r.label, r.sequence.shape,
-                         r.sequence.tobytes(), list(r.quiz_responses.items())) for r in records])
+    matrices = [stored(r.sequence) for r in records]
+    return ("records", [(r.student_id, r.demographics, r.label, m.shape, m.dtype.str,
+                         m.tobytes(), list(r.quiz_responses.items())) for r, m in zip(records, matrices)])
 
 
 def write_rows(path, rows):
@@ -97,7 +108,7 @@ def assert_matches_oracle(tmp_path, rows, cap):
     students = tmp_path / "students.csv"
     write_rows(events, rows)
     write_students_csv(RECORDS, str(students))
-    expected = outcome(ref.load_records, events, students, cap)
+    expected = outcome(ref.load_records, events, students, cap, as_uint8)
     assert outcome(load_records, events, students, cap) == expected
     return expected
 
@@ -108,7 +119,7 @@ def test_clean_files_load_as_the_oracle_does(tmp_path, name, cap):
     kind, records = assert_matches_oracle(tmp_path, CLEAN if name == "clean" else TIED, cap)
     assert kind == "records" and len(records) == len(RECORDS)
     if cap is not None:
-        assert max(shape[0] for _, _, _, shape, _, _ in records) == cap
+        assert max(shape[0] for _, _, _, shape, _, _, _ in records) == cap
 
 
 def _set(**fields):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import pathlib
@@ -13,12 +14,16 @@ from fedstudent.network import (
     HEADS,
     SCORE_CHUNK,
     _forward,
+    _rows_gram,
+    _rows_times,
     attention_pool,
     gru_forward,
     loss_and_gradient,
     make_dropout_mask,
     score,
 )
+from fedstudent.pretrain import CbowInstance
+from fedstudent.synthgen import generate_cohort
 
 
 def random_params(k, d, seed, scale=0.3):
@@ -490,3 +495,149 @@ def test_only_loss_and_gradient_runs_backward():
     caller = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "loss_and_gradient")
     assert len(calls) == 1 and caller.lineno <= calls[0] <= caller.end_lineno
+
+
+# Random batches of the criterion-6 cohort: per batch a fresh model at the
+# acceptance plan's hidden size, 1-16 students, and a dropout mask array.
+CRITERION6_BATCHES = 200
+
+
+@pytest.fixture(scope="module")
+def criterion6_batches():
+    from test_acceptance import COHORT_GEN_SEED, acceptance_cohort_spec
+
+    records = generate_cohort(acceptance_cohort_spec(), COHORT_GEN_SEED)
+    d = records[0].sequence.shape[1]
+    batches = []
+    for seed in range(CRITERION6_BATCHES):
+        rng = np.random.default_rng(seed)
+        picked = [records[i] for i in rng.choice(len(records), size=int(rng.integers(1, 17)), replace=False)]
+        params = random_params(24, d, seed, scale=0.5)
+        instances = [CbowInstance(r.sequence, int(rng.integers(r.length))) for r in picked]
+        batches.append((params, picked, instances, make_dropout_mask(rng, (len(picked), 24), 0.5)))
+    return batches
+
+
+def per_layer_backward(params, trace, head, grad_probs):
+    """`network._backward` as it was written before its products went into the
+    gradient's layer views: each layer gradient a new array, assigned by name."""
+    k = params.hidden_dim
+    W_name, b_name, _ = HEADS[head]
+    g = params.zeros_like()
+    probs = trace.probs
+    g_logits = probs * (grad_probs - (grad_probs * probs).sum(axis=1, keepdims=True))
+    g[W_name] = trace.head_input.T @ g_logits
+    g[b_name] = g_logits.sum(axis=0)
+    g_pooled = ((g_logits @ params[W_name].T) * trace.mask)[trace.order]
+    H, A, alpha, col = trace.H, trace.A, trace.alpha, trace.col
+    G_row = g_pooled[col]
+    galpha = np.einsum("rk,rk->r", H, G_row)
+    ge = alpha * (galpha - np.bincount(col, alpha * galpha, len(trace.order))[col])
+    g["attn.p"] = _rows_gram(ge, A)
+    Gpre = (ge[:, None] * (1.0 - A * A)) * params["attn.p"]
+    g["attn.W_alpha"] = _rows_gram(Gpre, H)
+    GH = alpha[:, None] * G_row
+    GH += _rows_times(Gpre, params["attn.W_alpha"])
+    U = params["gru.recurrent_weights"]
+    U_zr, U_c = U[: 2 * k], U[2 * k:]
+    active, offsets = trace.active, trace.offsets
+    running = np.array(active)
+    Hprev = np.zeros_like(H)
+    Hprev[active[0]:] = H[np.arange(active[0], len(H)) - running[:-1].repeat(running[1:])]
+    Z, R, C = trace.ZR[:, :k], trace.ZR[:, k:], trace.C
+    one_minus_Z = 1.0 - Z
+    dz_factor = (C - Hprev) * Z * one_minus_Z
+    dc_factor = Z * (1.0 - C * C)
+    dr_factor = Hprev * R * (1.0 - R)
+    dgates = np.empty((len(H), 3 * k))
+    gh = np.zeros((active[0], k))
+    for t in range(len(active) - 1, -1, -1):
+        n, lo, hi = active[t], offsets[t], offsets[t + 1]
+        gt = gh[:n] + GH[lo:hi]
+        dc = gt * dc_factor[lo:hi]
+        tmp = dc @ U_c
+        dg = dgates[lo:hi]
+        dg[:, :k] = gt * dz_factor[lo:hi]
+        dg[:, k: 2 * k] = tmp * dr_factor[lo:hi]
+        dg[:, 2 * k:] = dc
+        gh[:n] = gt * one_minus_Z[lo:hi] + tmp * R[lo:hi] + dg[:, : 2 * k] @ U_zr
+    g["gru.input_weights"] = _rows_gram(dgates, trace.X)
+    g["gru.recurrent_weights"][: 2 * k] = _rows_gram(dgates[:, : 2 * k], Hprev)
+    g["gru.recurrent_weights"][2 * k:] = _rows_gram(dgates[:, 2 * k:], R * Hprev)
+    g["gru.biases"] = dgates.sum(axis=0)
+    return g
+
+
+def head_inputs(head, picked, instances):
+    """A batch's sequences and targets under `head`: the records and their labels,
+    or one masked-position instance per record and its original row."""
+    if head == "outcome":
+        return [r.sequence for r in picked], [r.label for r in picked]
+    return [inst.masked_matrix() for inst in instances], [inst.target for inst in instances]
+
+
+def float_copy(record):
+    """`record` with its matrix as float64, as records were built before they kept one byte per cell."""
+    return dataclasses.replace(record, sequence=record.sequence.astype(np.float64))
+
+
+class TestOneByteRecords:
+    """Records keep uint8 matrices; a batch is cast to float64 once, where `_run_gru`
+    gathers it, so every output has the bytes of the batch's float64 copy."""
+
+    @pytest.mark.parametrize("head", ["outcome", "pretrain"])
+    def test_uint8_and_float64_copies_give_the_same_bytes(self, criterion6_batches, head):
+        for seed, (params, picked, instances, mask) in enumerate(criterion6_batches):
+            assert all(r.sequence.dtype == np.uint8 for r in picked)
+            as_float = [CbowInstance(inst.source.astype(np.float64), inst.target_position) for inst in instances]
+            one_byte = head_inputs(head, picked, instances)
+            eight_byte = head_inputs(head, [float_copy(r) for r in picked], as_float)
+            assert all(X.dtype == np.float64 for X in eight_byte[0])
+            for masks in (None, mask):
+                (l1, g1), (l2, g2) = (loss_and_gradient(params, head, Xs, targets, masks)
+                                      for Xs, targets in (one_byte, eight_byte))
+                assert l1 == l2 and g1.flat.tobytes() == g2.flat.tobytes(), (seed, masks is None)
+            t1, t2 = (_forward(params, Xs, head, mask) for Xs, _ in (one_byte, eight_byte))
+            assert t1.X.dtype == np.float64 and t1.X.tobytes() == t2.X.tobytes(), seed
+            if head == "outcome":
+                (p1, v1), (p2, v2) = (score(params, Xs) for Xs, _ in (one_byte, eight_byte))
+                assert p1.tobytes() == p2.tobytes() and v1.tobytes() == v2.tobytes(), seed
+
+    def test_network_casts_a_batch_in_one_place(self):
+        """Of the functions that take sequences, only `_run_gru` casts, once: the
+        concatenation that gathers the batch names float64 as its dtype."""
+        tree = ast.parse((pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+                          / "network.py").read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        takers = [name for name, node in functions.items()
+                  if {"Xs", "X", "sequences"} & {a.arg for a in node.args.args}]
+        assert set(takers) == {"_run_gru", "gru_forward", "_forward", "score", "loss_and_gradient"}
+
+        def casts(node):
+            return [call for call in ast.walk(node) if isinstance(call, ast.Call) and (
+                any(kw.arg == "dtype" for kw in call.keywords)
+                or isinstance(call.func, ast.Attribute) and call.func.attr == "astype")]
+
+        assert {name: len(casts(functions[name])) for name in takers} == {
+            "_run_gru": 1, "gru_forward": 0, "_forward": 0, "score": 0, "loss_and_gradient": 0}
+        (cast,) = casts(functions["_run_gru"])
+        assert ast.unparse(cast.func) == "np.concatenate"
+        assert [ast.unparse(kw.value) for kw in cast.keywords] == ["np.float64"]
+
+
+class TestGradientWrittenInPlace:
+    @pytest.mark.parametrize("head", ["outcome", "pretrain"])
+    def test_layer_views_match_per_layer_assignment_bit_for_bit(self, criterion6_batches, head):
+        """Over the random batches, with and without a mask array, the gradient written
+        into its layer views and scaled in place has the bytes of each layer assigned
+        by name and the model scaled by `* (1 / B)`; the other head's layers are zero."""
+        other = [name for h, (W, b, _) in HEADS.items() if h != head for name in (W, b)]
+        for seed, (params, picked, instances, mask) in enumerate(criterion6_batches):
+            Xs, targets = head_inputs(head, picked, instances)
+            for masks in (None, mask):
+                trace = _forward(params, Xs, head, masks)
+                _, grad_probs = HEADS[head][2](trace.probs, targets)
+                expected = per_layer_backward(params, trace, head, grad_probs) * (1.0 / len(Xs))
+                _, grad = loss_and_gradient(params, head, Xs, targets, masks)
+                assert grad.flat.tobytes() == expected.flat.tobytes(), (seed, masks is None)
+                assert all(not grad[name].any() for name in other)

@@ -89,9 +89,9 @@ def test_row_blocked_products_match_per_sequence_oracle(head, monkeypatch):
     monkeypatch.setattr(network, "ONE_THREAD_MADDS", 100)
     rows, blocks = [], []
     for name in ("_rows_times", "_rows_gram"):
-        def product(a, b, run=getattr(network, name)):
+        def product(a, b, run=getattr(network, name), **out):
             rows.append(a.shape[0])
-            return run(a, b)
+            return run(a, b, **out)
         monkeypatch.setattr(network, name, product)
 
     def block(row_madds, run=network._block):

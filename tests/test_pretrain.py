@@ -43,6 +43,14 @@ class TestMakeCbowInstances:
     def test_short_sequence_yields_nothing(self):
         assert make_cbow_instances(random_sequence(1, 10, 1)) == []
 
+    def test_one_byte_source_gives_a_float64_target(self):
+        X = random_sequence(3, 10, 3).astype(np.uint8)
+        inst = make_cbow_instances(X)[2]
+        assert inst.target.dtype == np.float64
+        assert np.array_equal(inst.target, X[2])
+        assert inst.masked_matrix().dtype == np.uint8
+        assert not np.shares_memory(inst.target, X)
+
     def test_target_is_original_vector(self):
         X = random_sequence(3, 10, 2)
         inst = make_cbow_instances(X)[1]

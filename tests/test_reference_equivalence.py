@@ -165,6 +165,23 @@ def test_only_ingest_and_generation_name_event_encodings():
             assert not pattern.search(path.read_text(encoding="utf-8")), path
 
 
+def test_only_the_activity_encoder_allocates_an_activity_matrix():
+    """`activity.activity_matrix` is the one place that makes an (L, n_videos + 7)
+    matrix or writes its hot cells; the generator and ingest call it."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    allocation = re.compile(r"np\.(zeros|empty|ones|full)\w*\(\([^()]*\bn_videos\s*\+\s*N_KINDS\b")
+    scatter = re.compile(r"\[\s*hot_rows\s*,\s*hot_cols\s*\]\s*=")
+    callers = re.compile(r"\bactivity_matrix\(")
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.stem == "activity":
+            assert len(allocation.findall(text)) == len(scatter.findall(text)) == 1, path
+        else:
+            assert not allocation.search(text) and not scatter.search(text), path
+    for stem in ("dataio", "synthgen"):
+        assert len(callers.findall((package / f"{stem}.py").read_text(encoding="utf-8"))) == 1, stem
+
+
 def test_src_does_not_import_reference():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     pattern = re.compile(r"^\s*(from|import)\s+(tests\.)?reference\b", re.MULTILINE)

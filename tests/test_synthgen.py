@@ -104,6 +104,13 @@ class TestGenerateCohort:
         rate = sum(r.label for r in records) / len(records)
         assert rate < 0.01
 
+    def test_sequences_are_uint8_zero_one_matrices(self):
+        spec = make_spec([make_profile("M", population=40), make_profile("F", population=40)])
+        for record in generate_cohort(spec, seed=5):
+            assert record.sequence.dtype == np.uint8
+            assert record.sequence.shape[1] == N_VIDEOS + N_KINDS
+            assert set(np.unique(record.sequence)) <= {0, 1}
+
     def test_encoding_invariants_hold_for_generated_sequences(self):
         spec = make_spec([make_profile("M", population=40), make_profile("F", population=40)])
         for record in generate_cohort(spec, seed=5):

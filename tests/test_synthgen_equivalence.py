@@ -3,7 +3,10 @@
 Every categorical draw is now one uniform searched in a precomputed CDF, the
 draw `rng.choice` makes itself, and each record's matrix is written in place.
 So every cohort must match the oracle's byte for byte: ids, demographics,
-labels, quiz responses (in insertion order) and sequence bytes.
+labels, quiz responses (in insertion order) and sequence bytes. The oracle
+builds float64 matrices and the generator uint8 ones, so the oracle's matrix
+is compared cast to uint8 (exact for 0/1 cells, which is checked), and the
+generator's dtype must be uint8.
 """
 
 import pathlib
@@ -79,22 +82,34 @@ CASES = {
 }
 
 
-def records_bytes(records):
+def as_uint8(matrix):
+    """The oracle's float64 matrix as the one byte per cell records keep; exact for 0/1 cells."""
+    stored = matrix.astype(np.uint8)
+    assert np.array_equal(stored, matrix)
+    return stored
+
+
+def records_bytes(records, stored=lambda matrix: matrix):
+    matrices = [stored(r.sequence) for r in records]
     return [(r.student_id, r.demographics, r.label, list(r.quiz_responses.items()),
-             r.sequence.dtype.str, r.sequence.shape, r.sequence.tobytes()) for r in records]
+             m.dtype.str, m.shape, m.tobytes()) for r, m in zip(records, matrices)]
+
+
+def assert_matches_oracle(cohort, seed):
+    got = records_bytes(generate_cohort(cohort, seed))
+    assert got == records_bytes(ref.generate_cohort(cohort, seed), as_uint8)
+    assert {dtype for *_, dtype, _, _ in got} == {np.dtype(np.uint8).str}
 
 
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_generator_matches_frozen_reference(name, seed):
-    cohort = CASES[name]
-    assert records_bytes(generate_cohort(cohort, seed)) == records_bytes(ref.generate_cohort(cohort, seed))
+    assert_matches_oracle(CASES[name], seed)
 
 
 @pytest.mark.parametrize("seed", [7, 314])
 def test_example_cohort_matches_frozen_reference(seed):
-    cohort = load_cohort_spec(str(EXAMPLE_SPEC))
-    assert records_bytes(generate_cohort(cohort, seed)) == records_bytes(ref.generate_cohort(cohort, seed))
+    assert_matches_oracle(load_cohort_spec(str(EXAMPLE_SPEC)), seed)
 
 
 def test_cases_reach_their_edges():
