@@ -260,10 +260,10 @@ def _content_digest(params: ModelParams, extra: bytes = b"") -> bytes:
 
 
 def fedavg_aggregate(locals_: list[tuple[ModelParams, float]]) -> ModelParams:
-    """Student-count-weighted mean of local models; exact identity for one client."""
+    """Weighted mean of local models (each weight over their total); exact identity for one client."""
     if not locals_:
         raise ValueError("cannot aggregate zero local models")
-    total = float(sum(count for _, count in locals_))
+    total = float(sum(weight for _, weight in locals_))
     if total <= 0:
         raise ValueError("total client weight must be positive")
     if len(locals_) == 1:
@@ -271,8 +271,8 @@ def fedavg_aggregate(locals_: list[tuple[ModelParams, float]]) -> ModelParams:
     # Canonical summation order keeps the result independent of list order.
     ordered = sorted(locals_, key=lambda item: _content_digest(item[0], repr(item[1]).encode()))
     acc = ordered[0][0].zeros_like()
-    for params, count in ordered:
-        acc = params_axpy(count / total, params, acc)
+    for params, weight in ordered:
+        acc = params_axpy(weight / total, params, acc)
     return acc
 
 
@@ -284,12 +284,10 @@ def fedatt_aggregate(
     """Pull the global model toward locals, weighted by per-layer parameter distance."""
     if not locals_:
         raise ValueError("cannot aggregate zero local models")
-    ordered = sorted(locals_, key=_content_digest)
+    diffs = [global_params - loc for loc in sorted(locals_, key=_content_digest)]
     names = global_params.names()
-    distances = np.array([
-        [float(np.linalg.norm(global_params[name] - loc[name])) for loc in ordered]
-        for name in names
-    ])  # (n_layers, n_clients)
+    distances = np.array([[float(np.linalg.norm(diff[name])) for diff in diffs]
+                          for name in names])  # (n_layers, n_clients)
     shifted = distances - distances.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     per_layer_alpha = expd / expd.sum(axis=1, keepdims=True)
@@ -299,31 +297,11 @@ def fedatt_aggregate(
         per_layer_alpha = np.tile(weights, (len(names), 1))
     elif cfg.mode != "per_layer":
         raise ValueError(f"AttnAggConfig.mode must be one of {AGG_MODES}, got {cfg.mode!r}")
-    new_layers = {}
-    for i, name in enumerate(names):
-        delta = np.zeros_like(global_params[name])
-        for j, loc in enumerate(ordered):
-            delta += per_layer_alpha[i, j] * (global_params[name] - loc[name])
-        new_layers[name] = global_params[name] - cfg.step * delta
-    return ModelParams(global_params.hidden_dim, global_params.input_dim, new_layers)
-
-
-def irt_aggregate(
-    locals_: dict[SubgroupKey, ModelParams],
-    confidence: dict[SubgroupKey, float],
-) -> ModelParams:
-    """Confidence-weighted sum of local models, summed in subgroup order."""
-    missing = [str(key) for key in locals_ if key not in confidence]
-    if missing:
-        raise ValueError(f"confidence weights missing for subgroups: {missing}")
-    weight_sum = sum(confidence[key] for key in locals_)
-    if abs(weight_sum - 1.0) > 1e-9:
-        raise ValueError(f"confidence weights must sum to 1, got {weight_sum}")
-    keys = sorted(locals_)
-    acc = locals_[keys[0]].zeros_like()
-    for key in keys:
-        acc = params_axpy(confidence[key], locals_[key], acc)
-    return acc
+    sizes = [global_params[name].size for name in names]
+    delta = global_params.zeros_like()
+    for diff, alpha in zip(diffs, np.repeat(per_layer_alpha, sizes, axis=0).T):
+        delta.flat += alpha * diff.flat
+    return global_params - cfg.step * delta
 
 
 def _aggregate(rule: str, global_params: ModelParams, updates: list[tuple[ClientState, ModelParams]],
@@ -332,9 +310,9 @@ def _aggregate(rule: str, global_params: ModelParams, updates: list[tuple[Client
         return updates[0][1]
     if rule == "count":
         return fedavg_aggregate([(params, client.count) for client, params in updates])
-    if rule == "attention":
-        return fedatt_aggregate(global_params, [params for _, params in updates], attn_cfg)
-    return irt_aggregate({client.key: params for client, params in updates}, confidence)
+    if rule == "irt":
+        return fedavg_aggregate([(params, confidence[client.key]) for client, params in updates])
+    return fedatt_aggregate(global_params, [params for _, params in updates], attn_cfg)
 
 
 def _fit_confidence(clients: list[ClientState]) -> dict[SubgroupKey, float]:

@@ -4,6 +4,12 @@ Abilities and difficulties maximize the L2-penalized Bernoulli log-likelihood
 by alternating damped Newton updates; the penalized objective is monotone
 non-decreasing by construction (each one-dimensional step backtracks until it
 improves). Difficulties are anchored to mean zero after fitting.
+
+The likelihood does not change when all abilities and difficulties shift
+together. Only the weak prior pins that shift, and the one-dimensional Newton
+steps crawl along it, so each iteration ends by shifting both blocks by their
+joint mean: the shift that minimizes the penalty (kept unless rounding lowers
+the objective).
 """
 
 from __future__ import annotations
@@ -81,11 +87,13 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
+def _log_likelihood(theta, b, responses, obs) -> float:
+    p = np.clip(_sigmoid(theta[:, None] - b[None, :]), 1e-12, 1.0 - 1e-12)
+    return float(np.where(obs, np.log(np.where(responses == 1.0, p, 1.0 - p)), 0.0).sum())
+
+
 def _penalized_ll(theta, b, responses, obs) -> float:
-    p = _sigmoid(theta[:, None] - b[None, :])
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    ll = np.where(obs, np.log(np.where(responses == 1.0, p, 1.0 - p)), 0.0).sum()
-    return float(ll - 0.5 * PRIOR_WEIGHT * (theta @ theta + b @ b))
+    return float(_log_likelihood(theta, b, responses, obs) - 0.5 * PRIOR_WEIGHT * (theta @ theta + b @ b))
 
 
 def _newton_block(values, before, grad_fn, objective_fn):
@@ -122,8 +130,7 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
     converged = False
 
     for _ in range(max_iters):
-        theta_old = theta.copy()
-        b_old = b.copy()
+        theta_old, b_old = theta, b  # every update below rebinds, never writes in place
 
         def theta_grad(values):
             p = _sigmoid(values[:, None] - b[None, :])
@@ -142,6 +149,10 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
 
         b, objective = _newton_block(b, objective, b_grad,
                                      lambda v: _penalized_ll(theta, v, filled, obs))
+        center = (theta.sum() + b.sum()) / (n_students + n_items)
+        centered = _penalized_ll(theta - center, b - center, filled, obs)
+        if centered >= objective:
+            theta, b, objective = theta - center, b - center, centered
         history.append(objective)
         change = max(np.abs(theta - theta_old).max(), np.abs(b - b_old).max())
         if change < tol:
@@ -151,12 +162,10 @@ def fit_rasch(matrix: ResponseMatrix, max_iters: int = 100, tol: float = 1e-6) -
     shift = b.mean()
     b = b - shift
     theta = theta - shift
-    p = np.clip(_sigmoid(theta[:, None] - b[None, :]), 1e-12, 1.0 - 1e-12)
-    raw_ll = np.where(obs, np.log(np.where(filled == 1.0, p, 1.0 - p)), 0.0).sum()
     return RaschFit(
         abilities={sid: float(t) for sid, t in zip(matrix.student_ids, theta)},
         difficulties={item: float(d) for item, d in zip(matrix.item_ids, b)},
-        mean_log_likelihood=float(raw_ll / obs.sum()),
+        mean_log_likelihood=_log_likelihood(theta, b, filled, obs) / int(obs.sum()),
         converged=converged,
         objective_history=history,
     )

@@ -188,29 +188,17 @@ def params_axpy(a: float, x: ModelParams, y: ModelParams) -> ModelParams:
 
 
 def params_norm(x: ModelParams) -> float:
-    """Euclidean norm of the whole collection, added layer by layer."""
-    total = 0.0
-    for arr in x.layers.values():
-        total += float(np.dot(arr.ravel(), arr.ravel()))
-    return math.sqrt(total)
-
-
-def params_dot(x: ModelParams, y: ModelParams) -> float:
-    x._check_congruent(y)
-    total = 0.0
-    for name in x.layers:
-        total += float(np.dot(x.layers[name].ravel(), y.layers[name].ravel()))
-    return total
+    """Euclidean norm of the whole collection."""
+    return math.sqrt(float(np.dot(x.flat, x.flat)))
 
 
 def params_cosine(x: ModelParams, y: ModelParams) -> float:
     """Cosine of the flattened parameter vectors; 0.0 when either side is zero."""
-    nx = params_norm(x)
-    ny = params_norm(y)
-    if nx == 0.0 or ny == 0.0:
+    x._check_congruent(y)
+    norms = params_norm(x) * params_norm(y)
+    if norms == 0.0:
         return 0.0
-    value = params_dot(x, y) / (nx * ny)
-    return max(-1.0, min(1.0, value))
+    return max(-1.0, min(1.0, float(np.dot(x.flat, y.flat)) / norms))
 
 
 def save_params(params: ModelParams, path: str) -> None:

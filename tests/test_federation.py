@@ -18,7 +18,6 @@ from fedstudent.federation import (
     adapt_for_eval,
     fedatt_aggregate,
     fedavg_aggregate,
-    irt_aggregate,
     local_update,
     meta_gradient,
     run_federation,
@@ -30,6 +29,7 @@ from fedstudent.splits import (
     DatasetSplit, SplitAssignment, SubgroupKey, build_fold_split, rng_for,
 )
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, kind_biased_transition
+from reference import federation_v0
 
 
 def random_params(k, d, seed, scale=1.0):
@@ -106,8 +106,10 @@ class TestFedavgAggregate:
         out = fedavg_aggregate([(self.p(1.0), 5), (self.p(3.0), 5)])
         assert out["head.b_l"][0] == pytest.approx(2.0)
 
-    def test_permutation_invariance(self):
-        items = [(random_params(2, 9, s), float(s + 1)) for s in range(4)]
+    @pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0, 4.0), (0.2704, 0.0813, 0.3861, 0.2622)])
+    def test_permutation_invariance(self, weights):
+        """Counts, and fractional weights such as FedIRT's confidences."""
+        items = [(random_params(2, 9, s), w) for s, w in enumerate(weights)]
         a = fedavg_aggregate(items)
         b = fedavg_aggregate(list(reversed(items)))
         for name in a.names():
@@ -170,19 +172,19 @@ class TestFedattAggregate:
         expected = -(w1 * (0.0 - 1.0) + w2 * (0.0 - 2.0))
         assert out["attn.p"][0] == pytest.approx(expected, rel=1e-9)
 
-    def test_weights_form_distribution_per_layer(self):
-        g = random_params(2, 9, 1)
-        locs = [random_params(2, 9, s) for s in range(2, 6)]
-        ordered = locs
-        names = g.names()
-        distances = np.array([
-            [float(np.linalg.norm(g[name] - loc[name])) for loc in ordered]
-            for name in names
-        ])
-        shifted = distances - distances.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        alpha = expd / expd.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
+    @pytest.mark.parametrize("mode", AGG_MODES)
+    def test_flat_sum_matches_the_per_layer_oracle_bit_for_bit(self, mode):
+        """One pass over the flat vector, each client's per-layer alpha repeated over its
+        layer, gives the bytes of the frozen layer-by-layer aggregation."""
+        rng = np.random.default_rng(AGG_MODES.index(mode))
+        for case in range(100):
+            k, d = int(rng.integers(1, 9)), int(rng.integers(8, 20))
+            g = random_params(k, d, 1000 * case)
+            locs = [random_params(k, d, 1000 * case + 1 + i, scale=rng.uniform(0.1, 3.0))
+                    for i in range(int(rng.integers(1, 5)))]
+            cfg = AttnAggConfig(step=float(rng.uniform(0.1, 2.0)), mode=mode)
+            out = fedatt_aggregate(g, locs, cfg)
+            assert out.flat.tobytes() == federation_v0.fedatt_aggregate(g, locs, cfg).flat.tobytes()
 
     def test_scalar_sum_mode_runs_and_differs(self):
         g = random_params(2, 9, 7)
@@ -361,19 +363,13 @@ class TestFedirtRound:
             blend["head.b_l"], [lam + (1 - lam), (1 - lam)], atol=1e-12
         )
 
-    def test_unnormalized_weights_rejected(self):
-        clients = clients_for(tiny_cohort())
-        weights = {c.key: 0.7 for c in clients}
-        g = random_params(6, N_VIDEOS + 7, 0)
-        with pytest.raises(ValueError, match="sum to 1"):
-            irt_aggregate({c.key: g for c in clients}, weights)
-
     def test_round_runs_and_aggregates(self):
         clients = clients_for(tiny_cohort())
         weights = {c.key: 1.0 / len(clients) for c in clients}
         g = random_params(6, N_VIDEOS + 7, 1, scale=0.2)
-        locals_ = {c.key: local_update("irt", g, c, range(1), 0, MetaConfig())[0] for c in clients}
-        out = irt_aggregate(locals_, weights)
+        locals_ = [(local_update("irt", g, c, range(1), 0, MetaConfig())[0], weights[c.key])
+                   for c in clients]
+        out = fedavg_aggregate(locals_)
         assert out.congruent(g)
         for c in clients:
             assert c.prev_model is not None

@@ -71,6 +71,22 @@ class TestFitRasch:
         history = np.array(fit.objective_history)
         assert np.all(np.diff(history) >= -1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_when_abilities_sit_off_centre(self, seed):
+        """A 250 x 6 table, 30% missing, abilities from N(1, 1.5^2): the likelihood is flat
+        along a common shift of abilities and difficulties, which only the prior pins, and
+        without re-centring the alternating steps crawl along it past max_iters."""
+        rng = np.random.default_rng(seed)
+        matrix, _, _ = simulate_matrix(250, 6, seed, theta=rng.normal(1.0, 1.5, size=250))
+        responses = matrix.responses.copy()
+        responses[rng.random(responses.shape) < 0.3] = np.nan
+        keep = ~np.isnan(responses).all(axis=1)
+        matrix = ResponseMatrix([s for s, k in zip(matrix.student_ids, keep) if k],
+                                matrix.item_ids, responses[keep])
+        fit = fit_rasch(matrix)
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_history) >= 0.0)
+
     def test_difficulties_anchored_to_zero_mean(self):
         matrix, _, _ = simulate_matrix(80, 12, seed=3)
         fit = fit_rasch(matrix)

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import pickle
 
 import numpy as np
@@ -85,6 +87,19 @@ def test_cosine_of_zero_vector_is_zero():
     x = random_params(3, 5, 0)
     z = ModelParams.zeros(3, 5)
     assert params_cosine(x, z) == 0.0
+
+
+def test_one_module_builds_a_model_from_layers():
+    """Only `params.py` calls `ModelParams(...)`, whose argument is a layer dict: every
+    other module builds a model by arithmetic on flat vectors, never layer by layer."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    callers = {
+        path.name for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ModelParams"
+    }
+    assert callers == {"params.py"}
 
 
 def test_shape_mismatch_rejected():
