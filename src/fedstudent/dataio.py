@@ -25,10 +25,11 @@ in file order, and its first failing rule wins (blank rows are skipped):
   5. timestamp is an integer;
   6. a watch kind has a video_index and a forum kind has none;
   7. student_id is in students.csv.
-Each student's events are then ordered by timestamp, ties in file order, and
-cut to the `max_sequence` most recent. Only the events kept are encoded and
-checked, students in students.csv order and events in time order, so a row
-that the cap drops breaks neither rule:
+Each row's event is encoded as it is read, and every row with the same video,
+slot and score shares one encoded event. Each student's events are then
+ordered by timestamp, ties in file order, and cut to the `max_sequence` most
+recent. Only the events kept are checked, students in students.csv order and
+events in time order, so a row that the cap drops breaks neither rule:
   8. a watch's video_index lies in [0, n_videos);
   9. a forum event has no outcome.
 """
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from operator import itemgetter
 
 from .activity import (
     DEFAULT_MAX_SEQUENCE,
@@ -84,6 +84,7 @@ def csv_rows(path: str, header: list[str], error: type[Exception]):
                 first = next(reader, None)
                 if first != header:
                     raise error(f"{path}:1: expected header {header}, got {first}")
+                line_no = 1
                 for line_no, row in enumerate(reader, start=2):
                     if row:
                         yield line_no, row
@@ -160,10 +161,20 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     return table
 
 
-def _read_events(path: str, table: dict[str, tuple[Demographics, int]]) -> dict[str, list]:
-    """Check each events.csv row (rules 1-7) and file it under its student
-    as (timestamp, line, video, slot, score), with a generic watch's slot resolved."""
-    per_student: dict[str, list] = {sid: [] for sid in table}
+def _read_events(path: str, table: dict[str, tuple[Demographics, int]],
+                 n_videos: int) -> dict[str, tuple[list[int], list[tuple]]]:
+    """Check each events.csv row (rules 1-7) and file it under its student as its
+    timestamp and its event (columns, video, score, problem), with a generic
+    watch's slot resolved.
+
+    Rows with the same (video, slot, score) share one event tuple, whose
+    `event_columns` are worked out when the triple is first read. A triple that
+    rule 8 or 9 refuses has no columns and its message as `problem`; each of
+    its rows gets a tuple of its own, whose message names `path:line`, raised
+    only if the row is kept. Otherwise `problem` is None.
+    """
+    per_student = {sid: ([], []) for sid in table}
+    shared: dict[tuple, tuple] = {}
     for line_no, row in csv_rows(path, EVENT_HEADER, IngestError):
         try:
             if len(row) != len(EVENT_HEADER):
@@ -185,10 +196,21 @@ def _read_events(path: str, table: dict[str, tuple[Demographics, int]]) -> dict[
                 raise ValueError(f"{kind} event must not carry a video_index")
         except ValueError as exc:
             raise IngestError(f"{path}:{line_no}: {exc}") from exc
-        events = per_student.get(sid)
-        if events is None:
+        filed = per_student.get(sid)
+        if filed is None:
             raise IngestError(f"{path}:{line_no}: event for unknown student {sid!r}")
-        events.append((ts, line_no, video, slot, score))
+        key = (video, slot, score)
+        event = shared.get(key)
+        if event is None:
+            try:
+                event = (event_columns(slot, video, score, n_videos), video, score, None)
+            except EncodingError as exc:
+                event = ((), video, score, str(exc))
+            shared[key] = event
+        if event[3] is not None:
+            event = ((), video, score, f"{path}:{line_no}: {event[3]}")
+        filed[0].append(ts)
+        filed[1].append(event)
     return per_student
 
 
@@ -203,28 +225,27 @@ def load_records(
     Students with no events are dropped with a warning.
     """
     table = read_students_csv(students_path)
-    per_student = _read_events(events_path, table)
+    per_student = _read_events(events_path, table, n_videos)
 
     records = []
     for sid, (demo, label) in table.items():
-        rows = per_student[sid]
-        if not rows:
+        timestamps, events = per_student[sid]
+        if not timestamps:
             logger.warning("student %s has no events; dropped", sid)
             continue
-        rows.sort(key=itemgetter(0))  # stable: tied timestamps keep file order
-        rows = rows[-max_sequence:]
+        # Stable: tied timestamps keep file order.
+        kept = sorted(range(len(timestamps)), key=timestamps.__getitem__)[-max_sequence:]
         hot_rows: list[int] = []
         hot_cols: list[int] = []
         quiz_responses: dict[int, int] = {}
-        for t, (_, line_no, video, slot, score) in enumerate(rows):
-            try:
-                columns = event_columns(slot, video, score, n_videos)
-            except EncodingError as exc:
-                raise IngestError(f"{events_path}:{line_no}: {exc}") from exc
+        for t, i in enumerate(kept):
+            columns, video, score, problem = events[i]
+            if problem is not None:
+                raise IngestError(problem)
             hot_rows += (t,) * len(columns)
             hot_cols += columns
             if score is not None:
                 quiz_responses.setdefault(video, score)
-        sequence = activity_matrix(len(rows), n_videos, hot_rows, hot_cols)
+        sequence = activity_matrix(len(kept), n_videos, hot_rows, hot_cols)
         records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))
     return records

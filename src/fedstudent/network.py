@@ -60,9 +60,9 @@ from .params import Gradients, ModelParams
 PROB_CLAMP = 1e-12
 # Rows per `score` chunk. A chunk's packed arrays hold one row per (step,
 # sequence) cell, so this bounds the scorer's memory. Scoring 2,000 students of
-# lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS thread, 16 rows
-# peaked at 3.6 MB (tracemalloc) and took 0.042-0.044 s, 64 rows 8.4 MB and
-# 0.031-0.034 s, one student at a time 0.33-0.52 s.
+# lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS thread (quartiles
+# of 21 runs), 16 rows peaked at 3.5 MB (tracemalloc) and took 0.035 s, 64 rows
+# 8.4 MB and 0.026 s, one student at a time 0.26-0.29 s.
 SCORE_CHUNK = 16
 # Multiply-adds per BLAS call up to which OpenBLAS runs a product on one thread:
 # its default gemm threshold, 65536 x GEMM_MULTITHREAD_THRESHOLD (4). Its gemv
@@ -176,29 +176,30 @@ def _run_gru(params: ModelParams, Xs: list[np.ndarray]):
     # Row (t, j) is row t of column j's sequence. The batch's one cast to float64.
     first = np.array(list(accumulate((lengths[i] for i in order[:-1]), initial=0)))
     X = np.concatenate([Xs[i] for i in order], dtype=np.float64).take(first[col] + step, axis=0)
-    # Every step's input projection before the recurrence, biases folded in. The
-    # gates' sigmoid is 0.5 * tanh(0.5 * x) + 0.5; its inner halving is folded into
-    # their input projection and recurrent weights, which is exact in binary.
+    # Every step's input projection before the recurrence, biases folded in, is
+    # where the gate arrays start; each step adds its recurrent product in place.
+    # The gates' sigmoid is 0.5 * tanh(0.5 * x) + 0.5; its inner halving is folded
+    # into their input projection and recurrent weights, which is exact in binary.
+    # ZR and C are two contiguous arrays: as views into one (N, 3k) buffer they
+    # give the same bits, but the backward pass then reads strided arrays and a
+    # `loss_and_gradient` call at B = 8 takes 11-20% longer.
+    b = params["gru.biases"]
     XW = _rows_times(X, W_in.T)
-    XW += params["gru.biases"]
-    XW[:, : 2 * k] *= 0.5
+    ZR = XW[:, : 2 * k] + b[: 2 * k]
+    ZR *= 0.5
+    C = XW[:, 2 * k:] + b[2 * k:]
+    del XW
     U_zr_T = 0.5 * U[: 2 * k].T
     U_c_T = U[2 * k:].T
-    N = len(col)
-    ZR = np.empty((N, 2 * k))
-    C = np.empty((N, k))
-    H = np.empty((N, k))
-    XW_zr, XW_c = XW[:, : 2 * k], XW[:, 2 * k:]
+    H = np.empty((len(col), k))
     h = np.zeros((active[0], k))
     for n, lo, hi in zip(active, offsets, offsets[1:]):
         h, zr, c, h_next = h[:n], ZR[lo:hi], C[lo:hi], H[lo:hi]
-        np.matmul(h, U_zr_T, out=zr)
-        zr += XW_zr[lo:hi]
+        zr += h @ U_zr_T
         np.tanh(zr, out=zr)
         zr *= 0.5
         zr += 0.5
-        np.matmul(zr[:, k:] * h, U_c_T, out=c)
-        c += XW_c[lo:hi]
+        c += (zr[:, k:] * h) @ U_c_T
         np.tanh(c, out=c)
         np.subtract(c, h, out=h_next)
         h_next *= zr[:, :k]

@@ -638,7 +638,12 @@ class TestReportCommand:
         ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01,0\n", 2,
          "n_runs must be a positive integer, got '0'"),
         ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01\n", 2, "expected 6 fields"),
-    ], ids=["header", "mean_auc", "std_auc_inf", "n_runs", "field_count"])
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\n" + "x" * 200_000 + ",G,G:M,0.7,0.01,5\n", 2,
+         "field larger than field limit (131072)"),
+        ("strategy,variable,subgroup,mean_auc,std_auc,n_runs\nFedAvg,G,G:M,0.7,0.01,5\n" + "x" * 200_000
+         + ",G,G:M,0.7,0.01,5\n", 3, "field larger than field limit (131072)"),
+    ], ids=["header", "mean_auc", "std_auc_inf", "n_runs", "field_count", "unparseable_line2",
+            "unparseable_line3"])
     def test_malformed_report_exits_1_naming_line(self, tmp_path, capsys, text, line, message):
         report = tmp_path / "report.csv"
         report.write_text(text)

@@ -180,3 +180,62 @@ def test_malformed_row_names_file_and_line(tmp_path, event_row, student_row, bad
     with pytest.raises(IngestError) as info:
         load_records(str(events), str(students), N_VIDEOS)
     assert str(info.value) == f"{bad}:3: {message}"
+
+
+# A field over the csv module's 131,072-character limit: the reader cannot parse its record.
+HUGE = "x" * 200_000
+
+
+@pytest.mark.parametrize("line", [2, 4])
+@pytest.mark.parametrize("bad_file", ["students", "events"])
+def test_unparseable_record_names_its_own_line(tmp_path, bad_file, line):
+    """Line 2 is the first record after the header, and is blamed as such, as any later line is."""
+    students_rows = ["s1,,,,1", "s2,,,,0", "s3,,,,1"]
+    event_rows = ["s1,0,forum_view,,,", "s2,0,forum_post,,,", "s3,0,forum_reply,,,"]
+    rows = students_rows if bad_file == "students" else event_rows
+    rows[line - 2] = f"s1,{HUGE},forum_view,,,"
+    events = tmp_path / "events.csv"
+    students = tmp_path / "students.csv"
+    events.write_text("student_id,timestamp,kind,video_index,points,max_points\n" + "\n".join(event_rows) + "\n")
+    students.write_text("student_id,gender,continent,birth_year,label\n" + "\n".join(students_rows) + "\n")
+    bad = events if bad_file == "events" else students
+    expected = f"{bad}:{line}: field larger than field limit (131072)"
+    if bad_file == "students":
+        with pytest.raises(IngestError) as info:
+            read_students_csv(str(students))
+        assert str(info.value) == expected
+    with pytest.raises(IngestError) as info:
+        load_records(str(events), str(students), N_VIDEOS)
+    assert str(info.value) == expected
+
+
+def test_rows_with_one_video_slot_and_score_share_one_encoding(tmp_path, monkeypatch):
+    """On the score-like file, `event_columns` runs once per distinct (video, slot,
+    score), however many rows carry it, and the records are the same as uncounted."""
+    from test_ingest_equivalence import CLEAN, RECORDS, SPEC, write_rows
+
+    import fedstudent.dataio as dataio
+
+    events = tmp_path / "events.csv"
+    students = tmp_path / "students.csv"
+    write_rows(events, CLEAN)
+    write_students_csv(RECORDS, str(students))
+    expected = load_records(str(events), str(students), SPEC.n_videos)
+    calls = []
+    encode = dataio.event_columns
+
+    def counted(slot, video, score, n_videos):
+        calls.append((video, slot, score))
+        return encode(slot, video, score, n_videos)
+
+    monkeypatch.setattr(dataio, "event_columns", counted)
+    loaded = load_records(str(events), str(students), SPEC.n_videos)
+
+    triples = set()
+    for _, _, kind, video, points, max_points in CLEAN[1:]:
+        score = int(points == max_points) if points != "" and max_points != "" else None
+        triples.add((int(video) if video != "" else None, KIND_SLOT[ActivityKind(kind)], score))
+    assert sorted(calls, key=repr) == sorted(triples, key=repr)
+    assert len(calls) < len(CLEAN) - 1 == sum(r.length for r in loaded)
+    assert [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in loaded] == \
+        [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in expected]

@@ -1,14 +1,14 @@
 """`dataio.load_records` against `reference.ingest_v0`, its dataclass-per-event predecessor.
 
-Ingest now parses each events.csv row straight to `event_columns`' arguments.
-On every file below, clean or faulty, it must do what the oracle does: build the
+Ingest now parses each events.csv row straight to `event_columns`' arguments,
+and rows with the same arguments share one encoded event. On every file below, clean or faulty, it must do what the oracle does: build the
 same records (order, ids, demographics, labels, sequence bytes and
 `quiz_responses` in insertion order) or raise an `IngestError` with the same
 text. The oracle builds float64 matrices and ingest uint8 ones, so the
 oracle's matrix is compared cast to uint8 (exact for 0/1 cells, which is
 checked), and ingest's dtype must be uint8. The faulty files are generated: each fault of `FAULTS` alone, pairs of
-faults in one row or in two rows, and faults in rows that the sequence cap
-drops.
+faults in one row or in two rows, faults in rows that the sequence cap
+drops, and one encoding fault in two rows that may share an event.
 """
 
 import csv
@@ -212,7 +212,32 @@ def _dropped_row_cases():
     return cases
 
 
-CASES = _single_cases() + _pair_cases() + _dropped_row_cases()
+def _shared_event_cases():
+    """Each fault caught only on encoding, in two rows whose events can share one
+    encoding, at caps None, 1 and 3.
+
+    The rows are placed so that the row to blame at cap 3 is not the first of
+    them in the file: the latest rows of two students, the one earlier in
+    students.csv later in the file; the two latest rows of one student, the
+    earlier in time later in the file; and a row the cap drops, ahead in the
+    file of another student's latest row.
+    """
+    per_student = {}
+    for line in _body_lines(TIED):
+        per_student.setdefault(TIED[line][0], []).append((int(TIED[line][1]), line))
+    in_time = [sorted(per_student[r.student_id]) for r in RECORDS if r.student_id in per_student]
+    two_students = next([a[-1][1], b[-1][1]] for i, a in enumerate(in_time) for b in in_time[i + 1:]
+                        if a[-1][1] > b[-1][1])
+    one_student = next([rows[-2][1], rows[-1][1]] for rows in in_time
+                       if len(rows) > 1 and rows[-2][1] > rows[-1][1])
+    dropped = next([a[0][1], b[-1][1]] for a in in_time if len(a) > 3 for b in in_time
+                   if b is not a and a[0][1] < b[-1][1])
+    layouts = {"two_students": two_students, "one_student": one_student, "dropped": dropped}
+    return [(f"{fault}-{layout}-{cap}", [(line, fault) for line in lines], cap, False)
+            for fault in CAUGHT_AFTER_CAP for layout, lines in layouts.items() for cap in (None, 1, 3)]
+
+
+CASES = _single_cases() + _pair_cases() + _dropped_row_cases() + _shared_event_cases()
 
 
 @pytest.mark.parametrize("faults_at, cap, must_load", [case[1:] for case in CASES],

@@ -5,15 +5,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
+import fedstudent.network as network
 from fedstudent.params import ModelParams, layer_shapes
 from fedstudent.network import (
     HEADS,
     SCORE_CHUNK,
     _forward,
+    _pack,
     _rows_gram,
     _rows_times,
     attention_pool,
@@ -641,3 +644,76 @@ class TestGradientWrittenInPlace:
                 _, grad = loss_and_gradient(params, head, Xs, targets, masks)
                 assert grad.flat.tobytes() == expected.flat.tobytes(), (seed, masks is None)
                 assert all(not grad[name].any() for name in other)
+
+
+def projection_kept_run_gru(params, Xs):
+    """`network._run_gru` as it was written when it kept the (N, 3k) input
+    projection beside the gate arrays and added its slices at each step."""
+    k = params.hidden_dim
+    W_in = params["gru.input_weights"]
+    U = params["gru.recurrent_weights"]
+    lengths = [X.shape[0] for X in Xs]
+    order, active, offsets, step, col = _pack(lengths)
+    first = np.array(list(accumulate((lengths[i] for i in order[:-1]), initial=0)))
+    X = np.concatenate([Xs[i] for i in order], dtype=np.float64).take(first[col] + step, axis=0)
+    XW = _rows_times(X, W_in.T)
+    XW += params["gru.biases"]
+    XW[:, : 2 * k] *= 0.5
+    U_zr_T = 0.5 * U[: 2 * k].T
+    U_c_T = U[2 * k:].T
+    N = len(col)
+    ZR = np.empty((N, 2 * k))
+    C = np.empty((N, k))
+    H = np.empty((N, k))
+    XW_zr, XW_c = XW[:, : 2 * k], XW[:, 2 * k:]
+    h = np.zeros((active[0], k))
+    for n, lo, hi in zip(active, offsets, offsets[1:]):
+        h, zr, c, h_next = h[:n], ZR[lo:hi], C[lo:hi], H[lo:hi]
+        np.matmul(h, U_zr_T, out=zr)
+        zr += XW_zr[lo:hi]
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        np.matmul(zr[:, k:] * h, U_c_T, out=c)
+        c += XW_c[lo:hi]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=h_next)
+        h_next *= zr[:, :k]
+        h_next += h
+        h = h_next
+    return order, active, offsets, col, X, ZR, C, H
+
+
+class TestGatesStartFromTheProjection:
+    """`_run_gru` builds its gate arrays from the input projection and adds each
+    step's recurrent product to them in place: the same products and the same
+    adds, so every byte is what the projection-keeping copy gives."""
+
+    def test_matches_the_projection_keeping_copy_bit_for_bit(self, monkeypatch):
+        k, d = 24, 19
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            lengths = rng.integers(1, 41, size=int(rng.integers(1, 17)))
+            if seed % 2 == 0:
+                Xs = [random_sequence(int(L), d, 1000 * seed + i).astype(np.uint8) for i, L in enumerate(lengths)]
+            else:
+                Xs = [rng.normal(size=(int(L), d)) for L in lengths]
+            params = random_params(k, d, seed, scale=0.5)
+            mask = make_dropout_mask(rng, (len(Xs), k), 0.5)
+            targets = {"outcome": [int(rng.integers(2)) for _ in Xs],
+                       "pretrain": [X[-1].astype(np.float64) for X in Xs]}
+            new, old = network._run_gru(params, Xs), projection_kept_run_gru(params, Xs)
+            assert new[:3] == old[:3], seed
+            for a, b in zip(new[3:], old[3:]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), seed
+            trace = _forward(params, Xs, "outcome")
+            assert trace.ZR.flags.c_contiguous and trace.C.flags.c_contiguous, seed
+            assert not np.shares_memory(trace.ZR, trace.C), seed
+            for head in HEADS:
+                for masks in (None, mask):
+                    loss, grad = loss_and_gradient(params, head, Xs, targets[head], masks)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(network, "_run_gru", projection_kept_run_gru)
+                        old_loss, old_grad = loss_and_gradient(params, head, Xs, targets[head], masks)
+                    assert loss == old_loss and grad.flat.tobytes() == old_grad.flat.tobytes(), \
+                        (seed, head, masks is None)
