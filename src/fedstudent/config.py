@@ -151,11 +151,11 @@ def violation(key: Key, value, name: str) -> str | None:
 class DatasetSource:
     kind: str                     # "generated" or "csv"
     spec_path: str | None = None
-    seed: int = 0
+    seed: int | None = None
     events_path: str | None = None
     students_path: str | None = None
     n_videos: int | None = None
-    max_sequence: int = DEFAULT_MAX_SEQUENCE
+    max_sequence: int | None = None
 
 
 @dataclass

@@ -4,8 +4,8 @@ Each subgroup profile drives a Markov walk over the seven activity kinds.
 Realized watch events pick a video from the profile's access distribution;
 watches on quiz videos resolve to correct/incorrect by a Bernoulli draw
 (noanswer passes through), watches elsewhere become noquiz. The pass label is
-sampled from a logistic model on the student's realized correct and forum
-fractions, so the label signal is carried by the sequence itself.
+drawn from the logistic of `pass_logit`, which reads the student's correct and
+forum fractions off the activity matrix the network sees.
 
 Every categorical choice is one `rng.random()` searched with `bisect_right` in
 the distribution's CDF, `p.cumsum() / p.cumsum()[-1]`, computed once per
@@ -25,6 +25,7 @@ from .activity import (
     DEFAULT_MAX_SEQUENCE,
     N_KINDS,
     N_WATCH,
+    SLOT_CORRECT,
     SLOT_NOANSWER,
     SLOT_NOQUIZ,
     VARIABLES,
@@ -220,6 +221,17 @@ class _ProfileTables:
                    [_cdf(row) for row in profile.transition], _cdf(profile.video_access))
 
 
+def pass_logit(profile: SubgroupProfile, sequence: np.ndarray) -> float:
+    """The logit of a student's pass probability under `profile`: its intercept, plus
+    its weights on the correct first attempts per watch and the forum events per
+    event, each kind counted once off the activity matrix `sequence`."""
+    counts = sequence[:, -N_KINDS:].sum(axis=0).tolist()
+    n_watch, n_correct, n_forum = sum(counts[:N_WATCH]), counts[SLOT_CORRECT], sum(counts[N_WATCH:])
+    return (profile.pass_intercept
+            + profile.pass_weight_correct * (n_correct / max(1, n_watch))
+            + profile.pass_weight_forum * (n_forum / len(sequence)))
+
+
 def _simulate_student(
     spec: CohortSpec,
     profile: SubgroupProfile,
@@ -227,6 +239,7 @@ def _simulate_student(
     student_id: str,
     rng: np.random.Generator,
 ) -> StudentRecord:
+    """One student's walk as its activity matrix, labelled by the logistic of its `pass_logit`."""
     length = _draw_length(profile, rng, spec.max_sequence)
     # First kind follows the profile's average transition row.
     kind_idx = bisect_right(tables.first_kind, rng.random())
@@ -236,14 +249,10 @@ def _simulate_student(
     hot_rows: list[int] = []
     hot_cols: list[int] = []
     quiz_responses: dict[int, int] = {}
-    n_watch = 0
-    n_correct = 0
-    n_forum = 0
     for t in range(length):
         slot = kind_idx
         video = score = None
         if slot < N_WATCH:
-            n_watch += 1
             video = bisect_right(tables.video, rng.random())
             if video not in spec.quiz_videos:
                 slot = SLOT_NOQUIZ
@@ -251,23 +260,13 @@ def _simulate_student(
                 correct = rng.random() < profile.quiz_correct_prob
                 score = int(correct)
                 quiz_responses.setdefault(video, score)
-                n_correct += score
-        else:
-            n_forum += 1
         columns = event_columns(slot, video, score, spec.n_videos)
         hot_rows.extend([t] * len(columns))
         hot_cols.extend(columns)
         rng.integers(1, 3600)
         kind_idx = bisect_right(tables.next_kind[kind_idx], rng.random())
-
-    correct_fraction = n_correct / max(1, n_watch)
-    forum_fraction = n_forum / length
-    logit = (
-        profile.pass_intercept
-        + profile.pass_weight_correct * correct_fraction
-        + profile.pass_weight_forum * forum_fraction
-    )
-    pass_prob = 1.0 / (1.0 + np.exp(-logit))
+    sequence = activity_matrix(length, spec.n_videos, hot_rows, hot_cols)
+    pass_prob = 1.0 / (1.0 + np.exp(-pass_logit(profile, sequence)))
     label = int(rng.random() < pass_prob)
 
     demo_rng_draw = rng.random()
@@ -279,7 +278,7 @@ def _simulate_student(
     return StudentRecord(
         student_id=student_id,
         demographics=demo,
-        sequence=activity_matrix(length, spec.n_videos, hot_rows, hot_cols),
+        sequence=sequence,
         quiz_responses=quiz_responses,
         label=label,
     )

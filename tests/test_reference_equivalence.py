@@ -26,6 +26,7 @@ Four further differences are expected:
   means and is now the last local epoch's mean student loss, as for FedAvg.
 """
 
+import ast
 import pathlib
 import re
 
@@ -180,6 +181,26 @@ def test_only_the_activity_encoder_allocates_an_activity_matrix():
             assert not allocation.search(text) and not scatter.search(text), path
     for stem in ("dataio", "synthgen"):
         assert len(callers.findall((package / f"{stem}.py").read_text(encoding="utf-8"))) == 1, stem
+
+
+def test_only_pass_logit_reads_the_pass_weights():
+    """`synthgen.pass_logit` owns the label rule: nothing else in the package reads a
+    profile's intercept or pass weights, past the `SubgroupProfile.<name>` defaults
+    of the `PROFILE_KEYS` rows."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    weights = {"pass_intercept", "pass_weight_correct", "pass_weight_forum"}
+    owner_reads = 0
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node) for fn in tree.body if path.stem == "synthgen"
+                 and isinstance(fn, ast.FunctionDef) and fn.name == "pass_logit" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in weights:
+                owned = id(node) in owner
+                owner_reads += owned
+                default = isinstance(node.value, ast.Name) and node.value.id == "SubgroupProfile"
+                assert owned or default, f"{path.name}:{node.lineno} reads {node.attr}"
+    assert owner_reads == len(weights)
 
 
 def test_src_does_not_import_reference():

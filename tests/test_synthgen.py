@@ -3,14 +3,21 @@ import re
 import numpy as np
 import pytest
 
-from fedstudent.activity import ActivityKind, KIND_SLOT, N_KINDS, demographic_group
-from fedstudent.splits import rng_for
+from fedstudent.activity import (
+    ActivityKind,
+    KIND_SLOT,
+    N_KINDS,
+    activity_matrix,
+    demographic_group,
+    event_columns,
+)
 from fedstudent.synthgen import (
     CohortSpec,
     CohortSpecError,
     SubgroupProfile,
     generate_cohort,
     kind_biased_transition,
+    pass_logit,
     profile_divergence,
     uniform_transition,
 )
@@ -232,6 +239,47 @@ class TestGenerateCohort:
         small = generate_cohort(spec_small, seed=21)
         large = generate_cohort(spec_large, seed=21)
         assert cohort_fingerprint(small) == cohort_fingerprint(large)[:3]
+
+
+def hand_built_matrix(events):
+    """The activity matrix of `events`, each a (kind, video, first-attempt score)."""
+    hot_rows, hot_cols = [], []
+    for t, (kind, video, score) in enumerate(events):
+        columns = event_columns(KIND_SLOT[kind], video, score, N_VIDEOS)
+        hot_rows.extend([t] * len(columns))
+        hot_cols.extend(columns)
+    return activity_matrix(len(events), N_VIDEOS, hot_rows, hot_cols)
+
+
+class TestPassLogit:
+    A, WC, WF = -0.7, 2.5, 1.3
+
+    def profile(self):
+        return make_profile(pass_intercept=self.A, pass_weight_correct=self.WC,
+                            pass_weight_forum=self.WF)
+
+    def mixed_matrix(self):
+        return hand_built_matrix([
+            (ActivityKind.WATCH_CORRECT, 0, 1),
+            (ActivityKind.WATCH_INCORRECT, 1, 0),
+            (ActivityKind.WATCH_NOQUIZ, 2, None),
+            (ActivityKind.FORUM_POST, None, None),
+            (ActivityKind.FORUM_VIEW, None, None),
+        ])
+
+    def test_fractions_count_each_kind_off_the_matrix(self):
+        # One correct first attempt in three watches; two forum events in five.
+        expected = self.A + self.WC * (1 / 3) + self.WF * (2 / 5)
+        assert pass_logit(self.profile(), self.mixed_matrix()) == expected
+
+    def test_no_watches_gives_a_zero_correct_fraction(self):
+        matrix = hand_built_matrix([(ActivityKind.FORUM_REPLY, None, None)] * 3)
+        assert pass_logit(self.profile(), matrix) == self.A + self.WF * 1.0
+
+    def test_float64_matrix_gives_the_same_float(self):
+        matrix = self.mixed_matrix()
+        profile = self.profile()
+        assert pass_logit(profile, matrix.astype(np.float64)) == pass_logit(profile, matrix)
 
 
 class TestProfileDivergence:
