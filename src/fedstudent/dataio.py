@@ -1,4 +1,6 @@
-"""CSV ingest and emission for events and student tables.
+"""CSV ingest and emission, and the only module that imports csv. `write_csv`
+writes every table but embeddings.csv, whose float vectors `write_vector_csv`
+joins as their shortest round-trip `repr`, the bytes the csv module writes.
 
 events.csv columns: student_id, timestamp, kind, video_index, points, max_points.
 students.csv columns: student_id, gender, continent, birth_year, label
@@ -37,6 +39,7 @@ events in time order, so a row that the cap drops breaks neither rule:
 from __future__ import annotations
 
 import csv
+import io
 import logging
 
 from .activity import (
@@ -100,6 +103,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_vector_csv(path: str, header: list[str], rows) -> None:
+    """Write `header`, then each (cells, vector) of `rows`, with at least one of each, as
+    `write_csv` writes `[*cells, *vector.tolist()]`: the floats as one join of their `repr`,
+    the cells by a default-dialect writer (another line terminator leaves "\\n" unquoted)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        for cells, vector in rows:
+            text.seek(0)
+            text.truncate()
+            writer.writerow([*cells, ""])  # ends in ",\r\n", so no lone empty cell is quoted
+            fh.write(f"{text.getvalue()[:-2]}{','.join(map(repr, vector.tolist()))}\r\n")
 
 
 def _event_rows(records: list[StudentRecord]):

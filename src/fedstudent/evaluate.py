@@ -16,7 +16,7 @@ import numpy as np
 
 from .activity import N_KINDS, StudentRecord
 from .config import check_plan
-from .dataio import csv_rows, write_csv
+from .dataio import csv_rows, write_csv, write_vector_csv
 from .federation import ExperimentPlan, FederationError, RoundRow, run_federation, scored_auc
 from .metrics import UndefinedAUCError
 from .network import score
@@ -326,6 +326,6 @@ def export_embeddings(
 
 
 def embeddings_to_csv(dump: EmbeddingDump, path: str) -> None:
-    write_csv(path, ["student_id", "subgroup"] + [f"h_{i + 1}" for i in range(dump.hidden_dim)],
-              ([sid, subgroup, *vector.tolist()] for sid, subgroup, vector in dump.rows))
+    write_vector_csv(path, ["student_id", "subgroup"] + [f"h_{i + 1}" for i in range(dump.hidden_dim)],
+                     (((sid, subgroup), vector) for sid, subgroup, vector in dump.rows))
 

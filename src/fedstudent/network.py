@@ -61,8 +61,8 @@ PROB_CLAMP = 1e-12
 # Rows per `score` chunk. A chunk's packed arrays hold one row per (step,
 # sequence) cell, so this bounds the scorer's memory. Scoring 2,000 students of
 # lengths up to 116 (k = 24) on a 2-vCPU Xeon VM with one BLAS thread (quartiles
-# of 21 runs), 16 rows peaked at 3.5 MB (tracemalloc) and took 0.035 s, 64 rows
-# 8.4 MB and 0.026 s, one student at a time 0.26-0.29 s.
+# of 21 runs), 16 rows peaked at 2.4 MB (tracemalloc) and took 0.035-0.037 s,
+# 64 rows 5.8 MB and 0.025-0.029 s, one student at a time 0.26-0.28 s.
 SCORE_CHUNK = 16
 # Multiply-adds per BLAS call up to which OpenBLAS runs a product on one thread:
 # its default gemm threshold, 65536 x GEMM_MULTITHREAD_THRESHOLD (4). Its gemv
@@ -309,6 +309,7 @@ def score(params: ModelParams, sequences: list[np.ndarray]) -> tuple[np.ndarray,
         trace = _forward(params, [sequences[i] for i in chunk], "outcome")
         p_pass[chunk] = trace.probs[:, 0]
         pooled[chunk] = trace.pooled
+        del trace  # so two chunks' packed arrays are never alive together
     return p_pass, pooled
 
 

@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import inspect
 import json
@@ -500,6 +501,25 @@ class TestDumpEmbeddings:
         lines = emb_path.read_text().splitlines()
         assert lines[0].split(",") == ["student_id", "subgroup"] + [f"h_{i+1}" for i in range(6)]
         assert len(lines) == 1 + 32
+
+    def test_dump_round_trips_every_float(self, tmp_path):
+        """Read back with csv.reader and float(), each row is `export_embeddings`' vector bit for bit."""
+        spec_path = tmp_path / "spec.json"
+        write_spec(spec_path)
+        data = tmp_path / "data"
+        main(["generate", "--spec", str(spec_path), "--seed", "6", "--out", str(data)])
+        model_path = tmp_path / "model.params"
+        save_params(ModelParams.initialized(6, N_VIDEOS + 7, np.random.default_rng(1)), str(model_path))
+        emb_path = tmp_path / "emb.csv"
+        assert main(["dump-embeddings", "--model", str(model_path), "--events", str(data / "events.csv"),
+                     "--students", str(data / "students.csv"), "--out", str(emb_path)]) == 0
+        records = load_records(str(data / "events.csv"), str(data / "students.csv"), n_videos=N_VIDEOS)
+        dump = evaluate.export_embeddings(load_params(str(model_path)), records, "G", False)
+        with open(emb_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [[sid, subgroup] for sid, subgroup, _ in dump.rows]
+        written = np.array([[float(cell) for cell in row[2:]] for row in rows])
+        assert written.tobytes() == np.array([vector for _, _, vector in dump.rows]).tobytes()
 
     def test_corrupt_model_exits_1(self, tmp_path, capsys):
         model_path = tmp_path / "model.params"

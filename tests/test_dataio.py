@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from fedstudent.dataio import (
     read_students_csv,
     write_events_csv,
     write_students_csv,
+    write_vector_csv,
 )
 from fedstudent.synthgen import CohortSpec, SubgroupProfile, generate_cohort, uniform_transition
 
@@ -239,3 +242,25 @@ def test_rows_with_one_video_slot_and_score_share_one_encoding(tmp_path, monkeyp
     assert len(calls) < len(CLEAN) - 1 == sum(r.length for r in loaded)
     assert [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in loaded] == \
         [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in expected]
+
+
+# Text cells the csv module must quote, or write bare, and floats whose text is
+# easy to get wrong.
+VECTOR_CELLS = [["s1", "G:F"], ["a,b", 'say "hi"'], ["one\ntwo", "cr\ronly"], ["crlf\r\nend", "x"],
+                ["", ""], [""], [" leading", "non-ASCII: é ✓"], ['"', ","]]
+ODD_FLOATS = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("cells", VECTOR_CELLS, ids=repr)
+def test_vector_rows_are_the_csv_module_bytes(tmp_path, cells):
+    """Each row is what `csv.writer(...).writerow([*cells, *floats])` writes in this interpreter."""
+    vectors = [np.array(ODD_FLOATS), np.array([1.5]), np.random.default_rng(3).normal(size=24)]
+    header = ["student_id", "subgroup", "h_1"]
+    path = tmp_path / "vectors.csv"
+    write_vector_csv(str(path), header, [(cells, vector) for vector in vectors])
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for vector in vectors:
+        writer.writerow([*cells, *vector.tolist()])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")

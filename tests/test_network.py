@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -447,6 +448,22 @@ class TestScore:
                 trace = _forward(params, [Xs[i] for i in chunk], "outcome")
                 assert p_pass[chunk].tobytes() == trace.probs[:, 0].tobytes()
                 assert pooled[chunk].tobytes() == trace.pooled.tobytes()
+
+    def test_frees_each_chunk_trace_before_the_next_forward(self, monkeypatch):
+        """Two chunks' packed arrays are never alive together."""
+        params = random_params(5, 11, 32, scale=0.8)
+        cohort = [random_sequence(L, 11, 300 + L) for L in range(1, 3 * SCORE_CHUNK + 1)]
+        forward, traces = network._forward, []
+
+        def checked_forward(*args):
+            assert all(ref() is None for ref in traces), "an earlier chunk's trace is alive"
+            trace = forward(*args)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(network, "_forward", checked_forward)
+        score(params, cohort)
+        assert len(traces) == 3
 
 
 # Runs a forward, a loss and gradient, and `score`, and prints a digest of every output's

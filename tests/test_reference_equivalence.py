@@ -203,6 +203,21 @@ def test_only_pass_logit_reads_the_pass_weights():
     assert owner_reads == len(weights)
 
 
+def test_only_dataio_imports_csv():
+    """`dataio` owns the CSV format: no other module of the package imports the csv module."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            if any(module.split(".")[0] == "csv" for module in modules):
+                importers.add(path.stem)
+    assert importers == {"dataio"}
+
+
 def test_src_does_not_import_reference():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     pattern = re.compile(r"^\s*(from|import)\s+(tests\.)?reference\b", re.MULTILINE)
