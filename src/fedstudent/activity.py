@@ -6,12 +6,15 @@ exactly one video bit and one watch bit; forum events set exactly one forum
 bit and nothing else. `event_columns` names one event's set bits, and
 `activity_matrix` writes a record's set bits into its matrix, one byte per
 cell: both record builders (the generator and CSV ingest) call the two.
+`row_events` reads each row back as its kind slot and video, and is the only
+code that splits a matrix into its video and kind blocks; `quiz_responses`
+reads a record's first-attempt quiz scores off it through `row_events`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,6 +105,31 @@ def activity_matrix(length: int, n_videos: int, hot_rows: list[int], hot_cols: l
     return sequence
 
 
+def row_events(sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the activity matrix `sequence` as its kind slot and its video index,
+    -1 for a forum row: the inverse of `event_columns` and `activity_matrix`.
+
+    Each row those build has one kind bit and, for a watch, one video bit, so
+    each is its block's argmax, in any numeric dtype.
+    """
+    n_videos = sequence.shape[1] - N_KINDS
+    slots = sequence[:, n_videos:].argmax(axis=1)
+    videos = np.where(slots < N_WATCH, sequence[:, :n_videos].argmax(axis=1), -1)
+    return slots, videos
+
+
+def quiz_responses(sequence: np.ndarray) -> dict[int, int]:
+    """Each quiz video's first-attempt score in the activity matrix `sequence`: 1 if
+    its first watch_correct or watch_incorrect row is correct, else 0. Videos come
+    in the order of their first such row."""
+    slots, videos = row_events(sequence)
+    responses: dict[int, int] = {}
+    for slot, video in zip(slots.tolist(), videos.tolist()):
+        if slot in (SLOT_CORRECT, SLOT_INCORRECT):
+            responses.setdefault(video, int(slot == SLOT_CORRECT))
+    return responses
+
+
 @dataclass(frozen=True)
 class Demographics:
     """Voluntarily provided attributes; None means the student left it unspecified."""
@@ -146,18 +174,19 @@ def demographic_group(demo: Demographics, variable: str) -> str | None:
 
 @dataclass
 class StudentRecord:
-    """One student: demographics, timestamp-ordered activities, quiz scores, pass label.
+    """One student: demographics, timestamp-ordered activities, pass label.
 
     `sequence` is the (L, n_videos + 7) matrix whose rows are the encoded
     activities, built once when the record is made. The generator and ingest
     build it as uint8 (`activity_matrix`); a matrix of any numeric dtype
-    works, since the network casts each batch to float64.
+    works, since the network casts each batch to float64. A quiz answer is
+    the watch_correct or watch_incorrect row of its video, which
+    `quiz_responses` reads.
     """
 
     student_id: str
     demographics: Demographics
     sequence: np.ndarray
-    quiz_responses: dict[int, int] = field(default_factory=dict)
     label: int = 0
 
     def __post_init__(self):

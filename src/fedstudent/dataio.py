@@ -1,6 +1,7 @@
 """CSV ingest and emission, and the only module that imports csv. `write_csv`
 writes every table but embeddings.csv, whose float vectors `write_vector_csv`
 joins as their shortest round-trip `repr`, the bytes the csv module writes.
+events.csv is written from each record's matrix, decoded by `activity.row_events`.
 
 events.csv columns: student_id, timestamp, kind, video_index, points, max_points.
 students.csv columns: student_id, gender, continent, birth_year, label
@@ -45,7 +46,6 @@ import logging
 from .activity import (
     DEFAULT_MAX_SEQUENCE,
     KIND_NAMES,
-    N_KINDS,
     N_WATCH,
     SLOT_CORRECT,
     SLOT_INCORRECT,
@@ -55,6 +55,7 @@ from .activity import (
     StudentRecord,
     activity_matrix,
     event_columns,
+    row_events,
     score_first_attempt,
 )
 
@@ -122,10 +123,8 @@ def write_vector_csv(path: str, header: list[str], rows) -> None:
 
 def _event_rows(records: list[StudentRecord]):
     for record in records:
-        n_videos = record.sequence.shape[1] - N_KINDS
-        slots = record.sequence[:, n_videos:].argmax(axis=1).tolist()
-        videos = record.sequence[:, :n_videos].argmax(axis=1).tolist()
-        for timestamp, (slot, video) in enumerate(zip(slots, videos)):
+        slots, videos = row_events(record.sequence)
+        for timestamp, (slot, video) in enumerate(zip(slots.tolist(), videos.tolist())):
             if slot < N_WATCH:
                 yield [record.student_id, timestamp, KIND_NAMES[slot], video,
                        *_WATCH_POINTS.get(slot, ("", ""))]
@@ -136,8 +135,8 @@ def _event_rows(records: list[StudentRecord]):
 def write_events_csv(records: list[StudentRecord], path: str) -> None:
     """Emit encoded records back to the raw-event format.
 
-    Kinds and video indices are recovered from the one-hot encoding, which is
-    always possible for generated cohorts.
+    Kinds and video indices are decoded from each row by `row_events`, which
+    is always possible for generated and ingested cohorts.
     """
     write_csv(path, EVENT_HEADER, _event_rows(records))
 
@@ -182,8 +181,7 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
 def _read_events(path: str, table: dict[str, tuple[Demographics, int]],
                  n_videos: int) -> dict[str, tuple[list[int], list[tuple]]]:
     """Check each events.csv row (rules 1-7) and file it under its student as its
-    timestamp and its event (columns, video, score, problem), with a generic
-    watch's slot resolved.
+    timestamp and its event (columns, problem), with a generic watch's slot resolved.
 
     Rows with the same (video, slot, score) share one event tuple, whose
     `event_columns` are worked out when the triple is first read. A triple that
@@ -221,12 +219,12 @@ def _read_events(path: str, table: dict[str, tuple[Demographics, int]],
         event = shared.get(key)
         if event is None:
             try:
-                event = (event_columns(slot, video, score, n_videos), video, score, None)
+                event = (event_columns(slot, video, score, n_videos), None)
             except EncodingError as exc:
-                event = ((), video, score, str(exc))
+                event = ((), str(exc))
             shared[key] = event
-        if event[3] is not None:
-            event = ((), video, score, f"{path}:{line_no}: {event[3]}")
+        if event[1] is not None:
+            event = ((), f"{path}:{line_no}: {event[1]}")
         filed[0].append(ts)
         filed[1].append(event)
     return per_student
@@ -255,15 +253,12 @@ def load_records(
         kept = sorted(range(len(timestamps)), key=timestamps.__getitem__)[-max_sequence:]
         hot_rows: list[int] = []
         hot_cols: list[int] = []
-        quiz_responses: dict[int, int] = {}
         for t, i in enumerate(kept):
-            columns, video, score, problem = events[i]
+            columns, problem = events[i]
             if problem is not None:
                 raise IngestError(problem)
             hot_rows += (t,) * len(columns)
             hot_cols += columns
-            if score is not None:
-                quiz_responses.setdefault(video, score)
         sequence = activity_matrix(len(kept), n_videos, hot_rows, hot_cols)
-        records.append(StudentRecord(sid, demo, sequence, quiz_responses, label))
+        records.append(StudentRecord(sid, demo, sequence, label))
     return records

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .activity import quiz_responses
 from .splits import SubgroupKey
 
 PRIOR_WEIGHT = 0.01  # quadratic penalty (PRIOR_WEIGHT/2) * sum of squares
@@ -56,19 +57,21 @@ class ResponseMatrix:
 
 
 def build_response_matrix(records) -> ResponseMatrix:
-    """Assemble a response table from student quiz maps: the students with any
-    response, and the quiz items any of them answered."""
-    kept = [r for r in records if r.quiz_responses]
+    """Assemble a response table from the quiz scores `quiz_responses` reads off each
+    record's sequence, read once per record: the students with any response, and
+    the quiz items any of them answered."""
+    read = [(r.student_id, quiz_responses(r.sequence)) for r in records]
+    kept = [(sid, responses) for sid, responses in read if responses]
     if not kept:
         raise ResponseMatrixError("no student has any quiz responses")
-    items = sorted({v for r in kept for v in r.quiz_responses})
+    items = sorted({v for _, responses in kept for v in responses})
     col = {v: j for j, v in enumerate(items)}
     table = np.full((len(kept), len(items)), np.nan)
-    for i, record in enumerate(kept):
-        for video, score in record.quiz_responses.items():
+    for i, (_, responses) in enumerate(kept):
+        for video, score in responses.items():
             table[i, col[video]] = float(score)
     return ResponseMatrix(
-        student_ids=[r.student_id for r in kept],
+        student_ids=[sid for sid, _ in kept],
         item_ids=items,
         responses=table,
     )

@@ -34,6 +34,7 @@ from .activity import (
     StudentRecord,
     activity_matrix,
     event_columns,
+    row_events,
 )
 from .config import REQUIRED, Key, json_value, load_json, violation, write_json
 from .splits import canonical_groups, rng_for
@@ -225,7 +226,7 @@ def pass_logit(profile: SubgroupProfile, sequence: np.ndarray) -> float:
     """The logit of a student's pass probability under `profile`: its intercept, plus
     its weights on the correct first attempts per watch and the forum events per
     event, each kind counted once off the activity matrix `sequence`."""
-    counts = sequence[:, -N_KINDS:].sum(axis=0).tolist()
+    counts = np.bincount(row_events(sequence)[0], minlength=N_KINDS).tolist()
     n_watch, n_correct, n_forum = sum(counts[:N_WATCH]), counts[SLOT_CORRECT], sum(counts[N_WATCH:])
     return (profile.pass_intercept
             + profile.pass_weight_correct * (n_correct / max(1, n_watch))
@@ -248,7 +249,6 @@ def _simulate_student(
     rng.integers(0, 86_400)
     hot_rows: list[int] = []
     hot_cols: list[int] = []
-    quiz_responses: dict[int, int] = {}
     for t in range(length):
         slot = kind_idx
         video = score = None
@@ -257,9 +257,7 @@ def _simulate_student(
             if video not in spec.quiz_videos:
                 slot = SLOT_NOQUIZ
             elif slot != SLOT_NOANSWER:
-                correct = rng.random() < profile.quiz_correct_prob
-                score = int(correct)
-                quiz_responses.setdefault(video, score)
+                score = int(rng.random() < profile.quiz_correct_prob)
         columns = event_columns(slot, video, score, spec.n_videos)
         hot_rows.extend([t] * len(columns))
         hot_cols.extend(columns)
@@ -279,7 +277,6 @@ def _simulate_student(
         student_id=student_id,
         demographics=demo,
         sequence=sequence,
-        quiz_responses=quiz_responses,
         label=label,
     )
 

@@ -52,10 +52,6 @@ class TrackedRecord:
         return self._record.student_id
 
     @property
-    def quiz_responses(self):
-        return self._record.quiz_responses
-
-    @property
     def sequence(self):
         self._monitor.record(self._record.student_id, "sequence")
         return self._record.sequence

@@ -6,7 +6,9 @@ row; `load_records` then encodes each student's capped sequence event by event
 with `event_columns`, which took an `ActivityKind` then. The package's ingest
 must build the same records and raise the same `IngestError` text. The two
 dataclasses are frozen here and also serve `synthgen_v0`. So is the header
-check, whose message the package's reader has since extended with line 1.
+check, whose message the package's reader has since extended with line 1, and
+`StudentRecord` as it was when it also stored each student's `quiz_responses`,
+which the package now reads off the sequence.
 """
 
 from __future__ import annotations
@@ -24,13 +26,25 @@ from fedstudent.activity import (
     N_KINDS,
     WATCH_KINDS,
     ActivityKind,
+    Demographics,
     EncodingError,
-    StudentRecord,
     score_first_attempt,
 )
 from fedstudent.dataio import EVENT_HEADER, IngestError, read_students_csv
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class StudentRecord:
+    """One student as records were built then: five fields, the first-attempt quiz
+    score of each quiz video stored beside the sequence."""
+
+    student_id: str
+    demographics: Demographics
+    sequence: np.ndarray
+    quiz_responses: dict[int, int]
+    label: int
 
 
 def _require_header(row, expected, path):

@@ -5,7 +5,8 @@ call, and every event becomes an `ActivityEvent`, an optional `QuizOutcome` and
 a one-hot vector, stacked into the record's sequence matrix. The package's
 generator must produce the same records, byte for byte. `encode_event`, which
 the package no longer has, is frozen here with the generator; the two event
-dataclasses, also gone from the package, are frozen in `ingest_v0`.
+dataclasses and the five-field `StudentRecord`, also gone from the package,
+are frozen in `ingest_v0`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from fedstudent.activity import (
     WATCH_KINDS,
     ActivityKind,
     Demographics,
-    StudentRecord,
 )
 from fedstudent.splits import rng_for
 from fedstudent.synthgen import CohortSpec, CohortSpecError, SubgroupProfile
 
-from .ingest_v0 import ActivityEvent, QuizOutcome
+from .ingest_v0 import ActivityEvent, QuizOutcome, StudentRecord
 
 KIND_ORDER = WATCH_KINDS + FORUM_KINDS
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from fedstudent.activity import (
     Demographics,
     EncodingError,
     StudentRecord,
+    activity_matrix,
     demographic_group,
     event_columns,
+    quiz_responses,
+    row_events,
     score_first_attempt,
     year_band,
 )
@@ -98,6 +103,68 @@ class TestEncodeEvent:
                 assert row.sum() == 1
 
 
+def matrix_of(events, n_videos=5):
+    """The uint8 activity matrix of `events`, each a (kind, video, first-attempt score)."""
+    hot_rows, hot_cols = [], []
+    for t, (kind, video, score) in enumerate(events):
+        cols = columns(kind, video, score, n_videos)
+        hot_rows += [t] * len(cols)
+        hot_cols += cols
+    return activity_matrix(len(events), n_videos, hot_rows, hot_cols)
+
+
+K = ActivityKind
+MIXED = [
+    (K.WATCH_CORRECT, 3, 1),
+    (K.FORUM_POST, None, None),
+    (K.WATCH_INCORRECT, 0, 0),
+    (K.WATCH_CORRECT, 3, 0),       # a second attempt at video 3 is not its first
+    (K.WATCH_NOANSWER, 1, None),
+    (K.WATCH_NOQUIZ, 4, None),
+    (K.FORUM_VIEW, None, None),
+    (K.WATCH_CORRECT, 0, 1),       # nor at video 0
+    (K.FORUM_REPLY, None, None),
+    (K.WATCH_CORRECT, 2, 1),
+]
+
+
+class TestRowEvents:
+    def test_decodes_each_rows_slot_and_video(self):
+        slots, videos = row_events(matrix_of(MIXED))
+        # A watch with a score resolves to correct or incorrect by the score.
+        assert slots.tolist() == [1, 4, 2, 2, 3, 0, 6, 1, 5, 1]
+        assert videos.tolist() == [3, -1, 0, 3, 1, 4, -1, 0, -1, 2]
+
+    def test_inverts_every_encodable_event(self):
+        n_videos = 3
+        for kind in ActivityKind:
+            watch = KIND_SLOT[kind] < 4
+            for video in (range(n_videos) if watch else [None]):
+                for score in ((None, 0, 1) if watch else [None]):
+                    cols = columns(kind, video, score, n_videos)
+                    slots, videos = row_events(matrix_of([(kind, video, score)], n_videos))
+                    assert slots.tolist() == [cols[-1] - n_videos]
+                    assert videos.tolist() == [video if watch else -1]
+
+
+class TestQuizResponses:
+    def test_first_scored_row_of_each_video_in_row_order(self):
+        responses = quiz_responses(matrix_of(MIXED))
+        assert list(responses.items()) == [(3, 1), (0, 0), (2, 1)]
+
+    def test_unscored_watches_and_forum_rows_add_none(self):
+        events = [(K.WATCH_NOANSWER, 1, None), (K.WATCH_NOQUIZ, 2, None),
+                  (K.FORUM_POST, None, None), (K.FORUM_REPLY, None, None), (K.FORUM_VIEW, None, None)]
+        assert quiz_responses(matrix_of(events)) == {}
+        assert quiz_responses(matrix_of(events + [(K.WATCH_NOQUIZ, 1, 0)])) == {1: 0}
+
+    def test_float64_copy_gives_the_same_results(self):
+        matrix = matrix_of(MIXED)
+        for got, want in zip(row_events(matrix.astype(np.float64)), row_events(matrix)):
+            assert np.array_equal(got, want)
+        assert list(quiz_responses(matrix.astype(np.float64)).items()) == list(quiz_responses(matrix).items())
+
+
 class TestDemographics:
     def test_year_bands(self):
         assert year_band(1980) == "le1980"
@@ -128,3 +195,7 @@ class TestStudentRecord:
         row = encode(ActivityKind.FORUM_VIEW, None, None, 4)
         rec = StudentRecord("s", Demographics(), sequence=np.stack([row, row]), label=1)
         assert rec.length == 2
+
+    def test_stores_four_fields(self):
+        assert [f.name for f in dataclasses.fields(StudentRecord)] == \
+            ["student_id", "demographics", "sequence", "label"]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fedstudent.activity import KIND_SLOT, ActivityKind
+from fedstudent.activity import KIND_SLOT, ActivityKind, quiz_responses
 from fedstudent.dataio import (
     IngestError,
     load_records,
@@ -43,7 +43,7 @@ class TestRoundTrip:
             restored = by_id[original.student_id]
             assert restored.label == original.label
             assert restored.length == original.length
-            assert restored.quiz_responses == original.quiz_responses
+            assert quiz_responses(restored.sequence) == quiz_responses(original.sequence)
             for a, b in zip(original.sequence, restored.sequence):
                 assert np.array_equal(a, b)
 
@@ -75,13 +75,14 @@ class TestRoundTrip:
                 assert np.array_equal(a, b)
 
 
-def load_events(tmp_path, events_text):
-    """The records `load_records` builds from `events_text` and a one-student table (s1)."""
+def load_events(tmp_path, events_text, **options):
+    """The records `load_records` builds, with `options`, from `events_text` and a
+    one-student table (s1)."""
     events = tmp_path / "events.csv"
     students = tmp_path / "students.csv"
     events.write_text(events_text)
     students.write_text("student_id,gender,continent,birth_year,label\ns1,,,,1\n")
-    return load_records(str(events), str(students), N_VIDEOS)
+    return load_records(str(events), str(students), N_VIDEOS, **options)
 
 
 class TestReaders:
@@ -102,7 +103,18 @@ class TestReaders:
                                "s1,1,watch,2,,\n")
         slots = [int(row[N_VIDEOS:].argmax()) for row in record.sequence]
         assert slots == [KIND_SLOT[ActivityKind.WATCH_CORRECT], KIND_SLOT[ActivityKind.WATCH_NOQUIZ]]
-        assert record.quiz_responses == {1: 1}
+        assert quiz_responses(record.sequence) == {1: 1}
+
+    def test_a_row_the_cap_drops_leaves_no_response(self, tmp_path):
+        text = ("student_id,timestamp,kind,video_index,points,max_points\n"
+                "s1,0,watch_correct,3,1.0,1.0\n"
+                "s1,1,watch_incorrect,1,0.0,1.0\n"
+                "s1,2,watch_correct,1,1.0,1.0\n"
+                "s1,3,forum_post,,,\n")
+        [whole] = load_events(tmp_path, text)
+        [capped] = load_events(tmp_path, text, max_sequence=3)
+        assert list(quiz_responses(whole.sequence).items()) == [(3, 1), (1, 0)]
+        assert list(quiz_responses(capped.sequence).items()) == [(1, 0)]
 
     def test_student_table_parses_blanks_as_unspecified(self, tmp_path):
         path = tmp_path / "students.csv"
@@ -240,8 +252,8 @@ def test_rows_with_one_video_slot_and_score_share_one_encoding(tmp_path, monkeyp
         triples.add((int(video) if video != "" else None, KIND_SLOT[ActivityKind(kind)], score))
     assert sorted(calls, key=repr) == sorted(triples, key=repr)
     assert len(calls) < len(CLEAN) - 1 == sum(r.length for r in loaded)
-    assert [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in loaded] == \
-        [(r.student_id, r.sequence.tobytes(), r.quiz_responses) for r in expected]
+    assert [(r.student_id, r.sequence.tobytes(), quiz_responses(r.sequence)) for r in loaded] == \
+        [(r.student_id, r.sequence.tobytes(), quiz_responses(r.sequence)) for r in expected]
 
 
 # Text cells the csv module must quote, or write bare, and floats whose text is

@@ -147,7 +147,7 @@ class TestExecuteRun:
 
     def test_no_test_reads_during_training(self):
         records = small_cohort()
-        for strategy in ("FedAvg", "PerFedAttn", "Local"):
+        for strategy in ("FedAvg", "PerFedAttn", "Local", "FedIRT"):
             outcome = execute_run(records, small_plan(), strategy, 0, 0)
             assert count_test_reads(outcome) == 0
 

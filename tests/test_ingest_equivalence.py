@@ -1,14 +1,17 @@
 """`dataio.load_records` against `reference.ingest_v0`, its dataclass-per-event predecessor.
 
 Ingest now parses each events.csv row straight to `event_columns`' arguments,
-and rows with the same arguments share one encoded event. On every file below, clean or faulty, it must do what the oracle does: build the
-same records (order, ids, demographics, labels, sequence bytes and
-`quiz_responses` in insertion order) or raise an `IngestError` with the same
-text. The oracle builds float64 matrices and ingest uint8 ones, so the
-oracle's matrix is compared cast to uint8 (exact for 0/1 cells, which is
-checked), and ingest's dtype must be uint8. The faulty files are generated: each fault of `FAULTS` alone, pairs of
-faults in one row or in two rows, faults in rows that the sequence cap
-drops, and one encoding fault in two rows that may share an event.
+and rows with the same arguments share one encoded event. On every file below,
+clean or faulty, it must do what the oracle does: build the same records
+(order, ids, demographics, labels, sequence bytes and quiz responses in
+insertion order) or raise an `IngestError` with the same text. The oracle
+stores each record's `quiz_responses`; ingest's records keep none, so
+`activity.quiz_responses` reads them off the ingested matrix. The oracle builds
+float64 matrices and ingest uint8 ones, so the oracle's matrix is compared cast
+to uint8 (exact for 0/1 cells, which is checked), and ingest's dtype must be
+uint8. The faulty files are generated: each fault of `FAULTS` alone, pairs of
+faults in one row or in two rows, faults in rows that the sequence cap drops,
+and one encoding fault in two rows that may share an event.
 """
 
 import csv
@@ -19,6 +22,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from fedstudent.activity import quiz_responses
 from fedstudent.dataio import (
     EVENT_HEADER,
     IngestError,
@@ -85,9 +89,10 @@ def as_uint8(matrix):
     return stored
 
 
-def outcome(loader, events, students, cap, stored=lambda matrix: matrix):
+def outcome(loader, events, students, cap, stored=lambda matrix: matrix,
+            responses=lambda r: quiz_responses(r.sequence)):
     """What `loader` makes of the files: the error text, or every record in plain
-    form, its matrix as `stored` gives it."""
+    form, its matrix as `stored` gives it and its quiz responses as `responses` does."""
     kwargs = {} if cap is None else {"max_sequence": cap}
     try:
         records = loader(str(events), str(students), SPEC.n_videos, **kwargs)
@@ -95,7 +100,7 @@ def outcome(loader, events, students, cap, stored=lambda matrix: matrix):
         return ("error", str(exc))
     matrices = [stored(r.sequence) for r in records]
     return ("records", [(r.student_id, r.demographics, r.label, m.shape, m.dtype.str,
-                         m.tobytes(), list(r.quiz_responses.items())) for r, m in zip(records, matrices)])
+                         m.tobytes(), list(responses(r).items())) for r, m in zip(records, matrices)])
 
 
 def write_rows(path, rows):
@@ -108,7 +113,7 @@ def assert_matches_oracle(tmp_path, rows, cap):
     students = tmp_path / "students.csv"
     write_rows(events, rows)
     write_students_csv(RECORDS, str(students))
-    expected = outcome(ref.load_records, events, students, cap, as_uint8)
+    expected = outcome(ref.load_records, events, students, cap, as_uint8, lambda r: r.quiz_responses)
     assert outcome(load_records, events, students, cap) == expected
     return expected
 

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+from fedstudent.activity import (
+    KIND_SLOT,
+    SLOT_CORRECT,
+    SLOT_INCORRECT,
+    SLOT_NOANSWER,
+    SLOT_NOQUIZ,
+    ActivityKind,
+    Demographics,
+    StudentRecord,
+    activity_matrix,
+    event_columns,
+)
 from fedstudent.irt import (
     PRIOR_WEIGHT,
     RaschFit,
@@ -12,6 +24,7 @@ from fedstudent.irt import (
     irt_confidence,
 )
 from fedstudent.splits import SubgroupKey
+from fedstudent.tracking import AccessMonitor, track_records
 
 
 def simulate_matrix(n_students, n_items, seed, theta=None, b=None):
@@ -156,27 +169,43 @@ class TestIrtConfidence:
         assert weights[SubgroupKey("G", "F")] == pytest.approx(e2 / (e1 + e2), rel=1e-9)
 
 
-class TestBuildResponseMatrix:
-    def test_builds_from_records(self):
-        class Rec:
-            def __init__(self, sid, responses):
-                self.student_id = sid
-                self.quiz_responses = responses
+def quiz_record(sid, events, n_videos=4):
+    """A record whose matrix holds `events`, each a (kind slot, video, first-attempt score)."""
+    hot_rows, hot_cols = [], []
+    for t, (slot, video, score) in enumerate(events):
+        columns = event_columns(slot, video, score, n_videos)
+        hot_rows += [t] * len(columns)
+        hot_cols += columns
+    return StudentRecord(sid, Demographics(), activity_matrix(len(events), n_videos, hot_rows, hot_cols))
 
-        records = [Rec("a", {0: 1, 2: 0}), Rec("b", {2: 1}), Rec("c", {})]
-        matrix = build_response_matrix(records)
+
+class TestBuildResponseMatrix:
+    def records(self):
+        return [
+            quiz_record("a", [(SLOT_CORRECT, 0, 1), (SLOT_INCORRECT, 2, 0), (SLOT_CORRECT, 0, 0)]),
+            quiz_record("b", [(SLOT_NOQUIZ, 1, None), (SLOT_CORRECT, 2, 1)]),
+            quiz_record("c", [(SLOT_NOANSWER, 3, None), (KIND_SLOT[ActivityKind.FORUM_POST], None, None)]),
+        ]
+
+    def test_builds_from_records(self):
+        matrix = build_response_matrix(self.records())
         assert matrix.student_ids == ["a", "b"]
         assert matrix.item_ids == [0, 2]
-        assert matrix.responses[0, 0] == 1.0
+        assert matrix.responses[0, 0] == 1.0  # the first attempt, not the later miss
+        assert matrix.responses[0, 1] == 0.0
         assert np.isnan(matrix.responses[1, 0])
+        assert matrix.responses[1, 1] == 1.0
 
     def test_no_responses_rejected(self):
-        class Rec:
-            student_id = "a"
-            quiz_responses = {}
-
         with pytest.raises(ResponseMatrixError):
-            build_response_matrix([Rec()])
+            build_response_matrix([quiz_record("a", [(SLOT_NOQUIZ, 0, None)])])
+
+    def test_reads_each_tracked_sequence_once_in_the_current_phase(self):
+        monitor = AccessMonitor()
+        tracked = track_records(self.records(), monitor)
+        with monitor.phase("train"):
+            build_response_matrix(list(tracked.values()))
+        assert monitor.counts == {("train", sid, "sequence"): 1 for sid in "abc"}
 
 
 def two_log_ll(theta, b, filled, obs):

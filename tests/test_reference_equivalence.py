@@ -203,6 +203,45 @@ def test_only_pass_logit_reads_the_pass_weights():
     assert owner_reads == len(weights)
 
 
+def test_only_row_events_decodes_an_activity_matrix():
+    """`activity.row_events` is the one decoder of a record's matrix: no other code
+    computes `shape[1] - N_KINDS` or slices a matrix at `n_videos` or `N_KINDS`
+    columns, and `dataio` and `synthgen` each call it. `quiz_responses` is named
+    only where `activity` defines it and where `irt` calls it: no record stores it."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    layout = {"n_videos", "N_KINDS"}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
+
+    decoder_cuts = 0
+    quiz_names = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decoder = {id(node) for fn in tree.body if path.stem == "activity"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "row_events" for node in ast.walk(fn)}
+        calls = 0
+        for node in ast.walk(tree):
+            cut = (isinstance(node, ast.Slice) and (names(node.lower) | names(node.upper)) & layout
+                   or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                   and "N_KINDS" in names(node.right)
+                   and any(isinstance(n, ast.Attribute) and n.attr == "shape" for n in ast.walk(node.left)))
+            if cut:
+                assert id(node) in decoder, f"{path.name}:{node.lineno} splits an activity matrix"
+                decoder_cuts += 1
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "row_events":
+                calls += 1
+            if isinstance(node, ast.FunctionDef) and node.name == "quiz_responses":
+                quiz_names.add((path.stem, "def", node in tree.body))
+            elif isinstance(node, ast.Name) and node.id == "quiz_responses" \
+                    or isinstance(node, ast.Attribute) and node.attr == "quiz_responses":
+                quiz_names.add((path.stem, type(node.ctx).__name__, None))
+        if path.stem in ("dataio", "synthgen"):
+            assert calls >= 1, f"{path.name} does not call row_events"
+    assert decoder_cuts == 3
+    assert quiz_names == {("activity", "def", True), ("irt", "Load", None)}
+
+
 def test_only_dataio_imports_csv():
     """`dataio` owns the CSV format: no other module of the package imports the csv module."""
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"

@@ -10,6 +10,8 @@ from fedstudent.activity import (
     activity_matrix,
     demographic_group,
     event_columns,
+    quiz_responses,
+    row_events,
 )
 from fedstudent.synthgen import (
     CohortSpec,
@@ -61,8 +63,7 @@ def activity_heatmap(records, n_steps):
     counts = np.zeros((N_KINDS, n_steps))
     active = np.zeros(n_steps)
     for record in records:
-        n_videos = record.sequence.shape[1] - N_KINDS
-        slots = record.sequence[:n_steps, n_videos:].argmax(axis=1)
+        slots, _ = row_events(record.sequence[:n_steps])
         counts[slots, np.arange(len(slots))] += 1.0
         active[:len(slots)] += 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -72,7 +73,7 @@ def activity_heatmap(records, n_steps):
 def cohort_fingerprint(records):
     parts = []
     for r in records:
-        parts.append((r.student_id, r.label, r.sequence.tobytes(), tuple(sorted(r.quiz_responses.items()))))
+        parts.append((r.student_id, r.label, r.sequence.tobytes(), tuple(sorted(quiz_responses(r.sequence).items()))))
     return parts
 
 
@@ -101,7 +102,7 @@ class TestGenerateCohort:
             for row in record.sequence:
                 if row[:N_VIDEOS].sum() == 1:  # watch event
                     assert row[N_VIDEOS + correct_slot] == 1.0
-            assert all(v == 1 for v in record.quiz_responses.values())
+            assert all(v == 1 for v in quiz_responses(record.sequence).values())
 
     def test_very_negative_intercept_suppresses_passing(self):
         profile = make_profile(

@@ -6,7 +6,9 @@ So every cohort must match the oracle's byte for byte: ids, demographics,
 labels, quiz responses (in insertion order) and sequence bytes. The oracle
 builds float64 matrices and the generator uint8 ones, so the oracle's matrix
 is compared cast to uint8 (exact for 0/1 cells, which is checked), and the
-generator's dtype must be uint8.
+generator's dtype must be uint8. The oracle stores each record's quiz
+responses; the package's records keep none, so `activity.quiz_responses`
+reads them off the generated matrix.
 """
 
 import pathlib
@@ -14,7 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fedstudent.activity import Demographics
+from fedstudent.activity import Demographics, quiz_responses
 from fedstudent.synthgen import (
     CohortSpec,
     SubgroupProfile,
@@ -89,15 +91,15 @@ def as_uint8(matrix):
     return stored
 
 
-def records_bytes(records, stored=lambda matrix: matrix):
+def records_bytes(records, stored=lambda matrix: matrix, responses=lambda r: quiz_responses(r.sequence)):
     matrices = [stored(r.sequence) for r in records]
-    return [(r.student_id, r.demographics, r.label, list(r.quiz_responses.items()),
+    return [(r.student_id, r.demographics, r.label, list(responses(r).items()),
              m.dtype.str, m.shape, m.tobytes()) for r, m in zip(records, matrices)]
 
 
 def assert_matches_oracle(cohort, seed):
     got = records_bytes(generate_cohort(cohort, seed))
-    assert got == records_bytes(ref.generate_cohort(cohort, seed), as_uint8)
+    assert got == records_bytes(ref.generate_cohort(cohort, seed), as_uint8, lambda r: r.quiz_responses)
     assert {dtype for *_, dtype, _, _ in got} == {np.dtype(np.uint8).str}
 
 
@@ -117,10 +119,10 @@ def test_cases_reach_their_edges():
     records = {name: generate_cohort(cohort, 0) for name, cohort in CASES.items()}
     assert max(r.length for r in records["capped"]) == 24
     assert {r.length for r in records["length_one"]} == {1}
-    assert not any(r.quiz_responses for r in records["no_quiz_videos"])
+    assert not any(quiz_responses(r.sequence) for r in records["no_quiz_videos"])
     scores = {"M": set(), "F": set()}
     for r in records["always_wrong_always_right"]:
-        scores[r.student_id[0]].update(r.quiz_responses.values())
+        scores[r.student_id[0]].update(quiz_responses(r.sequence).values())
     assert scores == {"M": {0}, "F": {1}}
     edges = np.concatenate([r.sequence for r in records["zero_mass_edges"]])
     # No first or last video, and no forum_view (the last kind); watch_noquiz
