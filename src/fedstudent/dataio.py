@@ -245,7 +245,7 @@ def load_records(
 
     records = []
     for sid, (demo, label) in table.items():
-        timestamps, events = per_student[sid]
+        timestamps, events = per_student.pop(sid)  # freed as its record is built
         if not timestamps:
             logger.warning("student %s has no events; dropped", sid)
             continue

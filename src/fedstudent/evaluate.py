@@ -8,7 +8,6 @@ under an access monitor so train/test isolation can be audited.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -186,6 +185,19 @@ def _call(task: tuple):
     """Run `task`, a tuple `(function, *args)`, as `function(records, plan, *args)`."""
     function, *args = task
     return function(*_inputs, *args)
+
+
+def _process_pool(**kwargs):
+    """A `concurrent.futures.ProcessPoolExecutor`, whose module (and with it
+    `multiprocessing`, `socket` and `subprocess`) loads only with the first pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(**kwargs)
+
+
+# The name `_task_mapper` opens its pool through, looked up at call time, so a
+# benchmark tracer or a test can put its own pool class here.
+ProcessPoolExecutor = _process_pool
 
 
 @contextmanager

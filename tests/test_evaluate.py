@@ -1,8 +1,11 @@
 import ast
 import dataclasses
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -367,6 +370,15 @@ class TestTaskRunner:
                       if isinstance(node, ast.FunctionDef) and node.name == "_task_mapper")
         assert len(sites) == 1 and sites[0][0] == "evaluate.py"
         assert mapper.lineno <= sites[0][1] <= mapper.end_lineno
+
+    def test_importing_the_cli_loads_no_pool_module(self):
+        """Only a run that opens a pool pays for `multiprocessing`; importing the package does not."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, fedstudent, fedstudent.cli; "
+                 "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestFailedRunIsNamed:

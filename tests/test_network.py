@@ -449,6 +449,26 @@ class TestScore:
                 assert p_pass[chunk].tobytes() == trace.probs[:, 0].tobytes()
                 assert pooled[chunk].tobytes() == trace.pooled.tobytes()
 
+    def test_runs_the_longest_chunk_first(self, monkeypatch):
+        """The shortest-first cuts, visited last to first, so each chunk fits in what the last one freed."""
+        params = random_params(5, 11, 33, scale=0.8)
+        rng = np.random.default_rng(9)
+        lengths = rng.integers(1, 121, size=3 * SCORE_CHUNK + 5).tolist()  # a partial chunk
+        cohort = [random_sequence(L, 11, 500 + i) for i, L in enumerate(lengths)]
+        forward, chunks = network._forward, []
+
+        def recording_forward(params, Xs, head):
+            chunks.append(sorted(X.shape[0] for X in Xs))
+            return forward(params, Xs, head)
+
+        monkeypatch.setattr(network, "_forward", recording_forward)
+        score(params, cohort)
+        ascending = sorted(lengths)
+        cuts = [ascending[start:start + SCORE_CHUNK] for start in range(0, len(ascending), SCORE_CHUNK)]
+        assert chunks == cuts[::-1]
+        longest = [chunk[-1] for chunk in chunks]
+        assert longest == sorted(longest, reverse=True)
+
     def test_frees_each_chunk_trace_before_the_next_forward(self, monkeypatch):
         """Two chunks' packed arrays are never alive together."""
         params = random_params(5, 11, 32, scale=0.8)
