@@ -4,8 +4,10 @@ An encoded activity is the concatenation (video id one-hot; 4 watch-type bits;
 3 forum-type bits), giving a vector of length n_videos + 7. Watch events set
 exactly one video bit and one watch bit; forum events set exactly one forum
 bit and nothing else. `event_columns` names one event's set bits, and
-`activity_matrix` writes a record's set bits into its matrix, one byte per
-cell: both record builders (the generator and CSV ingest) call the two.
+`activity_matrix` writes the set bits of many records into one stacked array,
+one byte per cell, in one write, and gives each record a view of its rows:
+both record builders call the two, CSV ingest once for every record and the
+generator once per student.
 `row_events` reads each row back as its kind slot and video, and is the only
 code that splits a matrix into its video and kind blocks; `quiz_responses`
 reads a record's first-attempt quiz scores off it through `row_events`.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,15 +97,22 @@ def event_columns(slot: int, video_index: int | None, first_attempt_score: int |
     return (video_index, n_videos + slot)
 
 
-def activity_matrix(length: int, n_videos: int, hot_rows: list[int], hot_cols: list[int]) -> np.ndarray:
-    """The (length, n_videos + 7) uint8 one-hot matrix with a 1 at each (hot_rows[i], hot_cols[i]).
+def activity_matrix(lengths: list[int], n_videos: int, hot_counts: list[int],
+                    hot_cols: list[int]) -> list[np.ndarray]:
+    """One (length, n_videos + 7) uint8 one-hot matrix per entry of `lengths`, all
+    filled in one write.
 
-    A cell only ever holds 0 or 1, so one byte keeps it exactly; the network
-    casts a batch to float64 where it gathers it.
+    The records' rows are stacked in order, one `(sum(lengths), n_videos + 7)`
+    array: row r of the stack has `hot_counts[r]` hot cells, at the next
+    `hot_counts[r]` entries of `hot_cols`. Each record gets its own C-contiguous
+    view of its rows. A cell only ever holds 0 or 1, so one byte keeps it
+    exactly; the network casts a batch to float64 where it gathers it.
     """
-    sequence = np.zeros((length, n_videos + N_KINDS), dtype=np.uint8)
-    sequence[hot_rows, hot_cols] = 1
-    return sequence
+    total = sum(lengths)
+    stacked = np.zeros((total, n_videos + N_KINDS), dtype=np.uint8)
+    hot_rows = np.arange(total).repeat(hot_counts)
+    stacked[hot_rows, hot_cols] = 1
+    return [stacked[end - length:end] for end, length in zip(accumulate(lengths), lengths)]
 
 
 def row_events(sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

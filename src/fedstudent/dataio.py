@@ -28,13 +28,18 @@ in file order, and its first failing rule wins (blank rows are skipped):
   5. timestamp is an integer;
   6. a watch kind has a video_index and a forum kind has none;
   7. student_id is in students.csv.
-Each row's event is encoded as it is read, and every row with the same video,
-slot and score shares one encoded event. Each student's events are then
-ordered by timestamp, ties in file order, and cut to the `max_sequence` most
-recent. Only the events kept are checked, students in students.csv order and
-events in time order, so a row that the cap drops breaks neither rule:
+Rows with the same four raw event fields (kind, video_index, points,
+max_points) share one checked, encoded event: the first such row runs rules
+1-7 and encodes the event, and a repeated row runs rules 1, 5 and 7 only.
+Each student's events are then ordered by timestamp, ties in file order, and
+cut to the `max_sequence` most recent. Only the events kept are checked,
+students in students.csv order and events in time order, so a row that the cap
+drops breaks neither rule:
   8. a watch's video_index lies in [0, n_videos);
   9. a forum event has no outcome.
+Every kept event is checked before any matrix is filled; then one
+`activity_matrix` call fills every record's matrix. Rows of students.csv with
+the same raw (gender, continent, birth_year) share one `Demographics`.
 """
 
 from __future__ import annotations
@@ -155,18 +160,27 @@ def write_students_csv(records: list[StudentRecord], path: str) -> None:
 
 
 def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
+    """Each student's demographics and label, by id in file order.
+
+    Rows with the same raw (gender, continent, birth_year) share one frozen
+    `Demographics`, built and checked when the triple is first read; the
+    field count, label and duplicate id are checked on every row.
+    """
     table: dict[str, tuple[Demographics, int]] = {}
     first_line: dict[str, int] = {}
+    demographics: dict[tuple[str, str, str], Demographics] = {}
     for line_no, row in csv_rows(path, STUDENT_HEADER, IngestError):
         try:
             if len(row) != len(STUDENT_HEADER):
                 raise ValueError(f"expected {len(STUDENT_HEADER)} fields")
             sid, gender, continent, birth_year, label = row
-            demo = Demographics(
-                gender=gender or None,
-                continent=continent or None,
-                birth_year=int(birth_year) if birth_year else None,
-            )
+            demo = demographics.get((gender, continent, birth_year))
+            if demo is None:
+                demo = demographics[gender, continent, birth_year] = Demographics(
+                    gender=gender or None,
+                    continent=continent or None,
+                    birth_year=int(birth_year) if birth_year else None,
+                )
             if int(label) not in (0, 1):
                 raise ValueError(f"label must be 0 or 1, got {label}")
             if sid in first_line:
@@ -178,51 +192,64 @@ def read_students_csv(path: str) -> dict[str, tuple[Demographics, int]]:
     return table
 
 
+def _checked_event(kind: str, video: str, points: str, max_points: str, ts: str,
+                   n_videos: int) -> tuple[int, tuple]:
+    """Rules 2-6 on one row's raw fields, in order: its timestamp, and its event as
+    (columns, problem), with a generic watch's slot resolved. An event that rule 8
+    or 9 refuses has no columns and its message as `problem`; otherwise `problem`
+    is None."""
+    has_outcome = points != "" and max_points != ""
+    if kind == "watch":
+        kind = "watch_correct" if has_outcome else "watch_noquiz"
+    slot = _SLOT_OF.get(kind)
+    if slot is None:
+        raise ValueError(f"unknown activity kind {kind!r}")
+    score = score_first_attempt(float(points), float(max_points)) if has_outcome else None
+    video_index = int(video) if video != "" else None
+    timestamp = int(ts)
+    if slot < N_WATCH:
+        if video_index is None:
+            raise ValueError(f"{kind} event requires a video_index")
+    elif video_index is not None:
+        raise ValueError(f"{kind} event must not carry a video_index")
+    try:
+        return timestamp, (event_columns(slot, video_index, score, n_videos), None)
+    except EncodingError as exc:
+        return timestamp, ((), str(exc))
+
+
 def _read_events(path: str, table: dict[str, tuple[Demographics, int]],
                  n_videos: int) -> dict[str, tuple[list[int], list[tuple]]]:
     """Check each events.csv row (rules 1-7) and file it under its student as its
-    timestamp and its event (columns, problem), with a generic watch's slot resolved.
+    timestamp and its event (columns, problem).
 
-    Rows with the same (video, slot, score) share one event tuple, whose
-    `event_columns` are worked out when the triple is first read. A triple that
-    rule 8 or 9 refuses has no columns and its message as `problem`; each of
-    its rows gets a tuple of its own, whose message names `path:line`, raised
-    only if the row is kept. Otherwise `problem` is None.
+    One dict maps a row's four raw event fields (kind, video_index, points,
+    max_points) to its checked, encoded event. A tuple not seen before runs
+    rules 2-6 (`_checked_event`) and is remembered once they pass; a row whose
+    tuple is remembered parses only its timestamp (rule 5) and looks up its
+    student (rule 7). A tuple that rule 8 or 9 refuses gives each of its rows an
+    event of its own, whose message names `path:line`, raised only if the row
+    is kept.
     """
     per_student = {sid: ([], []) for sid in table}
-    shared: dict[tuple, tuple] = {}
+    checked: dict[tuple[str, str, str, str], tuple] = {}
     for line_no, row in csv_rows(path, EVENT_HEADER, IngestError):
         try:
             if len(row) != len(EVENT_HEADER):
                 raise ValueError(f"expected {len(EVENT_HEADER)} fields")
             sid, ts, kind, video, points, max_points = row
-            has_outcome = points != "" and max_points != ""
-            if kind == "watch":
-                kind = "watch_correct" if has_outcome else "watch_noquiz"
-            slot = _SLOT_OF.get(kind)
-            if slot is None:
-                raise ValueError(f"unknown activity kind {kind!r}")
-            score = score_first_attempt(float(points), float(max_points)) if has_outcome else None
-            video = int(video) if video != "" else None
-            ts = int(ts)
-            if slot < N_WATCH:
-                if video is None:
-                    raise ValueError(f"{kind} event requires a video_index")
-            elif video is not None:
-                raise ValueError(f"{kind} event must not carry a video_index")
+            fields = (kind, video, points, max_points)
+            event = checked.get(fields)
+            if event is None:
+                ts, event = _checked_event(*fields, ts, n_videos)
+                checked[fields] = event
+            else:
+                ts = int(ts)
         except ValueError as exc:
             raise IngestError(f"{path}:{line_no}: {exc}") from exc
         filed = per_student.get(sid)
         if filed is None:
             raise IngestError(f"{path}:{line_no}: event for unknown student {sid!r}")
-        key = (video, slot, score)
-        event = shared.get(key)
-        if event is None:
-            try:
-                event = (event_columns(slot, video, score, n_videos), None)
-            except EncodingError as exc:
-                event = ((), str(exc))
-            shared[key] = event
         if event[1] is not None:
             event = ((), f"{path}:{line_no}: {event[1]}")
         filed[0].append(ts)
@@ -238,27 +265,34 @@ def load_records(
 ) -> list[StudentRecord]:
     """Assemble student records from the two ingest tables by the rules above.
 
-    Students with no events are dropped with a warning.
+    Every kept event is collected first, students in students.csv order and
+    events in time order, and the first one rule 8 or 9 refuses is raised; then
+    one `activity_matrix` call fills all the records' matrices in one write and
+    gives each record its own view. Students with no events are dropped with a
+    warning.
     """
     table = read_students_csv(students_path)
     per_student = _read_events(events_path, table, n_videos)
 
-    records = []
+    students: list[tuple[str, Demographics, int]] = []
+    lengths: list[int] = []
+    hot_counts: list[int] = []
+    hot_cols: list[int] = []
     for sid, (demo, label) in table.items():
-        timestamps, events = per_student.pop(sid)  # freed as its record is built
+        timestamps, events = per_student.pop(sid)  # freed once its events are collected
         if not timestamps:
             logger.warning("student %s has no events; dropped", sid)
             continue
         # Stable: tied timestamps keep file order.
         kept = sorted(range(len(timestamps)), key=timestamps.__getitem__)[-max_sequence:]
-        hot_rows: list[int] = []
-        hot_cols: list[int] = []
-        for t, i in enumerate(kept):
+        for i in kept:
             columns, problem = events[i]
             if problem is not None:
                 raise IngestError(problem)
-            hot_rows += (t,) * len(columns)
+            hot_counts.append(len(columns))
             hot_cols += columns
-        sequence = activity_matrix(len(kept), n_videos, hot_rows, hot_cols)
-        records.append(StudentRecord(sid, demo, sequence, label))
-    return records
+        students.append((sid, demo, label))
+        lengths.append(len(kept))
+    sequences = activity_matrix(lengths, n_videos, hot_counts, hot_cols)
+    return [StudentRecord(sid, demo, sequence, label)
+            for (sid, demo, label), sequence in zip(students, sequences)]

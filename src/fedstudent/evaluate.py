@@ -329,7 +329,9 @@ def export_embeddings(
 ) -> EmbeddingDump:
     """Pooled representation per student in record order, dropout disabled."""
     groups = build_subgroups(records, variable, include_unspecified)
-    subgroup_of = {sid: str(key) for key, ids in groups.items() for sid in ids}
+    subgroup_of: dict[str, str] = {}
+    for key, ids in groups.items():
+        subgroup_of.update(dict.fromkeys(ids, str(key)))
     kept = [record for record in records if record.student_id in subgroup_of]
     _, pooled = score(params, [record.sequence for record in kept])
     rows = [(record.student_id, subgroup_of[record.student_id], vector)

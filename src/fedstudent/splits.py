@@ -69,17 +69,15 @@ def build_subgroups(
     include_unspecified is set, and are dropped otherwise. Empty groups are
     logged and omitted from the result.
     """
-    tags = canonical_groups(variable)
-    groups: dict[SubgroupKey, list[str]] = {SubgroupKey(variable, t): [] for t in tags}
+    keys: dict[str | None, SubgroupKey] = {
+        t: SubgroupKey(variable, t) for t in canonical_groups(variable)}
     if include_unspecified:
-        groups[SubgroupKey(variable, UNSPECIFIED)] = []
+        keys[None] = SubgroupKey(variable, UNSPECIFIED)
+    groups: dict[SubgroupKey, list[str]] = {key: [] for key in keys.values()}
     for record in records:
         tag = demographic_group(record.demographics, variable)
-        if tag is None:
-            if include_unspecified:
-                groups[SubgroupKey(variable, UNSPECIFIED)].append(record.student_id)
-        else:
-            groups[SubgroupKey(variable, tag)].append(record.student_id)
+        if tag is not None or include_unspecified:
+            groups[keys[tag]].append(record.student_id)
     empty = [str(k) for k, ids in groups.items() if not ids]
     if empty:
         logger.info("empty subgroups for variable %s: %s", variable, ", ".join(empty))

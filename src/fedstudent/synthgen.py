@@ -247,9 +247,9 @@ def _simulate_student(
     # Records keep no timestamps; the first and each next one are still drawn
     # so that every later draw stays where it was in the stream.
     rng.integers(0, 86_400)
-    hot_rows: list[int] = []
+    hot_counts: list[int] = []
     hot_cols: list[int] = []
-    for t in range(length):
+    for _ in range(length):
         slot = kind_idx
         video = score = None
         if slot < N_WATCH:
@@ -259,11 +259,11 @@ def _simulate_student(
             elif slot != SLOT_NOANSWER:
                 score = int(rng.random() < profile.quiz_correct_prob)
         columns = event_columns(slot, video, score, spec.n_videos)
-        hot_rows.extend([t] * len(columns))
+        hot_counts.append(len(columns))
         hot_cols.extend(columns)
         rng.integers(1, 3600)
         kind_idx = bisect_right(tables.next_kind[kind_idx], rng.random())
-    sequence = activity_matrix(length, spec.n_videos, hot_rows, hot_cols)
+    [sequence] = activity_matrix([length], spec.n_videos, hot_counts, hot_cols)
     pass_prob = 1.0 / (1.0 + np.exp(-pass_logit(profile, sequence)))
     label = int(rng.random() < pass_prob)
 

@@ -105,12 +105,13 @@ class TestEncodeEvent:
 
 def matrix_of(events, n_videos=5):
     """The uint8 activity matrix of `events`, each a (kind, video, first-attempt score)."""
-    hot_rows, hot_cols = [], []
-    for t, (kind, video, score) in enumerate(events):
+    hot_counts, hot_cols = [], []
+    for kind, video, score in events:
         cols = columns(kind, video, score, n_videos)
-        hot_rows += [t] * len(cols)
+        hot_counts.append(len(cols))
         hot_cols += cols
-    return activity_matrix(len(events), n_videos, hot_rows, hot_cols)
+    [matrix] = activity_matrix([len(events)], n_videos, hot_counts, hot_cols)
+    return matrix
 
 
 K = ActivityKind
@@ -126,6 +127,26 @@ MIXED = [
     (K.FORUM_REPLY, None, None),
     (K.WATCH_CORRECT, 2, 1),
 ]
+
+
+class TestActivityMatrix:
+    def test_many_records_in_one_call_match_one_call_each(self):
+        """One call over several records gives each the matrix a call of its own gives,
+        as a C-contiguous view of one stacked array, in record order."""
+        records = [MIXED[:3], MIXED[3:4], MIXED, MIXED[::-1][:6]]
+        hot_counts, hot_cols = [], []
+        for events in records:
+            for kind, video, score in events:
+                cols = columns(kind, video, score, 5)
+                hot_counts.append(len(cols))
+                hot_cols += cols
+        matrices = activity_matrix([len(events) for events in records], 5, hot_counts, hot_cols)
+        assert len(matrices) == len(records)
+        for matrix, events in zip(matrices, records):
+            alone = matrix_of(events)
+            assert matrix.dtype == alone.dtype == np.uint8 and matrix.flags.c_contiguous
+            assert matrix.shape == alone.shape and np.array_equal(matrix, alone)
+        assert all(m.base is matrices[0].base for m in matrices)
 
 
 class TestRowEvents:

@@ -1,5 +1,6 @@
 import csv
 import io
+import pickle
 import re
 
 import numpy as np
@@ -225,8 +226,9 @@ def test_unparseable_record_names_its_own_line(tmp_path, bad_file, line):
 
 
 def test_rows_with_one_video_slot_and_score_share_one_encoding(tmp_path, monkeypatch):
-    """On the score-like file, `event_columns` runs once per distinct (video, slot,
-    score), however many rows carry it, and the records are the same as uncounted."""
+    """On the score-like file, which writes each (video, slot, score) with one set of
+    four raw event fields, `event_columns` runs once per distinct triple, however
+    many rows carry it, and the records are the same as uncounted."""
     from test_ingest_equivalence import CLEAN, RECORDS, SPEC, write_rows
 
     import fedstudent.dataio as dataio
@@ -254,6 +256,119 @@ def test_rows_with_one_video_slot_and_score_share_one_encoding(tmp_path, monkeyp
     assert len(calls) < len(CLEAN) - 1 == sum(r.length for r in loaded)
     assert [(r.student_id, r.sequence.tobytes(), quiz_responses(r.sequence)) for r in loaded] == \
         [(r.student_id, r.sequence.tobytes(), quiz_responses(r.sequence)) for r in expected]
+
+
+def _score_like_files(tmp_path, rows):
+    from test_ingest_equivalence import RECORDS, write_rows
+
+    events = tmp_path / "events.csv"
+    students = tmp_path / "students.csv"
+    write_rows(events, rows)
+    write_students_csv(RECORDS, str(students))
+    return str(events), str(students)
+
+
+def test_rules_two_to_four_run_once_per_distinct_event_fields(tmp_path, monkeypatch):
+    """On the score-like file with generic watches, the kind lookup (rule 2) and the
+    outcome check (rule 3) run once per distinct (kind, video_index, points,
+    max_points), however many rows carry it, and the records are the same as unwatched."""
+    from test_ingest_equivalence import SPEC, TIED
+
+    import fedstudent.dataio as dataio
+
+    events, students = _score_like_files(tmp_path, TIED)
+    expected = load_records(events, students, SPEC.n_videos)
+    lookups, scored = [], []
+
+    class CountedSlots(dict):
+        def get(self, kind, default=None):
+            lookups.append(kind)
+            return super().get(kind, default)
+
+        def __getitem__(self, kind):
+            lookups.append(kind)
+            return super().__getitem__(kind)
+
+    first_attempt = dataio.score_first_attempt
+
+    def counted(points, max_points):
+        scored.append((points, max_points))
+        return first_attempt(points, max_points)
+
+    monkeypatch.setattr(dataio, "_SLOT_OF", CountedSlots(dataio._SLOT_OF))
+    monkeypatch.setattr(dataio, "score_first_attempt", counted)
+    loaded = load_records(events, students, SPEC.n_videos)
+
+    fields = {tuple(row[2:]) for row in TIED[1:] if row}
+    with_outcome = {f for f in fields if f[2] != "" and f[3] != ""}
+    assert len(lookups) == len(fields) < sum(1 for row in TIED[1:] if row)
+    assert len(scored) == len(with_outcome)
+    assert [(r.student_id, r.sequence.tobytes()) for r in loaded] == \
+        [(r.student_id, r.sequence.tobytes()) for r in expected]
+
+
+def test_one_demographics_per_distinct_raw_triple(tmp_path, monkeypatch):
+    """students.csv rows with the same raw (gender, continent, birth_year) share one
+    `Demographics`, built once; the values are the same as unwatched."""
+    from test_ingest_equivalence import CLEAN
+
+    import fedstudent.dataio as dataio
+
+    _, students = _score_like_files(tmp_path, CLEAN)
+    expected = read_students_csv(students)
+    built = []
+    make = dataio.Demographics
+
+    def counted(**fields):
+        built.append(fields)
+        return make(**fields)
+
+    monkeypatch.setattr(dataio, "Demographics", counted)
+    table = read_students_csv(students)
+    with open(students, newline="", encoding="utf-8") as fh:
+        triples = {tuple(row[1:4]) for row in list(csv.reader(fh))[1:]}
+    assert len(built) == len(triples) < len(table)
+    assert table == expected
+    assert len({id(demo) for demo, _ in table.values()}) == len(triples)
+
+
+def test_build_subgroups_makes_one_key_per_tag(monkeypatch):
+    """`build_subgroups` makes one `SubgroupKey` per group tag, however many records
+    it files, and its groups are the same as unwatched."""
+    import fedstudent.splits as splits
+    from test_ingest_equivalence import RECORDS
+
+    expected = splits.build_subgroups(RECORDS, "G", True)
+    made = []
+    key = splits.SubgroupKey
+
+    def counted(variable, group):
+        made.append(group)
+        return key(variable, group)
+
+    monkeypatch.setattr(splits, "SubgroupKey", counted)
+    groups = splits.build_subgroups(RECORDS, "G", True)
+    assert sorted(made) == sorted([*splits.canonical_groups("G"), "unspecified"])
+    assert groups == expected and len(RECORDS) > len(made)
+
+
+def test_ingested_matrices_behave_as_owned_ones(tmp_path):
+    """Each ingested matrix is a C-contiguous uint8 (L, n_videos + 7) array that shares
+    no cell with another record's, and a pickle round trip (how `--jobs` ships
+    records where processes cannot fork) gives the same shape and bytes."""
+    from test_ingest_equivalence import CLEAN, SPEC
+
+    events, students = _score_like_files(tmp_path, CLEAN)
+    loaded = load_records(events, students, SPEC.n_videos)
+    for record in loaded:
+        sequence = record.sequence
+        assert sequence.flags.c_contiguous and sequence.dtype == np.uint8
+        assert sequence.shape == (record.length, SPEC.n_videos + 7)
+    assert not any(np.shares_memory(a.sequence, b.sequence) for a, b in zip(loaded, loaded[1:]))
+    copies = pickle.loads(pickle.dumps(loaded))
+    assert [(r.sequence.shape, r.sequence.dtype, r.sequence.tobytes()) for r in copies] == \
+        [(r.sequence.shape, r.sequence.dtype, r.sequence.tobytes()) for r in loaded]
+    assert all(r.sequence.flags.c_contiguous for r in copies)
 
 
 # Text cells the csv module must quote, or write bare, and floats whose text is

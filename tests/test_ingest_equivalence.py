@@ -1,7 +1,8 @@
 """`dataio.load_records` against `reference.ingest_v0`, its dataclass-per-event predecessor.
 
 Ingest now parses each events.csv row straight to `event_columns`' arguments,
-and rows with the same arguments share one encoded event. On every file below,
+and rows with the same four raw event fields share one checked, encoded event.
+On every file below,
 clean or faulty, it must do what the oracle does: build the same records
 (order, ids, demographics, labels, sequence bytes and quiz responses in
 insertion order) or raise an `IngestError` with the same text. The oracle
@@ -11,7 +12,8 @@ float64 matrices and ingest uint8 ones, so the oracle's matrix is compared cast
 to uint8 (exact for 0/1 cells, which is checked), and ingest's dtype must be
 uint8. The faulty files are generated: each fault of `FAULTS` alone, pairs of
 faults in one row or in two rows, faults in rows that the sequence cap drops,
-and one encoding fault in two rows that may share an event.
+one encoding fault in two rows that may share an event, and a changed
+max_points in a row whose other event fields repeat an earlier row's.
 """
 
 import csv
@@ -163,6 +165,12 @@ FAULTS = {
     "points_without_max": _set(points="x", max_points=""),
 }
 CAUGHT_AFTER_CAP = ("video_out_of_range", "video_negative", "forum_with_outcome")
+# Faults that change only max_points, for a row whose other three event fields
+# repeat a row read before it (see `_repeated_fields_cases`).
+REPEAT_FAULTS = {
+    "max_points_above_points": _set(max_points="2.0"),
+    "max_points_zero_only": _set(max_points="0"),
+}
 
 
 def _body_lines(rows):
@@ -172,7 +180,7 @@ def _body_lines(rows):
 def _corrupt(rows, faults_at):
     rows = [list(row) for row in rows]
     for line, fault in faults_at:
-        rows[line] = FAULTS[fault](rows[line])
+        rows[line] = {**FAULTS, **REPEAT_FAULTS}[fault](rows[line])
     return rows
 
 
@@ -242,7 +250,27 @@ def _shared_event_cases():
             for fault in CAUGHT_AFTER_CAP for layout, lines in layouts.items() for cap in (None, 1, 3)]
 
 
-CASES = _single_cases() + _pair_cases() + _dropped_row_cases() + _shared_event_cases()
+def _repeated_fields_cases():
+    """Each of `REPEAT_FAULTS` in the first watch_correct row whose four event fields
+    repeat an earlier row's, so that its kind, video_index and points match a row
+    already read and only max_points differs: it must load as a wrong answer, or
+    fail rule 3. The cases above already put a fault in rows whose fields repeat an
+    earlier row's (timestamp_not_int, unknown_student), in a row the cap drops
+    (their -dropped- cases), and an encoding fault in a dropped row ahead of a kept
+    one (the -dropped- layout of `_shared_event_cases`).
+    """
+    seen = set()
+    for line in _body_lines(TIED):
+        fields = tuple(TIED[line][2:])
+        if fields[0] == "watch_correct" and fields in seen:
+            break
+        seen.add(fields)
+    return [(f"{fault}-repeated-fields", [(line, fault)], None, fault == "max_points_above_points")
+            for fault in REPEAT_FAULTS]
+
+
+CASES = (_single_cases() + _pair_cases() + _dropped_row_cases() + _shared_event_cases()
+         + _repeated_fields_cases())
 
 
 @pytest.mark.parametrize("faults_at, cap, must_load", [case[1:] for case in CASES],

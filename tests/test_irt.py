@@ -171,12 +171,13 @@ class TestIrtConfidence:
 
 def quiz_record(sid, events, n_videos=4):
     """A record whose matrix holds `events`, each a (kind slot, video, first-attempt score)."""
-    hot_rows, hot_cols = [], []
-    for t, (slot, video, score) in enumerate(events):
+    hot_counts, hot_cols = [], []
+    for slot, video, score in events:
         columns = event_columns(slot, video, score, n_videos)
-        hot_rows += [t] * len(columns)
+        hot_counts.append(len(columns))
         hot_cols += columns
-    return StudentRecord(sid, Demographics(), activity_matrix(len(events), n_videos, hot_rows, hot_cols))
+    [matrix] = activity_matrix([len(events)], n_videos, hot_counts, hot_cols)
+    return StudentRecord(sid, Demographics(), matrix)
 
 
 class TestBuildResponseMatrix:

@@ -244,12 +244,13 @@ class TestGenerateCohort:
 
 def hand_built_matrix(events):
     """The activity matrix of `events`, each a (kind, video, first-attempt score)."""
-    hot_rows, hot_cols = [], []
-    for t, (kind, video, score) in enumerate(events):
+    hot_counts, hot_cols = [], []
+    for kind, video, score in events:
         columns = event_columns(KIND_SLOT[kind], video, score, N_VIDEOS)
-        hot_rows.extend([t] * len(columns))
+        hot_counts.append(len(columns))
         hot_cols.extend(columns)
-    return activity_matrix(len(events), N_VIDEOS, hot_rows, hot_cols)
+    [matrix] = activity_matrix([len(events)], N_VIDEOS, hot_counts, hot_cols)
+    return matrix
 
 
 class TestPassLogit:
