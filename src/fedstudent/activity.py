@@ -16,6 +16,7 @@ reads a record's first-attempt quiz scores off it through `row_events`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -149,37 +150,58 @@ class Demographics:
     birth_year: int | None = None
 
     def __post_init__(self):
-        if self.gender is not None and self.gender not in GENDER_GROUPS:
-            raise ValueError(f"unknown gender tag {self.gender!r}")
-        if self.continent is not None and self.continent not in CONTINENT_GROUPS:
-            raise ValueError(f"unknown continent tag {self.continent!r}")
+        for variable in DEMOGRAPHIC_VARIABLES.values():
+            value = getattr(self, variable.field)
+            if value is not None and not variable.edges and value not in variable.tags:
+                raise ValueError(f"unknown {variable.field} tag {value!r}")
 
 
-GENDER_GROUPS = ("M", "F")
-CONTINENT_GROUPS = ("AS", "AF", "EU", "NA", "SA")
-# Birth-year bands: Y <= 1980, 1980 < Y <= 1990, Y > 1990.
-YEAR_BANDS = ("le1980", "1981to1990", "gt1990")
+@dataclass(frozen=True)
+class DemographicVariable:
+    """The `Demographics` field a variable reads and its group tags. A field with `edges`
+    holds a number, whose tag is `tags[i]` for the first edge it does not exceed and the
+    last tag above them all; a field without holds its tag itself."""
+
+    field: str
+    tags: tuple[str, ...]
+    edges: tuple[int, ...] = ()
+
+    def group(self, demo: Demographics) -> str | None:
+        """The tag of `demo` under this variable, or None if unspecified."""
+        value = getattr(demo, self.field)
+        if value is None or not self.edges:
+            return value
+        return self.tags[bisect_left(self.edges, value)]
+
+
+# The one table of the demographic variables whose groups are the clients.
+DEMOGRAPHIC_VARIABLES = {
+    "G": DemographicVariable("gender", ("M", "F")),
+    "C": DemographicVariable("continent", ("AS", "AF", "EU", "NA", "SA")),
+    "Y": DemographicVariable("birth_year", ("le1980", "1981to1990", "gt1990"), (1980, 1990)),
+}
+VARIABLES = tuple(DEMOGRAPHIC_VARIABLES)
 UNSPECIFIED = "unspecified"
-VARIABLES = ("G", "C", "Y")
+
+
+def demographic_variable(variable: str) -> DemographicVariable:
+    try:
+        return DEMOGRAPHIC_VARIABLES[variable]
+    except KeyError:
+        raise ValueError(f"unknown demographic variable {variable!r}, expected one of {VARIABLES}") from None
+
+
+def canonical_groups(variable: str) -> tuple[str, ...]:
+    return demographic_variable(variable).tags
 
 
 def year_band(birth_year: int) -> str:
-    if birth_year <= 1980:
-        return YEAR_BANDS[0]
-    if birth_year <= 1990:
-        return YEAR_BANDS[1]
-    return YEAR_BANDS[2]
+    return DEMOGRAPHIC_VARIABLES["Y"].group(Demographics(birth_year=birth_year))
 
 
 def demographic_group(demo: Demographics, variable: str) -> str | None:
     """Subgroup tag of a student under one demographic variable, or None if unspecified."""
-    if variable == "G":
-        return demo.gender
-    if variable == "C":
-        return demo.continent
-    if variable == "Y":
-        return None if demo.birth_year is None else year_band(demo.birth_year)
-    raise ValueError(f"unknown demographic variable {variable!r}, expected one of {VARIABLES}")
+    return demographic_variable(variable).group(demo)
 
 
 @dataclass

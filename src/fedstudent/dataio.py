@@ -31,6 +31,9 @@ in file order, and its first failing rule wins (blank rows are skipped):
 Rows with the same four raw event fields (kind, video_index, points,
 max_points) share one checked, encoded event: the first such row runs rules
 1-7 and encodes the event, and a repeated row runs rules 1, 5 and 7 only.
+The memo holds every distinct tuple until the file is read; in its worst
+case, 20,011 rows with 20,011 distinct tuples, the tracemalloc peak of
+`load_records` went from 1.5 to 8.2 MB and its time rose about 17%.
 Each student's events are then ordered by timestamp, ties in file order, and
 cut to the `max_sequence` most recent. Only the events kept are checked,
 students in students.csv order and events in time order, so a row that the cap

@@ -27,33 +27,26 @@ class ParamFormatError(ValueError):
     """Raised when a serialized parameter file cannot be parsed."""
 
 
+def _layers(hidden_dim: int, input_dim: int) -> dict[str, tuple[tuple[int, ...], tuple | None]]:
+    """Every named layer's shape and, for a weight layer, its (fan_in, fan_out) for the
+    uniform initializer; None for a bias, which starts at zero."""
+    k, d = hidden_dim, input_dim
+    return {
+        "gru.input_weights": ((GATES * k, d), (d, k)),
+        "gru.recurrent_weights": ((GATES * k, k), (k, k)),
+        "gru.biases": ((GATES * k,), None),
+        "attn.W_alpha": ((k, k), (k, k)),
+        "attn.p": ((k,), (k, 1)),
+        "head.W_l": ((k, 2), (k, 2)),
+        "head.b_l": ((2,), None),
+        "pretrain.W_p": ((k, d), (k, d)),
+        "pretrain.b_p": ((d,), None),
+    }
+
+
 def layer_shapes(hidden_dim: int, input_dim: int) -> dict[str, tuple[int, ...]]:
     """Declared shape of every named layer for a (hidden_dim, input_dim) model."""
-    k, d = hidden_dim, input_dim
-    return {
-        "gru.input_weights": (GATES * k, d),
-        "gru.recurrent_weights": (GATES * k, k),
-        "gru.biases": (GATES * k,),
-        "attn.W_alpha": (k, k),
-        "attn.p": (k,),
-        "head.W_l": (k, 2),
-        "head.b_l": (2,),
-        "pretrain.W_p": (k, d),
-        "pretrain.b_p": (d,),
-    }
-
-
-# (fan_in, fan_out) per weight layer, used by the uniform initializer.
-def _layer_fans(hidden_dim: int, input_dim: int) -> dict[str, tuple[int, int]]:
-    k, d = hidden_dim, input_dim
-    return {
-        "gru.input_weights": (d, k),
-        "gru.recurrent_weights": (k, k),
-        "attn.W_alpha": (k, k),
-        "attn.p": (k, 1),
-        "head.W_l": (k, 2),
-        "pretrain.W_p": (k, d),
-    }
+    return {name: shape for name, (shape, _) in _layers(hidden_dim, input_dim).items()}
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,16 +112,13 @@ class ModelParams:
     @classmethod
     def initialized(cls, hidden_dim: int, input_dim: int, rng: np.random.Generator) -> "ModelParams":
         """Uniform(-sqrt(6/(fan_in+fan_out))) weights, zero biases."""
-        shapes = layer_shapes(hidden_dim, input_dim)
-        fans = _layer_fans(hidden_dim, input_dim)
         layers = {}
-        for name, shape in shapes.items():
-            if name in fans:
-                fan_in, fan_out = fans[name]
-                limit = math.sqrt(6.0 / (fan_in + fan_out))
-                layers[name] = rng.uniform(-limit, limit, size=shape)
-            else:
+        for name, (shape, fans) in _layers(hidden_dim, input_dim).items():
+            if fans is None:
                 layers[name] = np.zeros(shape)
+            else:
+                limit = math.sqrt(6.0 / sum(fans))
+                layers[name] = rng.uniform(-limit, limit, size=shape)
         return cls(hidden_dim, input_dim, layers)
 
     def names(self) -> list[str]:
@@ -228,8 +218,9 @@ def load_params(path: str) -> ModelParams:
                 f"unsupported format version {parts[1]!r} in {path}, expected {FORMAT_VERSION}")
         try:
             header = json.loads(fh.readline().decode("ascii"))
-            k = int(header["hidden_dim"])
-            d = int(header["input_dim"])
+            k, d = header["hidden_dim"], header["input_dim"]
+            if not all(type(v) is int and v >= 0 for v in (k, d)):
+                raise ValueError(f"hidden_dim {k!r} and input_dim {d!r} must be non-negative integers")
             entries = [(str(entry["name"]), entry["shape"]) for entry in header["layers"]]
             for name, shape in entries:
                 if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):

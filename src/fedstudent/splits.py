@@ -13,16 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .activity import (
-    CONTINENT_GROUPS,
-    GENDER_GROUPS,
-    UNSPECIFIED,
-    VARIABLES,
-    YEAR_BANDS,
-    InputError,
-    StudentRecord,
-    demographic_group,
-)
+from .activity import UNSPECIFIED, InputError, StudentRecord, demographic_variable
+from .activity import canonical_groups  # noqa: F401  (re-exported: a variable's group tags)
 
 if TYPE_CHECKING:  # `federation` imports this module
     from .federation import ExperimentPlan
@@ -48,16 +40,6 @@ class SubgroupKey:
         return f"{self.variable}:{self.group}"
 
 
-def canonical_groups(variable: str) -> tuple[str, ...]:
-    if variable == "G":
-        return GENDER_GROUPS
-    if variable == "C":
-        return CONTINENT_GROUPS
-    if variable == "Y":
-        return YEAR_BANDS
-    raise ValueError(f"unknown demographic variable {variable!r}, expected one of {VARIABLES}")
-
-
 def build_subgroups(
     records: list[StudentRecord],
     variable: str,
@@ -69,13 +51,13 @@ def build_subgroups(
     include_unspecified is set, and are dropped otherwise. Empty groups are
     logged and omitted from the result.
     """
-    keys: dict[str | None, SubgroupKey] = {
-        t: SubgroupKey(variable, t) for t in canonical_groups(variable)}
+    row = demographic_variable(variable)
+    keys: dict[str | None, SubgroupKey] = {t: SubgroupKey(variable, t) for t in row.tags}
     if include_unspecified:
         keys[None] = SubgroupKey(variable, UNSPECIFIED)
     groups: dict[SubgroupKey, list[str]] = {key: [] for key in keys.values()}
     for record in records:
-        tag = demographic_group(record.demographics, variable)
+        tag = row.group(record.demographics)
         if tag is not None or include_unspecified:
             groups[keys[tag]].append(record.student_id)
     empty = [str(k) for k, ids in groups.items() if not ids]

@@ -28,6 +28,7 @@ from .activity import (
     SLOT_CORRECT,
     SLOT_NOANSWER,
     SLOT_NOQUIZ,
+    DEMOGRAPHIC_VARIABLES,
     VARIABLES,
     Demographics,
     InputError,
@@ -37,11 +38,11 @@ from .activity import (
     row_events,
 )
 from .config import REQUIRED, Key, json_value, load_json, violation, write_json
-from .splits import canonical_groups, rng_for
+from .splits import rng_for
 
 logger = logging.getLogger(__name__)
 
-# Year sampled uniformly within the band for the Y variable.
+# The span a generated birth year is drawn from, uniformly, for each birth-year band.
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
 
 
@@ -97,9 +98,7 @@ class CohortSpec:
             return [str(exc)]  # the checks below need finite values of the right types
         if not set(self.quiz_videos) <= set(range(self.n_videos)):
             problems.append("quiz_videos must be a subset of [0, n_videos)")
-        valid_tags = None
-        if self.demographic_variable in VARIABLES:
-            valid_tags = set(canonical_groups(self.demographic_variable))
+        variable = DEMOGRAPHIC_VARIABLES.get(self.demographic_variable)
         first_with_name: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             where = f"profiles[{i}]"
@@ -119,10 +118,10 @@ class CohortSpec:
                                 f"profiles[{first_with_name[p.name]}].name")
             else:
                 first_with_name[p.name] = i
-            if valid_tags is not None and p.name not in valid_tags:
+            if variable is not None and p.name not in variable.tags:
                 problems.append(
                     f"{where}.name {p.name!r} must be a {self.demographic_variable} group tag "
-                    f"({sorted(valid_tags)})"
+                    f"({sorted(variable.tags)})"
                 )
         if not self.profiles:
             problems.append("at least one profile is required")
@@ -184,12 +183,12 @@ def _raise_if(problems: list[str]) -> None:
 
 
 def _demographics_for(variable: str, group: str, rng: np.random.Generator) -> Demographics:
-    if variable == "G":
-        return Demographics(gender=group)
-    if variable == "C":
-        return Demographics(continent=group)
-    lo, hi = YEAR_RANGES[group]
-    return Demographics(birth_year=int(rng.integers(lo, hi + 1)))
+    row = DEMOGRAPHIC_VARIABLES[variable]
+    value = group
+    if row.edges:
+        lo, hi = YEAR_RANGES[group]
+        value = int(rng.integers(lo, hi + 1))
+    return Demographics(**{row.field: value})
 
 
 def _draw_length(profile: SubgroupProfile, rng: np.random.Generator, cap: int) -> int:

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from fedstudent.activity import (
     EncodingError,
     StudentRecord,
     activity_matrix,
+    canonical_groups,
     demographic_group,
     event_columns,
     quiz_responses,
@@ -205,6 +209,32 @@ class TestDemographics:
             Demographics(gender="X")
         with pytest.raises(ValueError):
             Demographics(continent="OC")
+
+    def test_error_texts_name_the_tag_or_variable(self):
+        with pytest.raises(ValueError, match="^unknown gender tag 'X'$"):
+            Demographics(gender="X")
+        with pytest.raises(ValueError, match="^unknown continent tag 'OC'$"):
+            Demographics(continent="OC")
+        unknown = re.escape("unknown demographic variable 'Z', expected one of ('G', 'C', 'Y')")
+        with pytest.raises(ValueError, match=f"^{unknown}$"):
+            demographic_group(Demographics(), "Z")
+        with pytest.raises(ValueError, match=f"^{unknown}$"):
+            canonical_groups("Z")
+
+
+def test_only_activity_compares_with_a_variable_letter():
+    """No module but `activity.py` compares a value with "G", "C" or "Y": the variable
+    table there is the one place that says what each letter means."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    comparers = {
+        path.name for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in ("G", "C", "Y")
+    }
+    assert comparers <= {"activity.py"}
 
 
 class TestStudentRecord:

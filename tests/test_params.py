@@ -169,12 +169,16 @@ def set_first_shape(value):
     (lambda header: header.update(layers=3), "corrupt parameter header"),
     (lambda header: header.update(layers=[3]), "corrupt parameter header"),
     (lambda header: header.update(hidden_dim=float("inf")), "corrupt parameter header"),
+    (lambda header: header.update(hidden_dim=2.7), "corrupt parameter header"),
+    (lambda header: header.update(hidden_dim="2"), "corrupt parameter header"),
+    (lambda header: header.update(input_dim=True), "corrupt parameter header"),
     (set_first_shape([-1]), "corrupt parameter header"),
     (set_first_shape([2.0, 4]), "corrupt parameter header"),
     (set_first_shape([10**9, 10**9]), "truncated parameter data"),
     (set_first_shape([4, 6]), "inconsistent parameter header"),
 ], ids=["no_shape", "shape_string", "shape_digits", "layers_int", "entry_int", "dim_inf",
-        "shape_negative", "shape_float", "shape_huge", "shape_wrong"])
+        "dim_float", "dim_string", "dim_bool", "shape_negative", "shape_float", "shape_huge",
+        "shape_wrong"])
 def test_load_rejects_bad_header_naming_path(tmp_path, change, message):
     path = tmp_path / "model.params"
     save_params(random_params(2, 4, 0), str(path))

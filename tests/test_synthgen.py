@@ -8,12 +8,15 @@ from fedstudent.activity import (
     KIND_SLOT,
     N_KINDS,
     activity_matrix,
+    canonical_groups,
     demographic_group,
     event_columns,
     quiz_responses,
     row_events,
+    year_band,
 )
 from fedstudent.synthgen import (
+    YEAR_RANGES,
     CohortSpec,
     CohortSpecError,
     SubgroupProfile,
@@ -137,6 +140,14 @@ class TestGenerateCohort:
         records = generate_cohort(spec, seed=9)
         missing = sum(1 for r in records if demographic_group(r.demographics, "G") is None)
         assert 0.2 < missing / len(records) < 0.4
+
+    def test_year_ranges_lie_in_their_bands(self):
+        """Each birth-year band's sampling span starts and ends inside the band, so a
+        generated student lands in the group whose profile made it."""
+        assert set(YEAR_RANGES) == set(canonical_groups("Y"))
+        for tag, (lo, hi) in YEAR_RANGES.items():
+            assert lo <= hi
+            assert year_band(lo) == year_band(hi) == tag
 
     def test_invalid_spec_lists_all_violations(self):
         bad_profile = make_profile("M", population=0, quiz_correct_prob=1.5)
