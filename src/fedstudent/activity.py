@@ -191,19 +191,6 @@ def demographic_variable(variable: str) -> DemographicVariable:
         raise ValueError(f"unknown demographic variable {variable!r}, expected one of {VARIABLES}") from None
 
 
-def canonical_groups(variable: str) -> tuple[str, ...]:
-    return demographic_variable(variable).tags
-
-
-def year_band(birth_year: int) -> str:
-    return DEMOGRAPHIC_VARIABLES["Y"].group(Demographics(birth_year=birth_year))
-
-
-def demographic_group(demo: Demographics, variable: str) -> str | None:
-    """Subgroup tag of a student under one demographic variable, or None if unspecified."""
-    return demographic_variable(variable).group(demo)
-
-
 @dataclass
 class StudentRecord:
     """One student: demographics, timestamp-ordered activities, pass label.

@@ -1,13 +1,13 @@
-"""Versioned JSON experiment configuration, read through one table of keys.
+"""Versioned JSON experiment configuration, and the one reader of every table of keys.
 
 `KEYS` has one row per dotted key: its JSON type, its default, the values it
 may take and, for a key of the experiment plan, the plan attribute it sets.
 A plan key's default is not written here: it is `ExperimentPlan()`'s value
 of that attribute, so the plan dataclasses in `federation` hold every plan
-default once. `parse_config` walks the table to read a JSON config, and
-`check_plan` walks it to check a plan built in code; a key the table does not
-name, a value of another JSON type or outside its bounds is a `ConfigError`
-that names the dotted key.
+default once. `read_keys` reads this config, a plan built in code, the cohort
+spec and each of its profiles against their tables. A document, section or
+value of another JSON type raises at once; every other problem (out of bounds, a missing
+file or required key, unknown keys) is collected, and all are named together.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ DATASET_KINDS = ("generated", "csv")
 
 class ConfigError(InputError):
     """Raised for any malformed or inconsistent experiment configuration."""
+
+    document = "the configuration root"
 
 
 # JSON type name -> (Python types, what the error message asks for).
@@ -70,8 +72,8 @@ class Key:
     config's directory that must name a file) or "dir" (a path relative to it).
     A value must be > `low` when `strict`, else >= `low`, and < `high`, or
     <= `high` when `closed`, and lie in `choices`; these hold for each item of
-    an array, and a config array must be non-empty and distinct. A config key
-    whose default is None may also be given as null. A key with `dataset`
+    an array, and a `distinct` array must be non-empty and its items distinct.
+    A key whose default is None may also be given as null. A key with `dataset`
     applies only when dataset.kind is that kind. A key with `attr` sets the
     `ExperimentPlan` attribute at that dotted path; `_plan_key` makes its row.
     """
@@ -84,6 +86,7 @@ class Key:
     high: float | None = None
     closed: bool = False
     choices: tuple | None = None
+    distinct: bool = False
     dataset: str | None = None
     attr: str | None = None
 
@@ -106,7 +109,7 @@ KEYS = (
     Key("dataset.max_sequence", "integer", DEFAULT_MAX_SEQUENCE, low=1, dataset="csv"),
     _plan_key("variable", "string", "variable", choices=VARIABLES),
     _plan_key("include_unspecified", "boolean", "include_unspecified"),
-    _plan_key("strategies", "string array", "strategies", choices=STRATEGIES),
+    _plan_key("strategies", "string array", "strategies", choices=STRATEGIES, distinct=True),
     _plan_key("rounds", "integer", "rounds", low=0),
     _plan_key("local_iters", "integer", "local_iters", low=1),
     _plan_key("model.hidden_dim", "integer", "settings.hidden_dim", low=1),
@@ -127,7 +130,7 @@ KEYS = (
     _plan_key("pretrain.enabled", "boolean", "pretrain_enabled"),
     _plan_key("pretrain.epochs", "integer", "pretrain_epochs", low=0),
     _plan_key("folds", "integer", "folds", low=1),
-    _plan_key("seeds", "integer array", "seeds"),
+    _plan_key("seeds", "integer array", "seeds", distinct=True),
     _plan_key("fold_seed", "integer", "fold_seed"),
     Key("output_dir", "dir", "out"),
 )
@@ -166,58 +169,72 @@ class ExperimentConfig:
     raw: dict
 
 
-def _check(key: Key, raw, base_dir: str):
-    """`raw` read as `key` says; a tuple reads as an array. An array comes back as a
-    tuple, and a path joined to `base_dir`."""
+def _read_key(key: Key, raw, error: type[Exception], name: str, base_dir: str):
+    """`raw` read as `key` says and named `name`, and how it breaks the row or None; a
+    tuple reads as an array. An array comes back as a tuple, and a path joined to
+    `base_dir`. A value of another JSON type raises `error`."""
+    if raw is REQUIRED:
+        return None, f"{name} is required"
     if raw is None and key.default is None:
-        return None
+        return None, None
     if isinstance(raw, tuple):
         raw = list(raw)
-    value = json_value(raw, "string" if key.type in ("file", "dir") else key.type, key.name)
-    if isinstance(value, list) and (not value or len(set(value)) != len(value)):
-        raise ConfigError(f"{key.name} must be a non-empty array of distinct values, got {raw!r}")
-    problem = violation(key, value, key.name)
-    if problem:
-        raise ConfigError(problem)
+    value = json_value(raw, "string" if key.type in ("file", "dir") else key.type, name, error)
+    if key.distinct and (not value or len(set(value)) != len(value)):
+        return None, f"{name} must be a non-empty array of distinct values, got {raw!r}"
     if key.type in ("file", "dir"):
         value = os.path.join(base_dir, value)
         if key.type == "file" and not os.path.isfile(value):
-            raise ConfigError(f"{key.name}: no such file: {value}")
-    return tuple(value) if isinstance(value, list) else value
+            return None, f"{name}: no such file: {value}"
+    return tuple(value) if isinstance(value, list) else value, violation(key, value, name)
 
 
-def _read(data, base_dir: str) -> dict:
-    """The value of every key in `KEYS` that applies to `data`, by dotted name."""
-    json_value(data, "object", "the configuration root")
-    values: dict = {}
-    for key in KEYS:
+def read_keys(data, keys: tuple[Key, ...], error: type[Exception], where: str = "",
+              base_dir: str = "") -> tuple[dict, list[str]]:
+    """The value of each row of `keys` that `data` passes, by dotted name, and every
+    problem, in table order, unknown keys last. `where` names `data` and prefixes its
+    keys' names; a document's root is `error.document`. A key of one `dataset` kind
+    is read only for that kind, and is not unknown while no kind has passed."""
+    prefix = f"{where}." if where else ""
+    json_value(data, "object", where or error.document, error)
+    values, problems = {}, []
+    for key in keys:
         if key.dataset not in (None, values.get("dataset.kind")):
             continue
         section, _, leaf = key.name.rpartition(".")
-        holder = json_value(data.get(section, {}), "object", section) if section else data
-        raw = holder.get(leaf, key.default)
-        if raw is REQUIRED:
-            raise ConfigError(f"{key.name} is required")
-        values[key.name] = _check(key, raw, base_dir)
-    sections = {name.partition(".")[0] for name in values if "." in name}
+        holder = json_value(data.get(section, {}), "object", prefix + section, error) if section else data
+        value, problem = _read_key(key, holder.get(leaf, key.default), error, prefix + key.name, base_dir)
+        if problem:
+            problems.append(problem)
+        else:
+            values[key.name] = value
+    known = {key.name for key in keys if key.dataset in (None, values.get("dataset.kind", key.dataset))}
+    sections = {name.partition(".")[0] for name in known if "." in name}
     given = set()
     for top, value in data.items():
         given |= {f"{top}.{leaf}" for leaf in value} if top in sections else {top}
-    unknown = given - set(values)
+    unknown = sorted(prefix + name for name in given - known)
     if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return values
+        problems.append(f"unknown keys: {unknown}")
+    return values, problems
 
 
 def check_plan(plan: ExperimentPlan) -> None:
     """Hold a plan built in code to its `KEYS` rows, as a JSON config is held. Raises
-    `ConfigError` naming the dotted key of the first value that a config could not give."""
+    `ConfigError` naming the dotted key of every value that a config could not give."""
+    data: dict = {}
     for key in PLAN_KEYS:
-        _check(key, attrgetter(key.attr)(plan), "")
+        section, _, leaf = key.name.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[leaf] = attrgetter(key.attr)(plan)
+    problems = read_keys(data, PLAN_KEYS, ConfigError)[1]
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
 def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
-    values = _read(data, base_dir)
+    values, problems = read_keys(data, KEYS, ConfigError, base_dir=base_dir)
+    if problems:
+        raise ConfigError("; ".join(problems))
     parts: dict = {"": {}}
     for key in PLAN_KEYS:
         part, _, name = key.attr.rpartition(".")

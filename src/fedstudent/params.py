@@ -80,6 +80,9 @@ class ModelParams:
             missing = sorted(set(expected) - set(layers))
             extra = sorted(set(layers) - set(expected))
             raise ValueError(f"layer name mismatch: missing={missing} extra={extra}")
+        for name, shape in expected.items():  # before the vector is allocated
+            if (got := np.shape(layers[name])) != shape:
+                raise ValueError(f"layer {name}: expected shape {shape}, got {got}")
         self._bind(hidden_dim, input_dim, np.empty(_layout(hidden_dim, input_dim)[-1][2]))
         for name in expected:
             self[name] = layers[name]
@@ -206,8 +209,8 @@ def save_params(params: ModelParams, path: str) -> None:
 
 def load_params(path: str) -> ModelParams:
     """Read a `save_params` file. Any fault raises `ParamFormatError` naming `path`: the
-    magic line or version, a header entry, layer sizes other than the bytes that follow
-    the header, a shape other than the model's, or a weight that is not finite."""
+    magic line or version, a header entry or a repeated layer name, layer sizes other than
+    the bytes after the header, a shape other than the model's, or a non-finite weight."""
     with open(path, "rb") as fh:
         magic_line = fh.readline().decode("ascii", errors="replace").strip()
         parts = magic_line.split()
@@ -222,7 +225,10 @@ def load_params(path: str) -> ModelParams:
             if not all(type(v) is int and v >= 0 for v in (k, d)):
                 raise ValueError(f"hidden_dim {k!r} and input_dim {d!r} must be non-negative integers")
             entries = [(str(entry["name"]), entry["shape"]) for entry in header["layers"]]
-            for name, shape in entries:
+            names = [name for name, _ in entries]
+            for i, (name, shape) in enumerate(entries):
+                if names.index(name) < i:
+                    raise ValueError(f"layer {name} is named twice")
                 if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
                     raise ValueError(f"layer {name}: shape must be a list of non-negative "
                                      f"integers, got {shape!r}")

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .activity import UNSPECIFIED, InputError, StudentRecord, demographic_variable
-from .activity import canonical_groups  # noqa: F401  (re-exported: a variable's group tags)
 
 if TYPE_CHECKING:  # `federation` imports this module
     from .federation import ExperimentPlan

@@ -10,7 +10,8 @@ forum fractions off the activity matrix the network sees.
 Every categorical choice is one `rng.random()` searched with `bisect_right` in
 the distribution's CDF, `p.cumsum() / p.cumsum()[-1]`, computed once per
 profile. That is the draw `rng.choice(n, p=p)` makes, so cohorts keep the
-records that generator gave, bit for bit.
+records that generator gave, bit for bit. A cohort spec, from JSON or built in
+code, is read by `config.read_keys`, as the experiment config is.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .activity import (
     event_columns,
     row_events,
 )
-from .config import REQUIRED, Key, json_value, load_json, violation, write_json
+from .config import Key, load_json, read_keys, write_json
 from .splits import rng_for
 
 logger = logging.getLogger(__name__)
@@ -48,6 +49,8 @@ YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (19
 
 class CohortSpecError(InputError):
     """Raised when a cohort specification violates its invariants."""
+
+    document = "cohort spec"
 
 
 @dataclass
@@ -89,11 +92,8 @@ class CohortSpec:
         generator relies on. Probabilities are checked once here: the generator
         draws from them by hand.
         """
-        plain = spec_to_dict(self)
         try:
-            problems = _read(plain, SPEC_KEYS, "")[1]
-            for i, profile in enumerate(plain["profiles"]):
-                problems += _read(profile, PROFILE_KEYS, f"profiles[{i}]")[1]
+            problems = _read_spec(spec_to_dict(self))[2]
         except CohortSpecError as exc:
             return [str(exc)]  # the checks below need finite values of the right types
         if not set(self.quiz_videos) <= set(range(self.n_videos)):
@@ -156,25 +156,16 @@ PROFILE_KEYS = (
 )
 
 
-def _read(entry, keys: tuple[Key, ...], where: str) -> tuple[dict, list[str]]:
-    """`entry`'s value for each of `keys`, a missing one at its default, and each value
-    outside its row's bounds; `where` names the entry ("" for the spec itself) and
-    prefixes its keys' names. An unknown key, a missing required key or a value of
-    another JSON type raises `CohortSpecError`.
-    """
-    prefix = f"{where}." if where else ""
-    json_value(entry, "object", where or "cohort spec", CohortSpecError)
-    unknown = sorted(prefix + name for name in set(entry) - {key.name for key in keys})
-    if unknown:
-        raise CohortSpecError(f"unknown keys: {unknown}")
-    values = {}
-    for key in keys:
-        raw = entry.get(key.name, key.default)
-        if raw is REQUIRED:
-            raise CohortSpecError(f"{prefix}{key.name} is required")
-        values[key.name] = json_value(raw, key.type, prefix + key.name, CohortSpecError)
-    return values, [problem for key in keys
-                    if (problem := violation(key, values[key.name], prefix + key.name))]
+def _read_spec(data) -> tuple[dict, list[dict], list[str]]:
+    """The cohort spec `data`'s values, each profile's values and every problem with
+    them, read through `read_keys`."""
+    fields, problems = read_keys(data, SPEC_KEYS, CohortSpecError)
+    profiles = []
+    for i, entry in enumerate(fields.pop("profiles")):
+        profile, found = read_keys(entry, PROFILE_KEYS, CohortSpecError, f"profiles[{i}]")
+        profiles.append(profile)
+        problems += found
+    return fields, profiles, problems
 
 
 def _raise_if(problems: list[str]) -> None:
@@ -344,17 +335,14 @@ def spec_to_dict(spec: CohortSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> CohortSpec:
-    fields, problems = _read(data, SPEC_KEYS, "")
+    fields, profiles, problems = _read_spec(data)
     _raise_if(problems)
-    profiles = []
-    for i, entry in enumerate(fields.pop("profiles")):
-        profile, problems = _read(entry, PROFILE_KEYS, f"profiles[{i}]")
-        _raise_if(problems)
+    for i, profile in enumerate(profiles):
         if len({len(row) for row in profile["transition"]}) > 1:
             raise CohortSpecError(f"profiles[{i}].transition rows must have equal lengths")
-        profiles.append(SubgroupProfile(**profile))
     del fields["version"]
-    spec = CohortSpec(quiz_videos=set(fields.pop("quiz_videos")), profiles=profiles, **fields)
+    spec = CohortSpec(quiz_videos=set(fields.pop("quiz_videos")),
+                      profiles=[SubgroupProfile(**profile) for profile in profiles], **fields)
     _raise_if(spec.validate())
     return spec
 

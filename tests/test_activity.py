@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from fedstudent.activity import (
+    DEMOGRAPHIC_VARIABLES,
     KIND_SLOT,
     ActivityKind,
     Demographics,
     EncodingError,
     StudentRecord,
     activity_matrix,
-    canonical_groups,
-    demographic_group,
+    demographic_variable,
     event_columns,
     quiz_responses,
     row_events,
     score_first_attempt,
-    year_band,
 )
 
 
@@ -192,17 +191,18 @@ class TestQuizResponses:
 
 class TestDemographics:
     def test_year_bands(self):
-        assert year_band(1980) == "le1980"
-        assert year_band(1981) == "1981to1990"
-        assert year_band(1990) == "1981to1990"
-        assert year_band(1991) == "gt1990"
+        year = DEMOGRAPHIC_VARIABLES["Y"]
+        assert year.group(Demographics(birth_year=1980)) == "le1980"
+        assert year.group(Demographics(birth_year=1981)) == "1981to1990"
+        assert year.group(Demographics(birth_year=1990)) == "1981to1990"
+        assert year.group(Demographics(birth_year=1991)) == "gt1990"
 
     def test_group_lookup(self):
         demo = Demographics(gender="F", continent="EU", birth_year=1985)
-        assert demographic_group(demo, "G") == "F"
-        assert demographic_group(demo, "C") == "EU"
-        assert demographic_group(demo, "Y") == "1981to1990"
-        assert demographic_group(Demographics(), "G") is None
+        assert DEMOGRAPHIC_VARIABLES["G"].group(demo) == "F"
+        assert DEMOGRAPHIC_VARIABLES["C"].group(demo) == "EU"
+        assert DEMOGRAPHIC_VARIABLES["Y"].group(demo) == "1981to1990"
+        assert DEMOGRAPHIC_VARIABLES["G"].group(Demographics()) is None
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError):
@@ -217,9 +217,9 @@ class TestDemographics:
             Demographics(continent="OC")
         unknown = re.escape("unknown demographic variable 'Z', expected one of ('G', 'C', 'Y')")
         with pytest.raises(ValueError, match=f"^{unknown}$"):
-            demographic_group(Demographics(), "Z")
+            demographic_variable("Z").group(Demographics())
         with pytest.raises(ValueError, match=f"^{unknown}$"):
-            canonical_groups("Z")
+            demographic_variable("Z").tags
 
 
 def test_only_activity_compares_with_a_variable_letter():

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import pathlib
 import re
 from operator import attrgetter
 
@@ -12,7 +13,7 @@ import pytest
 
 from fedstudent import cli, evaluate
 from fedstudent.cli import main
-from fedstudent.config import KEYS, PLAN_KEYS, REQUIRED, ConfigError, parse_config
+from fedstudent.config import KEYS, PLAN_KEYS, REQUIRED, ConfigError, check_plan, parse_config
 from fedstudent.dataio import load_records
 from fedstudent.evaluate import EvalReport, ExperimentPlan, ReportRow, cross_validate, report_to_csv
 from fedstudent.params import ModelParams, load_params, save_params
@@ -20,9 +21,11 @@ from fedstudent.synthgen import (
     PROFILE_KEYS,
     SPEC_KEYS,
     CohortSpec,
+    CohortSpecError,
     SubgroupProfile,
     kind_biased_transition,
     save_cohort_spec,
+    spec_from_dict,
     spec_to_dict,
 )
 
@@ -396,6 +399,36 @@ def test_code_built_plan_rejects_naming_key(monkeypatch, key, value):
     assert key.name in str(from_code.value)
 
 
+def test_config_names_every_fault_in_table_order():
+    """Two values out of bounds and an unknown key are all named, in table order, and a
+    plan built in code with the same two values gets the same text for them."""
+    with open(os.path.join(EXAMPLE_DIR, "experiment.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["typo"] = 1
+    config["model"] = dict(config.get("model", {}), dropout=2.0)
+    config["rounds"] = -1
+    both = "rounds must be >= 0, got -1; model.dropout must be < 1, got 2.0"
+    with pytest.raises(ConfigError) as from_json:
+        parse_config(config, base_dir=EXAMPLE_DIR)
+    assert str(from_json.value) == both + "; unknown keys: ['typo']"
+    plan = with_value(with_value(ExperimentPlan(), "rounds", -1), "settings.dropout", 2.0)
+    with pytest.raises(ConfigError) as from_code:
+        check_plan(plan)
+    assert str(from_code.value) == both
+
+
+def test_one_reader_walks_every_key_table():
+    """Only `config.py` refers to `REQUIRED` or calls `violation`, so the config, a plan
+    built in code, the cohort spec and its profiles are all read by its `read_keys`."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedstudent"
+    readers = {
+        path.name for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {getattr(node, field, None) for field in ("id", "attr", "name")} & {"REQUIRED", "violation"}
+    }
+    assert readers == {"config.py"}
+
+
 @pytest.mark.parametrize("key", PLAN_KEYS, ids=lambda key: key.name)
 def test_json_default_is_the_plan_default(key):
     """A plan key left out of a config reads as `ExperimentPlan()`'s value, so a plan
@@ -436,6 +469,15 @@ def spec_table_cases():
             cases += [pytest.param(path + (key.name,), name, value, id=case_id(name, value))
                       for value in bad_values(key)]
     return cases
+
+
+def test_cohort_spec_names_missing_and_misspelt_profile_key(tmp_path):
+    data = spec_to_dict(write_spec(tmp_path / "spec.json"))
+    data["profiles"][0]["populaton"] = data["profiles"][0].pop("population")
+    with pytest.raises(CohortSpecError) as info:
+        spec_from_dict(data)
+    assert str(info.value) == ("invalid cohort spec: profiles[0].population is required; "
+                               "unknown keys: ['profiles[0].populaton']")
 
 
 @pytest.mark.parametrize("path, name, value", spec_table_cases())

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fedstudent.activity import KIND_SLOT, ActivityKind, quiz_responses
+from fedstudent.activity import DEMOGRAPHIC_VARIABLES, KIND_SLOT, ActivityKind, quiz_responses
 from fedstudent.dataio import (
     IngestError,
     load_records,
@@ -348,7 +348,7 @@ def test_build_subgroups_makes_one_key_per_tag(monkeypatch):
 
     monkeypatch.setattr(splits, "SubgroupKey", counted)
     groups = splits.build_subgroups(RECORDS, "G", True)
-    assert sorted(made) == sorted([*splits.canonical_groups("G"), "unspecified"])
+    assert sorted(made) == sorted([*DEMOGRAPHIC_VARIABLES["G"].tags, "unspecified"])
     assert groups == expected and len(RECORDS) > len(made)
 
 

@@ -147,10 +147,13 @@ def test_load_rejects_truncated_payload(tmp_path):
 
 
 def rewrite_header(path, change):
-    """Rewrite the JSON header line of the parameter file at `path` by `change(header)`."""
+    """Rewrite the JSON header line of the parameter file at `path` by `change(header)`,
+    appending to the data what `change` returns if that is bytes."""
     magic, header, payload = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
-    change(header)
+    extra = change(header)
+    if isinstance(extra, bytes):
+        payload += extra
     path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + payload)
 
 
@@ -160,8 +163,15 @@ def set_first_shape(value):
     return change
 
 
+def repeat_biases(header):
+    """List gru.biases a second time, and append zero bytes for its second copy."""
+    [entry] = [entry for entry in header["layers"] if entry["name"] == "gru.biases"]
+    header["layers"].append(dict(entry))
+    return bytes(8 * entry["shape"][0])
+
+
 # Header faults that each escaped load_params as a KeyError, ValueError, TypeError,
-# a negative read length or a MemoryError.
+# a negative read length or a MemoryError, or loaded silently (a layer named twice).
 @pytest.mark.parametrize("change, message", [
     (lambda header: header["layers"][0].pop("shape"), "corrupt parameter header"),
     (set_first_shape("ab"), "corrupt parameter header"),
@@ -176,9 +186,12 @@ def set_first_shape(value):
     (set_first_shape([2.0, 4]), "corrupt parameter header"),
     (set_first_shape([10**9, 10**9]), "truncated parameter data"),
     (set_first_shape([4, 6]), "inconsistent parameter header"),
+    (repeat_biases, "corrupt parameter header"),
+    (lambda header: header.update(hidden_dim=1_000_000),
+     r"inconsistent parameter header .*: layer gru.input_weights: expected shape \(3000000, 4\)"),
 ], ids=["no_shape", "shape_string", "shape_digits", "layers_int", "entry_int", "dim_inf",
         "dim_float", "dim_string", "dim_bool", "shape_negative", "shape_float", "shape_huge",
-        "shape_wrong"])
+        "shape_wrong", "name_twice", "dim_huge"])
 def test_load_rejects_bad_header_naming_path(tmp_path, change, message):
     path = tmp_path / "model.params"
     save_params(random_params(2, 4, 0), str(path))

@@ -12,10 +12,10 @@ unspecified group, at 1 to 6 folds and every fold index.
 import numpy as np
 import pytest
 
-from fedstudent.activity import UNSPECIFIED, VARIABLES, Demographics, StudentRecord
+from fedstudent.activity import UNSPECIFIED, VARIABLES, Demographics, StudentRecord, demographic_variable
 from fedstudent.config import ExperimentPlan
 from fedstudent.evaluate import build_fold_split
-from fedstudent.splits import SplitError, canonical_groups
+from fedstudent.splits import SplitError
 from reference import splits_v0 as ref
 
 SEQUENCE = np.ones((1, 11))
@@ -43,7 +43,7 @@ def cohort(variable, index):
     Every other cohort has its first subgroup hold label 0 only; the last cohort
     has only unspecified students."""
     rng = np.random.default_rng([VARIABLES.index(variable), index])
-    tags = (*canonical_groups(variable), UNSPECIFIED)
+    tags = (*demographic_variable(variable).tags, UNSPECIFIED)
     sizes = {(tag, label): int(rng.integers(0, SIZE_BOUNDS[index % len(SIZE_BOUNDS)]))
              for tag in tags for label in (0, 1)}
     if index % 2 == 0:

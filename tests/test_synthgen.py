@@ -7,13 +7,12 @@ from fedstudent.activity import (
     ActivityKind,
     KIND_SLOT,
     N_KINDS,
+    DEMOGRAPHIC_VARIABLES,
+    Demographics,
     activity_matrix,
-    canonical_groups,
-    demographic_group,
     event_columns,
     quiz_responses,
     row_events,
-    year_band,
 )
 from fedstudent.synthgen import (
     YEAR_RANGES,
@@ -138,16 +137,17 @@ class TestGenerateCohort:
     def test_unspecified_fraction_blanks_demographics(self):
         spec = make_spec([make_profile("M", population=400)], unspecified_fraction=0.3)
         records = generate_cohort(spec, seed=9)
-        missing = sum(1 for r in records if demographic_group(r.demographics, "G") is None)
+        missing = sum(1 for r in records if DEMOGRAPHIC_VARIABLES["G"].group(r.demographics) is None)
         assert 0.2 < missing / len(records) < 0.4
 
     def test_year_ranges_lie_in_their_bands(self):
         """Each birth-year band's sampling span starts and ends inside the band, so a
         generated student lands in the group whose profile made it."""
-        assert set(YEAR_RANGES) == set(canonical_groups("Y"))
+        year = DEMOGRAPHIC_VARIABLES["Y"]
+        assert set(YEAR_RANGES) == set(year.tags)
         for tag, (lo, hi) in YEAR_RANGES.items():
             assert lo <= hi
-            assert year_band(lo) == year_band(hi) == tag
+            assert year.group(Demographics(birth_year=lo)) == year.group(Demographics(birth_year=hi)) == tag
 
     def test_invalid_spec_lists_all_violations(self):
         bad_profile = make_profile("M", population=0, quiz_correct_prob=1.5)
