@@ -11,12 +11,14 @@ Every categorical choice is one `rng.random()` searched with `bisect_right` in
 the distribution's CDF, `p.cumsum() / p.cumsum()[-1]`, computed once per
 profile. That is the draw `rng.choice(n, p=p)` makes, so cohorts keep the
 records that generator gave, bit for bit. A cohort spec, from JSON or built in
-code, is read by `config.read_keys`, as the experiment config is.
+code, has one check, `_read_spec`: `config.read_keys` reads its keys, as the
+experiment config's are, then the shapes, sums, names and length draws the
+generator relies on are checked, and every fault is named in one error.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -41,10 +43,11 @@ from .activity import (
 from .config import Key, load_json, read_keys, write_json
 from .splits import rng_for
 
-logger = logging.getLogger(__name__)
-
 # The span a generated birth year is drawn from, uniformly, for each birth-year band.
 YEAR_RANGES = {"le1980": (1955, 1980), "1981to1990": (1981, 1990), "gt1990": (1991, 2004)}
+
+# numpy's largest Poisson mean: `negative_binomial` raises when a draw could need more.
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class CohortSpecError(InputError):
@@ -85,47 +88,12 @@ class CohortSpec:
     max_sequence: int = DEFAULT_MAX_SEQUENCE
 
     def validate(self) -> list[str]:
-        """Every problem with the spec, each naming its dotted key (e.g. "profiles[0].population").
-
-        The spec's plain form is checked against `SPEC_KEYS` and `PROFILE_KEYS`,
-        types included, as a JSON spec is; then the shapes, sums and names the
-        generator relies on. Probabilities are checked once here: the generator
-        draws from them by hand.
-        """
+        """Every problem `_read_spec` finds in the spec's plain form, each naming its dotted
+        key (e.g. "profiles[0].population"), or the one JSON-type fault that stops it."""
         try:
-            problems = _read_spec(spec_to_dict(self))[2]
+            return _read_spec(spec_to_dict(self))[2]
         except CohortSpecError as exc:
-            return [str(exc)]  # the checks below need finite values of the right types
-        if not set(self.quiz_videos) <= set(range(self.n_videos)):
-            problems.append("quiz_videos must be a subset of [0, n_videos)")
-        variable = DEMOGRAPHIC_VARIABLES.get(self.demographic_variable)
-        first_with_name: dict[str, int] = {}
-        for i, p in enumerate(self.profiles):
-            where = f"profiles[{i}]"
-            if p.transition.shape != (N_KINDS, N_KINDS):
-                problems.append(f"{where}.transition must be 7x7")
-            else:
-                if np.any(p.transition < 0):
-                    problems.append(f"{where}.transition has negative entries")
-                if np.any(np.abs(p.transition.sum(axis=1) - 1.0) > 1e-9):
-                    problems.append(f"{where}.transition rows must sum to 1")
-            if p.video_access.shape != (self.n_videos,):
-                problems.append(f"{where}.video_access must have length {self.n_videos}")
-            elif np.any(p.video_access < 0) or abs(p.video_access.sum() - 1.0) > 1e-9:
-                problems.append(f"{where}.video_access must be a distribution")
-            if p.name in first_with_name:
-                problems.append(f"{where}.name {p.name!r} repeats "
-                                f"profiles[{first_with_name[p.name]}].name")
-            else:
-                first_with_name[p.name] = i
-            if variable is not None and p.name not in variable.tags:
-                problems.append(
-                    f"{where}.name {p.name!r} must be a {self.demographic_variable} group tag "
-                    f"({sorted(variable.tags)})"
-                )
-        if not self.profiles:
-            problems.append("at least one profile is required")
-        return problems
+            return [str(exc)]
 
 
 SPEC_VERSION = 1
@@ -157,14 +125,50 @@ PROFILE_KEYS = (
 
 
 def _read_spec(data) -> tuple[dict, list[dict], list[str]]:
-    """The cohort spec `data`'s values, each profile's values and every problem with
-    them, read through `read_keys`."""
+    """The cohort spec `data`'s values, each profile's values and every problem with them:
+    first what `read_keys` finds against `SPEC_KEYS` and `PROFILE_KEYS`, then, in profile
+    order, the faults of the shapes, sums, names and length draw the generator relies on.
+    A check whose key had a fault is skipped."""
     fields, problems = read_keys(data, SPEC_KEYS, CohortSpecError)
     profiles = []
     for i, entry in enumerate(fields.pop("profiles")):
         profile, found = read_keys(entry, PROFILE_KEYS, CohortSpecError, f"profiles[{i}]")
         profiles.append(profile)
         problems += found
+    n_videos = fields.get("n_videos")
+    if n_videos and not all(0 <= v < n_videos for v in fields["quiz_videos"]):
+        problems.append("quiz_videos must be a subset of [0, n_videos)")
+    variable = DEMOGRAPHIC_VARIABLES.get(fields.get("demographic_variable"))
+    first_with_name: dict[str, int] = {}
+    for i, p in enumerate(profiles):
+        where, name, transition = f"profiles[{i}]", p.get("name"), p.get("transition")
+        if transition is not None and {len(transition), *map(len, transition)} != {N_KINDS}:
+            problems.append(f"{where}.transition must be 7x7")
+        elif transition is not None:
+            if np.any(np.array(transition) < 0):
+                problems.append(f"{where}.transition has negative entries")
+            if np.any(np.abs(np.sum(transition, axis=1) - 1.0) > 1e-9):
+                problems.append(f"{where}.transition rows must sum to 1")
+        if "video_access" in p:
+            access = np.array(p["video_access"])
+            if n_videos and len(access) != n_videos:
+                problems.append(f"{where}.video_access must have length {n_videos}")
+            elif np.any(access < 0) or abs(access.sum() - 1.0) > 1e-9:
+                problems.append(f"{where}.video_access must be a distribution")
+        if name is not None and first_with_name.setdefault(name, i) != i:
+            problems.append(f"{where}.name {name!r} repeats profiles[{first_with_name[name]}].name")
+        if name is not None and variable is not None and name not in variable.tags:
+            problems.append(f"{where}.name {name!r} must be a {fields['demographic_variable']} "
+                            f"group tag ({sorted(variable.tags)})")
+        if "length_mean" in p and "length_dispersion" in p:
+            # numpy's own test in negative_binomial, on the p that _draw_length passes it.
+            r = p["length_dispersion"]
+            p_nb = r / (r + (p["length_mean"] - 1.0))
+            if p_nb == 0 or (1 - p_nb) / p_nb * (r + 10 * math.sqrt(r)) > POISSON_LAM_MAX:
+                problems.append(f"{where}.length_mean {p['length_mean']!r} with {where}.length_dispersion "
+                                f"{r!r} is outside the length draw's domain")
+    if not profiles:
+        problems.append("at least one profile is required")
     return fields, profiles, problems
 
 
@@ -337,14 +341,9 @@ def spec_to_dict(spec: CohortSpec) -> dict:
 def spec_from_dict(data: dict) -> CohortSpec:
     fields, profiles, problems = _read_spec(data)
     _raise_if(problems)
-    for i, profile in enumerate(profiles):
-        if len({len(row) for row in profile["transition"]}) > 1:
-            raise CohortSpecError(f"profiles[{i}].transition rows must have equal lengths")
     del fields["version"]
-    spec = CohortSpec(quiz_videos=set(fields.pop("quiz_videos")),
+    return CohortSpec(quiz_videos=set(fields.pop("quiz_videos")),
                       profiles=[SubgroupProfile(**profile) for profile in profiles], **fields)
-    _raise_if(spec.validate())
-    return spec
 
 
 def load_cohort_spec(path: str) -> CohortSpec:

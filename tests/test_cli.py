@@ -11,7 +11,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from fedstudent import cli, evaluate
+from fedstudent import cli, evaluate, synthgen
 from fedstudent.cli import main
 from fedstudent.config import KEYS, PLAN_KEYS, REQUIRED, ConfigError, check_plan, parse_config
 from fedstudent.dataio import load_records
@@ -279,6 +279,34 @@ class TestRun:
         assert capsys.readouterr().err == "error: subgroup G:F too small for a 1-fold split\n"
         assert not (tmp_path / "out").exists()
 
+    def test_subgroups_without_validation_students_warn(self, tmp_path, capsys):
+        """Two students per label leave G:F and G:M no validation students at one fold, so
+        FedAvg's validation AUC is never defined; the run keeps the final model and prints
+        the warning on its own line."""
+        data = tmp_path / "data"
+        data.mkdir()
+        students = [(f"s{i}", "FM"[i // 4], i % 2) for i in range(8)]
+        (data / "students.csv").write_text("student_id,gender,continent,birth_year,label\n" + "".join(
+            f"{sid},{gender},,,{label}\n" for sid, gender, label in students))
+        (data / "events.csv").write_text("student_id,timestamp,kind,video_index,points,max_points\n" + "".join(
+            f"{sid},0,watch_correct,1,1.0,1.0\n{sid},1,forum_post,,,\n" for sid, _, _ in students))
+        config_path = tmp_path / "config.json"
+        write_config(config_path, tmp_path / "unused.json", tmp_path / "out", dataset=CSV_DATASET)
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "warning: FedAvg: validation AUC never defined for G:F, G:M; using the final model" in lines
+
+    def test_fedirt_without_quiz_responses_exits_1_naming_task(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec = spec_to_dict(write_spec(spec_path))
+        spec["quiz_videos"] = []
+        spec_path.write_text(json.dumps(spec))
+        config_path = tmp_path / "config.json"
+        write_config(config_path, spec_path, tmp_path / "out", strategies=("FedIRT",))
+        assert main(["run", "--config", str(config_path), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == ("error: FedIRT fold 0 seed 0: subgroup G:F: cannot fit "
+                                           "responses: no student has any quiz responses\n")
+
     def test_byte_identical_reports_across_jobs(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         write_spec(spec_path)
@@ -446,14 +474,21 @@ def test_required_keys_alone_parse_to_the_default_plan():
 def write_changed_spec(tmp_path, path, value):
     """A valid spec with the value at `path` in its plain form set to `value`, or
     deleted for `REQUIRED`; returns the spec file's path."""
+    return write_spec_changes(tmp_path, {path: value})
+
+
+def write_spec_changes(tmp_path, changes):
+    """A valid spec with the value at each path of `changes` in its plain form set to
+    its value, or deleted for `REQUIRED`; returns the spec file's path."""
     data = spec_to_dict(write_spec(tmp_path / "good.json"))
-    holder = data
-    for part in path[:-1]:
-        holder = holder[part]
-    if value is REQUIRED:
-        del holder[path[-1]]
-    else:
-        holder[path[-1]] = value
+    for path, value in changes.items():
+        holder = data
+        for part in path[:-1]:
+            holder = holder[part]
+        if value is REQUIRED:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(data))
     return spec_path
@@ -512,6 +547,84 @@ def test_cohort_spec_types_exit_2_naming_key(tmp_path, capsys, path, value, name
     write_config(tmp_path / "config.json", spec_path, tmp_path / "out")
     assert main(["run", "--config", str(tmp_path / "config.json"), "--jobs", "1"]) == 2
     assert name in capsys.readouterr().err
+
+
+NEGATIVE_ROW = kind_biased_transition(0.8)
+NEGATIVE_ROW[0] = [1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
+RAGGED = kind_biased_transition(0.8).tolist()
+RAGGED[3] = RAGGED[3][:6]
+
+
+# A fault of a shape, sum, name or length draw in one value of the spec `write_spec`
+# writes: (the value's path in the spec's plain form, the value, the fault's message).
+SPEC_SHAPE_FAULTS = [
+    (("quiz_videos",), [0, N_VIDEOS], "quiz_videos must be a subset of [0, n_videos)"),
+    (("profiles", 0, "transition"), kind_biased_transition(0.8)[:6].tolist(),
+     "profiles[0].transition must be 7x7"),
+    (("profiles", 0, "transition"), NEGATIVE_ROW.tolist(), "profiles[0].transition has negative entries"),
+    (("profiles", 0, "transition"), (0.9 * kind_biased_transition(0.8)).tolist(),
+     "profiles[0].transition rows must sum to 1"),
+    (("profiles", 1, "video_access"), [0.5, 0.5], f"profiles[1].video_access must have length {N_VIDEOS}"),
+    (("profiles", 1, "video_access"), [0.5] * N_VIDEOS, "profiles[1].video_access must be a distribution"),
+    (("profiles",), [], "at least one profile is required"),
+    # Inside every bound, yet numpy's negative_binomial refuses the length draw.
+    (("profiles", 0, "length_mean"), 1e20,
+     "profiles[0].length_mean 1e+20 with profiles[0].length_dispersion 1.0 is outside the length draw's domain"),
+    (("profiles", 1, "length_dispersion"), 1e-300,
+     "profiles[1].length_mean 6.0 with profiles[1].length_dispersion 1e-300 is outside the length draw's domain"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(*case, id=case[2]) for case in SPEC_SHAPE_FAULTS
+])
+def test_cohort_spec_shape_fault_exits_2_naming_it(tmp_path, capsys, monkeypatch, path, value, message):
+    """Each fault exits `generate` with 2 before any student is drawn, naming the spec file;
+    a spec built in code with the same value lists the same message in `validate()`."""
+    def no_draw(*args):
+        raise AssertionError("a student was drawn")
+
+    monkeypatch.setattr(synthgen, "_simulate_student", no_draw)
+    spec_path = write_changed_spec(tmp_path, path, value)
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {spec_path}: invalid cohort spec: {message}\n"
+    spec = write_spec(tmp_path / "good.json")
+    if len(path) == 3:
+        profiles = list(spec.profiles)
+        profiles[path[1]] = dataclasses.replace(profiles[path[1]], **{path[2]: value})
+        spec = dataclasses.replace(spec, profiles=profiles)
+    else:
+        spec = dataclasses.replace(spec, **{path[0]: value})
+    assert spec.validate() == [message]
+    with pytest.raises(CohortSpecError, match=re.escape(message)):
+        synthgen.generate_cohort(spec, seed=0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({("profiles", 0, "population"): 0, ("profiles", 1, "video_access"): [0.5] * N_VIDEOS},
+                 "profiles[0].population must be >= 1, got 0; profiles[1].video_access must be a distribution",
+                 id="two faults"),
+    pytest.param({("profiles", 0, "transition"): RAGGED}, "profiles[0].transition must be 7x7", id="ragged"),
+    # Key faults in table order, each table's unknown keys last, then the rest by profile.
+    pytest.param({("profiles", 1, "population"): 0, ("profiles", 0, "typo"): 1,
+                  ("profiles", 1, "transition"): RAGGED, ("profiles", 0, "length_mean"): 1e20,
+                  ("quiz_videos",): [9]},
+                 "unknown keys: ['profiles[0].typo']; profiles[1].population must be >= 1, got 0; "
+                 "quiz_videos must be a subset of [0, n_videos); profiles[0].length_mean 1e+20 with "
+                 "profiles[0].length_dispersion 1.0 is outside the length draw's domain; "
+                 "profiles[1].transition must be 7x7", id="order"),
+    # With no n_videos to check against, the checks that need it are skipped.
+    pytest.param({("n_videos",): 0, ("quiz_videos",): [9], ("profiles", 0, "video_access"): [1.0]},
+                 "n_videos must be >= 1, got 0", id="skipped"),
+    # quiz_videos is checked item by item, never against a set of every video index.
+    pytest.param({("n_videos",): 10 ** 12},
+                 f"profiles[0].video_access must have length {10 ** 12}; "
+                 f"profiles[1].video_access must have length {10 ** 12}", id="huge n_videos"),
+])
+def test_cohort_spec_names_every_fault_at_once(tmp_path, capsys, changes, message):
+    spec_path = write_spec_changes(tmp_path, changes)
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {spec_path}: invalid cohort spec: {message}\n"
 
 
 def test_readme_config_example_parses():

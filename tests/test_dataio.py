@@ -155,6 +155,16 @@ class TestReaders:
         slots = [int(row[N_VIDEOS:].argmax()) for row in record.sequence]
         assert slots == [6, 4, 5]  # view, post, reply in file order
 
+    def test_student_without_events_is_dropped_with_a_warning(self, tmp_path, caplog):
+        events = tmp_path / "events.csv"
+        students = tmp_path / "students.csv"
+        events.write_text("student_id,timestamp,kind,video_index,points,max_points\n"
+                          "s1,0,forum_view,,,\n")
+        students.write_text("student_id,gender,continent,birth_year,label\ns1,,,,1\ns2,F,,,0\n")
+        records = load_records(str(events), str(students), N_VIDEOS)
+        assert [record.student_id for record in records] == ["s1"]
+        assert [r.getMessage() for r in caplog.records] == ["student s2 has no events; dropped"]
+
 
 EVENTS_HEAD = "student_id,timestamp,kind,video_index,points,max_points\ns1,0,forum_view,,,\n"
 STUDENTS_HEAD = "student_id,gender,continent,birth_year,label\ns1,,,,1\n"

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -14,6 +16,7 @@ from fedstudent.activity import (
     quiz_responses,
     row_events,
 )
+from fedstudent import synthgen
 from fedstudent.synthgen import (
     YEAR_RANGES,
     CohortSpec,
@@ -192,6 +195,24 @@ class TestGenerateCohort:
         with pytest.raises(CohortSpecError, match=rf"profiles\[0\]\.{key} must be "):
             generate_cohort(spec, seed=0)
 
+    # Either side of numpy's limit for r = 1 (a mean near 8.385e17), and tiny and huge r:
+    # the check flags a profile exactly when negative_binomial would refuse its length draw.
+    @pytest.mark.parametrize("length_mean, length_dispersion", [
+        (8.38e17, 1.0), (8.39e17, 1.0), (9.3e18, 1e-3), (1e20, 1e-3), (40.0, 1e-17), (40.0, 1e-18),
+        (40.0, 1e-300), (1.0, 1e-300), (2.0, 1e12), (1e300, 1e300), (1e300, 5e-324),
+    ])
+    def test_length_draw_domain_is_numpys(self, length_mean, length_dispersion):
+        profile = make_profile("M", length_mean=length_mean, length_dispersion=length_dispersion)
+        flagged = make_spec([profile]).validate() == [
+            f"profiles[0].length_mean {length_mean!r} with profiles[0].length_dispersion "
+            f"{length_dispersion!r} is outside the length draw's domain"]
+        try:
+            synthgen._draw_length(profile, np.random.default_rng(0), cap=1)
+        except ValueError:
+            assert flagged
+        else:
+            assert not flagged
+
     def test_pass_rate_matches_independent_oracle(self):
         # Direct re-derivation of the generative story with independent code:
         # walk the chain, track fractions, average the logistic pass probability.
@@ -352,3 +373,26 @@ class TestHeatmapOrdering:
         assert divergences[0] < divergences[1] < divergences[2]
         assert gaps[0] <= gaps[1] + 1e-9
         assert gaps[1] <= gaps[2] + 1e-9
+
+
+def test_one_check_of_a_cohort_spec():
+    """In synthgen.py only `_raise_if` constructs a `CohortSpecError` and only `_read_spec`
+    adds to a problem list, so every spec fault is found by one check and named in one error."""
+    tree = ast.parse(pathlib.Path(synthgen.__file__).read_text(encoding="utf-8"))
+    raisers, adders = set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CohortSpecError":
+                raisers.add(function.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("append", "extend", "insert"):
+                target = node.func.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            else:
+                continue
+            if "problem" in getattr(target, "id", ""):
+                adders.add(function.name)
+    assert raisers == {"_raise_if"}
+    assert adders == {"_read_spec"}
